@@ -6,6 +6,15 @@ regularized pseudo-inverse of the sensing matrix B (discrete receiver
 sets). Both share the same spectral filters and the same analytic
 bias/variance decomposition of the estimation error.
 
+A discrete receiver set has the exact Gram (1/M) B^dag B. Every dense
+aperture carries a product measure mu_x (x) mu_z, so its Gram is the
+elementwise product A = X (.) Z of a range factor
+X_jl = int e^{i(beta_j - beta_l) x} dmu_x, a sum of sincs over the range
+segments for every model, and a depth factor Z_jl = int phi_j phi_l dmu_z.
+Z is outer(phi(z_a), phi(z_a)) on a horizontal line and closed form over
+depth segments for the homogeneous models; the parabolic depth factor
+is the only part of a Gram computed by quadrature.
+
 Spectral conventions, fixed for reproducibility: eigenvalues and
 singular values in descending order, and each eigen/singular vector
 phased so its largest-modulus entry is real positive.
@@ -21,13 +30,12 @@ from .errors import (
     SingularUnregularized,
     TooFewReceivers,
 )
-from .modes import HomogeneousDD
+from .modes import HomogeneousDD, HomogeneousDN
 from .synth import (
-    DenseHorizontal,
-    DenseVertical,
     Discrete,
     FieldSamples,
-    array_samples,
+    _segment_nodes,
+    dense_axes,
     geometry_equal,
     mode_traces,
 )
@@ -145,42 +153,57 @@ def _sinc(x):
     return np.sinc(x / np.pi)
 
 
-def _coupling_vertical_dd(ms, geom):
-    """Closed form for vertical segments in the sin basis: for each
-    segment (b, h), (1/(2h)) int_{b-h}^{b+h} 2/L sin(a_j z) sin(a_l z) dz
-    = (1/L)[cos((a_j-a_l)b) sinc((a_j-a_l)h) - cos((a_j+a_l)b) sinc((a_j+a_l)h)].
-    Segments are weighted by length over total length."""
+def _segment_sum(segments, term):
+    """Length-weighted sum over segments (b, h) of term(b, h)."""
+    total = sum(h for _, h in segments)
+    acc = 0.0
+    for b, h in segments:
+        acc = acc + (h / total) * term(b, h)
+    return acc
+
+
+def _range_factor(ms, mu_x):
+    """X_jl = int e^{i(beta_j - beta_l) x} dmu_x: over each segment (b, h)
+    the average is e^{i db b} sinc(db h), with db = beta_j - beta_l. The
+    only range point mass is the vertical aperture's x = 0, where X = 1."""
+    if np.isscalar(mu_x):
+        return 1.0
+    db = ms.beta[:, None] - ms.beta[None, :]
+    return _segment_sum(mu_x, lambda b, h: np.exp(1j * db * b) * _sinc(db * h))
+
+
+def _depth_factor(ms, mu_z):
+    """Z_jl = int phi_j phi_l dmu_z.
+
+    A point mass at z_a gives outer(phi(z_a), phi(z_a)). Over segments
+    the homogeneous bases have a closed form: for each segment (b, h),
+    (1/(2h)) int_{b-h}^{b+h} phi_j phi_l dz
+    = (1/L)[cos(da b) sinc(da h) -+ cos(sa b) sinc(sa h)]
+    with da = a_j - a_l, sa = a_j + a_l, and the sign - for the sin
+    (Dirichlet-Dirichlet) basis, + for the cos (Neumann-Dirichlet) one.
+    The parabolic model is integrated numerically.
+    """
+    if np.isscalar(mu_z):
+        phi = ms.profile_matrix(mu_z)[0]
+        return np.outer(phi, phi)
+    spec = ms.spec
+    if not isinstance(spec, (HomogeneousDD, HomogeneousDN)):
+        return _depth_quadrature(ms, mu_z)
+    sign = -1.0 if isinstance(spec, HomogeneousDD) else 1.0
     al = ms.alpha
     dm = al[:, None] - al[None, :]
     dp = al[:, None] + al[None, :]
-    total = sum(h for _, h in geom.segments())
-    A = np.zeros((al.size, al.size))
-    for b, h in geom.segments():
-        A += (h / total) * (np.cos(dm * b) * _sinc(dm * h)
-                            - np.cos(dp * b) * _sinc(dp * h))
-    return A / ms.spec.L
+    return _segment_sum(mu_z, lambda b, h: np.cos(dm * b) * _sinc(dm * h)
+                        + sign * (np.cos(dp * b) * _sinc(dp * h))) / spec.L
 
 
-def _coupling_horizontal_dd(ms, geom):
-    """Closed form for horizontal segments at depth z_a: the transverse
-    factor (2/L) sin(a_j z_a) sin(a_l z_a) times the range average of
-    e^{i(beta_j - beta_l)x}."""
-    s = np.sqrt(2.0 / ms.spec.L) * np.sin(ms.alpha * geom.z_a)
-    db = ms.beta[:, None] - ms.beta[None, :]
-    total = sum(h for _, h in geom.segments())
-    xfac = np.zeros_like(db, dtype=complex)
-    for b, h in geom.segments():
-        xfac += (h / total) * np.exp(1j * db * b) * _sinc(db * h)
-    return np.outer(s, s) * xfac
-
-
-def _coupling_quadrature(ms, geom):
-    """Gram matrix by composite Gauss-Legendre over mu, accepted once a
-    doubled node budget moves it by less than 1e-10 relative."""
+def _depth_quadrature(ms, segments):
+    """Z by composite Gauss-Legendre over the depth segments, accepted
+    once doubling the nodes moves it by less than 1e-10 relative."""
     def gram(refine):
-        pts, w = array_samples(geom, ms.lambda_o, refine=refine)
-        C = mode_traces(ms, pts)
-        return C.conj().T @ (w[:, None] * C)
+        z, w = _segment_nodes(segments, ms.lambda_o / refine)
+        P = ms.profile_matrix(z)
+        return P.T @ (w[:, None] * P)
 
     prev = gram(1)
     for refine in (2, 4):
@@ -190,25 +213,25 @@ def _coupling_quadrature(ms, geom):
             return cur
         prev = cur
     raise QuadratureNotConverged(
-        f"array Gram matrix not converged for {type(geom).__name__}")
+        f"depth factor of the array Gram matrix not converged over {segments}")
 
 
 def coupling_matrix(ms, geom):
     """Build A for an array geometry.
 
-    Closed forms cover the homogeneous Dirichlet-Dirichlet dense vertical
-    and horizontal apertures; discrete receiver sets use the exact Gram
-    (1/M) B^dag B; everything else falls back to converged quadrature.
+    Discrete receiver sets use the exact Gram (1/M) B^dag B. Every dense
+    aperture carries a product measure mu_x (x) mu_z, so its Gram matrix
+    is the elementwise product A = X (.) Z of the range factor X (a sum
+    of sincs, closed form for every model) and the depth factor Z
+    (closed form for the homogeneous models and for a horizontal line,
+    converged 1-D quadrature for the parabolic model).
     """
     if isinstance(geom, Discrete):
         B = mode_traces(ms, geom.points)
         A = B.conj().T @ B / geom.points.shape[0]
-    elif isinstance(geom, DenseVertical) and isinstance(ms.spec, HomogeneousDD):
-        A = _coupling_vertical_dd(ms, geom)
-    elif isinstance(geom, DenseHorizontal) and isinstance(ms.spec, HomogeneousDD):
-        A = _coupling_horizontal_dd(ms, geom)
     else:
-        A = _coupling_quadrature(ms, geom)
+        mu_x, mu_z = dense_axes(geom)
+        A = _depth_factor(ms, mu_z) * _range_factor(ms, mu_x)
     A, V, d = _eigh_descending(A)
     return CouplingMatrix(A=A, V=V, d=d, geometry=geom)
 
@@ -265,7 +288,6 @@ class EstimationReport:
     variance: float
     mse: float
     spectrum: np.ndarray
-    a_est: np.ndarray = None
 
 
 def _as_regularizer(eps):

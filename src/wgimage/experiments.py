@@ -43,15 +43,12 @@ def _meta(ecfg, **extra):
     return meta
 
 
-def _trial_noise(m, scale, seed, t, rows=1):
-    """Noise draw(s) for trial t: independent stream keyed seed XOR t,
+def _trial_noise(m, scale, seed, t):
+    """Noise draw for trial t: independent stream keyed seed XOR t,
     real parts drawn before imaginary parts."""
     rng = np.random.Generator(np.random.Philox(key=seed ^ t))
-    if rows == 1:
-        return scale / np.sqrt(2.0) * (rng.standard_normal(m)
-                                       + 1j * rng.standard_normal(m))
-    return scale / np.sqrt(2.0) * (rng.standard_normal((rows, m))
-                                   + 1j * rng.standard_normal((rows, m)))
+    return scale / np.sqrt(2.0) * (rng.standard_normal(m)
+                                   + 1j * rng.standard_normal(m))
 
 
 def _filter_for(reg, sigma_meas, a_o, s):
@@ -111,10 +108,13 @@ def localization_error_rates(ms, src, points, sigmas, trials, seed,
 
 def threshold_sigma(sigmas, rates, level=0.5):
     """First crossing of the error-rate curve through `level`, log-
-    interpolated in sigma; nan when the curve never crosses."""
+    interpolated in sigma (linearly on an interval starting at sigma 0);
+    nan when the curve never crosses."""
     for i in range(len(rates) - 1):
         if rates[i] <= level < rates[i + 1]:
             f = (level - rates[i]) / (rates[i + 1] - rates[i])
+            if sigmas[i] == 0:
+                return float(f * sigmas[i + 1])
             return float(sigmas[i] * (sigmas[i + 1] / sigmas[i]) ** f)
     return float("nan")
 

@@ -50,12 +50,6 @@ def write_spectrum_csv(path, spectrum, meta=None):
     write_csv(path, ("index", "value"), rows, meta)
 
 
-def write_field_csv(path, fs, meta=None):
-    rows = [(x, z, v.real, v.imag)
-            for (x, z), v in zip(fs.points, fs.values)]
-    write_csv(path, ("x", "z", "re", "im"), rows, meta)
-
-
 def write_image_csv(path, im, meta=None):
     """Normalized image modulus on the grid, x-major."""
     norm = im if im.normalized else im.normalize()

@@ -62,27 +62,6 @@ def hermite_functions(mmax, s):
     return out
 
 
-def hermite_derivative_coeffs(j, q, mmax):
-    """Coefficient vector of f_j^{(q)} in the basis (f_0..f_mmax).
-
-    Applies the ladder identity f_m' = sqrt(m/2) f_{m-1} - sqrt((m+1)/2) f_{m+1}
-    q times to the unit vector e_j. mmax must be at least j+q.
-    """
-    c = np.zeros(mmax + 1)
-    c[j] = 1.0
-    for _ in range(q):
-        nc = np.zeros_like(c)
-        for m in range(mmax + 1):
-            if c[m] == 0.0:
-                continue
-            if m >= 1:
-                nc[m - 1] += c[m] * np.sqrt(m / 2.0)
-            if m + 1 <= mmax:
-                nc[m + 1] -= c[m] * np.sqrt((m + 1) / 2.0)
-        c = nc
-    return c
-
-
 class ModeSet:
     """Guided-mode basis of a waveguide at a fixed frequency.
 
@@ -127,13 +106,15 @@ class ModeSet:
             trig = np.sin(arg) if isinstance(spec, HomogeneousDD) else np.cos(arg)
             return np.sqrt(2.0 / spec.L) * self.alpha**q * trig
         gam = np.sqrt(self.k_o / spec.L)
-        mmax = self.n_modes - 1 + q
-        f = hermite_functions(mmax, gam * z)
-        out = np.empty((z.size, self.n_modes))
-        for j in range(self.n_modes):
-            c = hermite_derivative_coeffs(j, q, mmax)
-            out[:, j] = gam ** (0.5 + q) * (c @ f)
-        return out
+        f = hermite_functions(self.n_modes - 1 + q, gam * z)
+        for _ in range(q):
+            # ladder f_m' = sqrt(m/2) f_{m-1} - sqrt((m+1)/2) f_{m+1}; each
+            # step drops the top row, which would need f_{mmax+1}
+            m1 = np.arange(1.0, f.shape[0])[:, None]  # m + 1
+            df = -np.sqrt(m1 / 2.0) * f[1:]
+            df[1:] += np.sqrt(m1[:-1] / 2.0) * f[:-2]
+            f = df
+        return gam ** (0.5 + q) * np.ascontiguousarray(f.T)
 
     def transverse_quadrature(self):
         """Gauss-Legendre nodes and weights resolving all mode products.

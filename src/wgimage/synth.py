@@ -1,9 +1,10 @@
 """Point-source data synthesis on antenna arrays.
 
-An array geometry carries a uniform unit-mass measure mu; dense
-apertures are represented by composite Gauss-Legendre samples of that
-measure so that every array integral in the package is a plain weighted
-sum. Field synthesis is the guided-mode sum, and measurement noise is
+An array geometry carries a uniform unit-mass measure mu. A dense
+aperture's mu is the product mu_x (x) mu_z of a range and a depth
+factor (`dense_axes`); its field samples are composite Gauss-Legendre
+nodes of that measure, so array integrals of data are plain weighted
+sums. Field synthesis is the guided-mode sum, and measurement noise is
 additive circular complex Gaussian scaled relative to the peak data
 amplitude.
 """
@@ -12,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NODES_PER_WAVELENGTH = 64
+# Gauss-Legendre nodes per quarter-wavelength panel: 64 per wavelength
+PANEL_NODES = 16
+PANEL_WAVELENGTHS = 0.25
 
 
 @dataclass(frozen=True)
@@ -104,41 +107,58 @@ def geometry_equal(g1, g2):
 
 def _segment_nodes(segments, lambda_o):
     """Composite Gauss-Legendre nodes/weights over a union of segments,
-    normalized to total mass 1 (weights proportional to segment length)."""
+    normalized to total mass 1 (weights proportional to segment length).
+
+    Each segment is split into panels no wider than a quarter of
+    lambda_o, with a fixed PANEL_NODES-point rule on each panel, so the
+    cost is linear in the aperture length.
+    """
+    x, w = np.polynomial.legendre.leggauss(PANEL_NODES)
     total = sum(h for _, h in segments)
     coords, weights = [], []
     for b, h in segments:
-        n = max(16, int(np.ceil(NODES_PER_WAVELENGTH * 2.0 * h / lambda_o)))
-        x, w = np.polynomial.legendre.leggauss(n)
-        coords.append(b + h * x)
-        weights.append(0.5 * h * w / total)  # (1/(2 total)) * dz over this segment
+        panels = max(1, int(np.ceil(2.0 * h / (PANEL_WAVELENGTHS * lambda_o))))
+        hp = h / panels
+        centers = b - h + hp * (2.0 * np.arange(panels) + 1.0)
+        coords.append((centers[:, None] + hp * x).ravel())
+        # (1/(2 total)) * dz over each panel
+        weights.append(np.tile(0.5 * hp * w / total, panels))
     return np.concatenate(coords), np.concatenate(weights)
 
 
-def array_samples(geom, lambda_o, refine=1):
-    """Sample points (K, 2) and unit-mass weights (K,) of mu.
+def dense_axes(geom):
+    """The factors (mu_x, mu_z) of a dense aperture's product measure.
 
-    refine multiplies the per-wavelength node budget of dense
-    geometries; it is what the coupling-matrix quadrature fallback
-    adjusts when checking convergence.
+    A factor is either a tuple of segments (b, h), each uniform on
+    [b - h, b + h] with mass proportional to h, or a number: a unit point
+    mass at that coordinate (x = 0 for vertical apertures, z = z_a for
+    horizontal ones).
     """
+    if isinstance(geom, DenseVertical):
+        return 0.0, geom.segments()
+    if isinstance(geom, DenseHorizontal):
+        return geom.segments(), geom.z_a
+    if isinstance(geom, DensePlanar):
+        return ((0.0, geom.a),), ((geom.z_a, geom.a),)
+    raise TypeError(f"unknown geometry {type(geom).__name__}")
+
+
+def _axis_nodes(factor, lambda_o):
+    if np.isscalar(factor):
+        return np.array([float(factor)]), np.ones(1)
+    return _segment_nodes(factor, lambda_o)
+
+
+def array_samples(geom, lambda_o):
+    """Sample points (K, 2) and unit-mass weights (K,) of mu."""
     if isinstance(geom, Discrete):
         m = geom.points.shape[0]
         return geom.points, np.full(m, 1.0 / m)
-    lam = lambda_o / refine
-    if isinstance(geom, DenseVertical):
-        z, w = _segment_nodes(geom.segments(), lam)
-        return np.column_stack([np.zeros_like(z), z]), w
-    if isinstance(geom, DenseHorizontal):
-        x, w = _segment_nodes(geom.segments(), lam)
-        return np.column_stack([x, np.full_like(x, geom.z_a)]), w
-    if isinstance(geom, DensePlanar):
-        x, wx = _segment_nodes(((0.0, geom.a),), lam)
-        z, wz = _segment_nodes(((geom.z_a, geom.a),), lam)
-        xx, zz = np.meshgrid(x, z, indexing="ij")
-        ww = np.outer(wx, wz)
-        return np.column_stack([xx.ravel(), zz.ravel()]), ww.ravel()
-    raise TypeError(f"unknown geometry {type(geom).__name__}")
+    mu_x, mu_z = dense_axes(geom)
+    x, wx = _axis_nodes(mu_x, lambda_o)
+    z, wz = _axis_nodes(mu_z, lambda_o)
+    xx, zz = np.meshgrid(x, z, indexing="ij")
+    return np.column_stack([xx.ravel(), zz.ravel()]), np.outer(wx, wz).ravel()
 
 
 def source_amplitudes(ms, src):

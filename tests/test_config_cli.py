@@ -112,6 +112,9 @@ def test_threshold_sigma_interpolation():
     sig = threshold_sigma([1e-4, 1e-3, 1e-2], [0.0, 0.25, 1.0])
     assert sig == pytest.approx(1e-3 * 10 ** ((0.5 - 0.25) / 0.75))
     assert np.isnan(threshold_sigma([1e-4, 1e-3], [0.0, 0.1]))
+    # an interval starting at sigma 0 is interpolated linearly
+    sig = threshold_sigma([0, 1e-4, 1e-3], [0.0, 0.7, 1.0])
+    assert sig == pytest.approx(1e-4 * 0.5 / 0.7)
 
 
 def test_error_rates_nondecreasing_within_noise(ms_dd20, src_ref, vertical_points):

@@ -5,16 +5,24 @@ from hypothesis import strategies as st
 
 import wgimage as wg
 from wgimage.estimate import (
-    _coupling_quadrature,
     mse_decomposition,
     optimal_epsilon,
     residual_diagonal,
 )
+from wgimage.synth import array_samples, mode_traces
 
 
 def test_full_aperture_coupling_is_identity_over_depth(ms_dd20):
     cm = wg.coupling_matrix(ms_dd20, wg.DenseVertical(z_a=10.0, a=10.0))
     assert np.abs(cm.A - np.eye(6) / 20.0).max() < 1e-12
+
+
+def _quadrature_gram(ms, geom):
+    # C^dag diag(w) C over the 2-D sample set of mu, independent of the
+    # separable construction
+    pts, w = array_samples(geom, ms.lambda_o)
+    C = mode_traces(ms, pts)
+    return C.conj().T @ (w[:, None] * C)
 
 
 @pytest.mark.parametrize("geom", [
@@ -24,8 +32,41 @@ def test_full_aperture_coupling_is_identity_over_depth(ms_dd20):
 ])
 def test_closed_forms_match_quadrature(ms_dd20, geom):
     closed = wg.coupling_matrix(ms_dd20, geom).A
-    quad = _coupling_quadrature(ms_dd20, geom)
+    quad = _quadrature_gram(ms_dd20, geom)
     assert np.abs(closed - quad).max() < 1e-10 * np.abs(closed).max()
+
+
+@pytest.mark.parametrize("spec, z_c", [
+    (wg.HomogeneousDD(L=20.0), 11.0),
+    (wg.HomogeneousDN(L=20.0), 11.0),
+    (wg.Parabolic(L=10.0), 1.0),
+], ids=["dd", "dn", "parabolic"])
+@pytest.mark.parametrize("kind", ["vertical", "two_interval", "horizontal", "planar"])
+def test_separable_gram_matches_quadrature(spec, z_c, kind):
+    ms = wg.solve_modes(spec, 1.0)
+    geom = {
+        "vertical": wg.DenseVertical(z_a=z_c, a=0.5),
+        "two_interval": wg.DenseVertical(
+            z_a=0.0, a=0.0, intervals=((z_c - 2.0, 1.0), (z_c + 2.0, 1.5))),
+        "horizontal": wg.DenseHorizontal(z_a=z_c, a=1.5),
+        "planar": wg.DensePlanar(z_a=z_c, a=0.5),
+    }[kind]
+    sep = wg.coupling_matrix(ms, geom).A
+    quad = _quadrature_gram(ms, geom)
+    assert np.abs(sep - quad).max() < 1e-10 * np.abs(sep).max()
+
+
+def test_large_planar_gram_trace():
+    # trace A = sum_j Z_jj since X_jj = 1; the depth average of
+    # sum_j (2/L) sin^2(alpha_j z) over [z_a - a, z_a + a] in closed form
+    L, z_a, a = 200.0, 100.0, 40.0
+    ms = wg.solve_modes(wg.HomogeneousDD(L=L), 1.0)
+    cm = wg.coupling_matrix(ms, wg.DensePlanar(z_a=z_a, a=a))
+    al = ms.alpha
+    avg = (1.0 - (np.sin(2 * al * (z_a + a)) - np.sin(2 * al * (z_a - a)))
+           / (4 * al * a)) / L
+    assert cm.d.size == ms.n_modes == 63
+    assert abs(cm.d.sum() - avg.sum()) < 1e-10 * avg.sum()
 
 
 def test_discrete_coupling_spectrum_is_scaled_squared_svd(ms_dd20, vertical_points):

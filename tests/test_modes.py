@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wgimage as wg
-from wgimage.modes import hermite_derivative_coeffs, hermite_functions
+from wgimage.modes import hermite_functions
 
 
 def test_mode_count_homogeneous_dd(ms_dd20):
@@ -109,10 +109,14 @@ def test_hermite_recurrence_against_explicit():
     assert np.allclose(f[2], want, atol=1e-14)
 
 
-def test_hermite_derivative_ladder():
-    # d/ds f_1 = sqrt(1/2) f_0 - f_2; coefficients from one ladder step
-    c = hermite_derivative_coeffs(1, 1, 3)
-    assert np.allclose(c, [np.sqrt(0.5), 0.0, -1.0, 0.0])
+def test_hermite_derivative_ladder(ms_parab10):
+    # d/ds f_1 = sqrt(1/2) f_0 - f_2, and phi_j^(q)(z) = gam^(1/2+q) f_j^(q)(gam z)
+    gam = np.sqrt(ms_parab10.k_o / 10.0)
+    z = np.linspace(-8.0, 8.0, 41)
+    f = hermite_functions(2, gam * z)
+    want = gam**1.5 * (np.sqrt(0.5) * f[0] - f[2])
+    got = ms_parab10.profile_matrix(z, q=1)[:, 1]
+    assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()
 
 
 @settings(max_examples=40, deadline=None)
