@@ -1,9 +1,11 @@
-"""Timing comparison of the batched peak-search paths.
+"""Timing of the Monte Carlo peak-search kernel.
 
-Builds the Monte Carlo workload of the vertical-array localization
-experiment (estimator matrix, separable grid factors, per-trial noise)
-and times the pure-numpy loop against the compiled kernel on identical
-inputs. Run:
+Builds the inputs of the vertical-array localization experiment at
+relative noise 1e-6 the way `localization_error_rates` builds them: the
+Tikhonov estimator matrix at the heuristic eps, the separable grid
+factors with the real profile matrix, one unit noise draw per trial
+scaled to the noise level, and blocks of TRIAL_BLOCK trials. It then
+times `_kernels.peak_search` over all blocks. Run:
 
     python3 benchmarks/bench_kernels.py [--trials N] [--repeats R]
 """
@@ -15,34 +17,28 @@ import numpy as np
 
 import wgimage as wg
 from wgimage import _kernels
-from wgimage.experiments import _trial_noise
+from wgimage.experiments import TRIAL_BLOCK, _filter_for, _trial_noise
 
 
-def build_workload(trials):
+def build_workload(trials, sigma=1e-6, seed=2024):
     ms = wg.solve_modes(wg.HomogeneousDD(L=20.0), 1.0)
     src = wg.PointSource(100.0, 7.7)
     sm = wg.sensing_matrix(ms, wg.vertical_line(20))
     a_o = wg.source_amplitudes(ms, src)
     p = sm.B @ a_o
-    s_meas = 1e-6 * np.abs(p).max()
-    eps = s_meas * np.sqrt(a_o.size) / np.linalg.norm(a_o)
-    G = (sm.V * wg.Tikhonov(eps).filter(sm.s)) @ sm.U.conj().T
+    s_meas = sigma * np.abs(p).max()
+    G = (sm.V * _filter_for(None, s_meas, a_o, sm.s)) @ sm.U.conj().T
     grid = wg.default_grid(ms)
     E = np.exp(1j * np.outer(grid.x, ms.beta))
-    PT = np.ascontiguousarray(ms.profile_matrix(grid.z).T, dtype=complex)
-    W = np.empty((trials, p.size), dtype=complex)
-    for t in range(trials):
-        W[t] = _trial_noise(p.size, s_meas, 2024, t)
-    return G, p, W, ms.beta, E, PT
+    PT = np.ascontiguousarray(ms.profile_matrix(grid.z).T)
+    Z = np.array([_trial_noise(p.size, seed, t) for t in range(trials)])
+    blocks = [s_meas / np.sqrt(2.0) * Z[t0:t0 + TRIAL_BLOCK]
+              for t0 in range(0, trials, TRIAL_BLOCK)]
+    return G, p, blocks, ms.beta, E, PT
 
 
-def timeit(fn, args, repeats):
-    best = np.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best, out
+def run(G, p, blocks, beta, E, PT):
+    return np.concatenate([_kernels.peak_search(G, p, W, beta, E, PT) for W in blocks])
 
 
 def main():
@@ -52,23 +48,15 @@ def main():
     args = ap.parse_args()
 
     work = build_workload(args.trials)
-    nx, nz = work[4].shape[0], work[5].shape[1]
-    print(f"workload: {args.trials} trials, {nx}x{nz} grid, "
-          f"{work[0].shape[1]} receivers, {work[0].shape[0]} modes")
-
-    t_np, out_np = timeit(_kernels.peak_search_numpy, work, args.repeats)
-    print(f"numpy : {t_np * 1e3:8.2f} ms  "
-          f"({t_np / args.trials * 1e6:.1f} us/trial)")
-
-    if not _kernels.HAVE_NUMBA:
-        print("numba : not installed, skipping")
-        return
-    _kernels.warmup()
-    t_nb, out_nb = timeit(_kernels.peak_search_numba, work, args.repeats)
-    same = np.array_equal(out_np, out_nb)
-    print(f"numba : {t_nb * 1e3:8.2f} ms  "
-          f"({t_nb / args.trials * 1e6:.1f} us/trial)")
-    print(f"speedup {t_np / t_nb:.1f}x, outputs identical: {same}")
+    G, _, _, _, E, PT = work
+    print(f"workload: {args.trials} trials in blocks of {TRIAL_BLOCK}, "
+          f"{E.shape[0]}x{PT.shape[1]} grid, {G.shape[1]} receivers, {G.shape[0]} modes")
+    best = np.inf
+    for _ in range(args.repeats):
+        t0 = time.perf_counter()
+        run(*work)
+        best = min(best, time.perf_counter() - t0)
+    print(f"numpy : {best * 1e3:8.2f} ms  ({best / args.trials * 1e6:.1f} us/trial)")
 
 
 if __name__ == "__main__":

@@ -1,114 +1,45 @@
-"""Batched migration peak-search kernels.
+"""Migration peak search for the Monte Carlo localization experiments.
 
-The Monte Carlo localization experiments repeat, for hundreds of noise
-draws, the same three steps: regularized amplitude estimate from noisy
-receiver data, migration of the estimate over the search grid, and
-argmax of the image modulus. That loop dominates package runtime, so a
-numba-compiled version runs when available; an identical pure-numpy
-implementation is the fallback and cross-check.
-
-Path selection: environment variable WGIMAGE_NUMBA. Unset or any of
-{1,on,true,yes} uses the compiled path when numba imports; {0,off,
-false,no} forces numpy. The benchmark script calls both explicitly.
+Each noise draw runs the same three steps: regularized amplitude
+estimate from noisy receiver data, migration of the estimate over the
+search grid, and argmax of the image modulus. That loop dominates the
+runtime of `mc-rate`, so it is written for it: one amplitude GEMM for
+all draws of a call, then per draw one real GEMM against the real mode
+profiles into preallocated buffers.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit, prange
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
 
-
-def numba_requested():
-    return os.environ.get("WGIMAGE_NUMBA", "1").strip().lower() not in (
-        "0", "off", "false", "no")
-
-
-def peak_search_numpy(G, p, W, beta, E, PT):
+def peak_search(G, p, W, beta, E, PT):
     """Per-trial image peak indices.
 
     For each noise row w of W: a = G (p + w), then the image
     I = (E * (2i beta conj(a))) PT is scanned for its maximal modulus.
+    The profiles are real, so I is formed as the real product
+    [Re; Im](E * c) PT and the peak is the argmax of Re(I)^2 + Im(I)^2.
     Ties resolve to the smallest flat index (row-major), i.e. smallest
     x index then smallest z index.
 
     G: (N, M) estimator matrix V psi(D) U^dag
     p: (M,) noiseless data; W: (T, M) noise draws
-    E: (nx, N) range phases e^{i beta x}; PT: (N, nz) profile transpose
+    E: (nx, N) range phases e^{i beta x}; PT: (N, nz) real profile transpose
     returns (T, 2) int64 grid indices
     """
-    T = W.shape[0]
-    out = np.empty((T, 2), dtype=np.int64)
-    nz = PT.shape[1]
-    for t in range(T):
-        a = G @ (p + W[t])
-        c = 2j * beta * np.conj(a)
-        img = np.abs((E * c) @ PT)
-        k = int(np.argmax(img))
-        out[t, 0], out[t, 1] = divmod(k, nz)
+    C = 2j * beta * np.conj((p + W) @ G.T)
+    nx, nz = E.shape[0], PT.shape[1]
+    ec = np.empty(E.shape, dtype=complex)
+    stacked = np.empty((2 * nx, E.shape[1]))
+    img = np.empty((2 * nx, nz))
+    mag = np.empty((nx, nz))
+    tmp = np.empty((nx, nz))
+    out = np.empty((W.shape[0], 2), dtype=np.int64)
+    for t, c in enumerate(C):
+        np.multiply(E, c, out=ec)
+        stacked[:nx] = ec.real
+        stacked[nx:] = ec.imag
+        np.matmul(stacked, PT, out=img)
+        np.square(img[:nx], out=mag)
+        mag += np.square(img[nx:], out=tmp)
+        out[t] = divmod(int(np.argmax(mag)), nz)
     return out
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _peak_search_numba(G, p, W, beta, E, PT):
-        T = W.shape[0]
-        nx = E.shape[0]
-        nz = PT.shape[1]
-        n = beta.size
-        out = np.empty((T, 2), dtype=np.int64)
-        for t in prange(T):
-            a = np.dot(G, p + W[t])
-            c = np.empty(n, dtype=np.complex128)
-            for j in range(n):
-                c[j] = 2j * beta[j] * np.conj(a[j])
-            img = np.dot(E * c, PT)
-            best = -1.0
-            bix = 0
-            biz = 0
-            for i in range(nx):
-                for k in range(nz):
-                    v = img[i, k]
-                    m = v.real * v.real + v.imag * v.imag
-                    if m > best:
-                        best = m
-                        bix = i
-                        biz = k
-            out[t, 0] = bix
-            out[t, 1] = biz
-        return out
-
-    def peak_search_numba(G, p, W, beta, E, PT):
-        return _peak_search_numba(
-            np.ascontiguousarray(G), np.ascontiguousarray(p, dtype=np.complex128),
-            np.ascontiguousarray(W), np.ascontiguousarray(beta, dtype=np.float64),
-            np.ascontiguousarray(E), np.ascontiguousarray(PT, dtype=np.complex128))
-
-else:
-    peak_search_numba = None
-
-
-def peak_search(G, p, W, beta, E, PT):
-    if HAVE_NUMBA and numba_requested():
-        return peak_search_numba(G, p, W, beta, E, PT)
-    return peak_search_numpy(G, p, W, beta, E, PT)
-
-
-def warmup():
-    """Trigger JIT compilation on a tiny problem so first-use timings in
-    experiments stay honest. No-op on the numpy path."""
-    if not (HAVE_NUMBA and numba_requested()):
-        return
-    rng = np.random.default_rng(0)
-    n, m, t = 2, 3, 2
-    G = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    p = rng.standard_normal(m) + 0j
-    W = rng.standard_normal((t, m)) + 0j
-    E = rng.standard_normal((4, n)) + 0j
-    PT = rng.standard_normal((n, 5)) + 0j
-    peak_search_numba(G, p, W, np.abs(rng.standard_normal(n)), E, PT)

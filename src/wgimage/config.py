@@ -255,6 +255,14 @@ def build_experiment(cfg):
     trials = cfg.get_int("noise.trials", 200)
     if trials < 1:
         raise ConfigError("noise.trials must be >= 1")
+    sigmas = cfg.get_floats("noise.sigmas", [])
+    for sig in sigmas:
+        if not (np.isfinite(sig) and sig >= 0):
+            raise ConfigError(f"noise.sigmas entries must be finite and >= 0, got {sig!r}")
+    seed = cfg.get_int("noise.seed", 0)
+    if not 0 <= seed < 2**128:
+        # trial t draws from Philox(key=seed ^ t), whose key is a 128-bit word
+        raise ConfigError(f"noise.seed must be in [0, 2**128), got {seed}")
     return ExperimentConfig(
         cfg=cfg,
         ms=ms,
@@ -262,7 +270,7 @@ def build_experiment(cfg):
         geometry=geometry,
         grid=build_grid(cfg, ms),
         reg=build_reg_policy(cfg),
-        sigmas=cfg.get_floats("noise.sigmas", []),
+        sigmas=sigmas,
         trials=trials,
-        seed=cfg.get_int("noise.seed", 0),
+        seed=seed,
     )

@@ -3,9 +3,11 @@
 These are the work units behind the command line. Each runner takes a
 built ExperimentConfig, computes with the library modules, and writes
 deterministic CSV. The Monte Carlo loop keeps a fixed convention for
-reproducibility: trial t draws its noise from an independent Philox
-stream keyed seed XOR t, so trials are order-independent and any slice
-of them can be recomputed in isolation.
+reproducibility: trial t draws its unit complex noise Z_t from a Philox
+stream keyed seed XOR t, and its noise at relative level sigma is
+s_meas / sqrt(2) * Z_t. Trials are order-independent, and any slice of
+them can be recomputed in isolation. The loop runs over blocks of
+TRIAL_BLOCK trials and draws each Z_t once, for every sigma.
 """
 
 import numpy as np
@@ -43,12 +45,12 @@ def _meta(ecfg, **extra):
     return meta
 
 
-def _trial_noise(m, scale, seed, t):
-    """Noise draw for trial t: independent stream keyed seed XOR t,
-    real parts drawn before imaginary parts."""
+def _trial_noise(m, seed, t):
+    """Unit complex noise Z_t of trial t: real and imaginary parts
+    standard normal, from the Philox stream keyed seed XOR t, real parts
+    drawn before imaginary parts. The noise at scale s is s / sqrt(2) * Z_t."""
     rng = np.random.Generator(np.random.Philox(key=seed ^ t))
-    return scale / np.sqrt(2.0) * (rng.standard_normal(m)
-                                   + 1j * rng.standard_normal(m))
+    return rng.standard_normal(m) + 1j * rng.standard_normal(m)
 
 
 def _filter_for(reg, sigma_meas, a_o, s):
@@ -73,14 +75,22 @@ def _filter_for(reg, sigma_meas, a_o, s):
 # ---------------------------------------------------------------------------
 # localization error rates
 
+#: Trials per block of the Monte Carlo loop: it bounds the noise arrays at
+#: TRIAL_BLOCK x M values, while each amplitude GEMM still covers many trials.
+TRIAL_BLOCK = 128
+
+
 def localization_error_rates(ms, src, points, sigmas, trials, seed,
                              grid=None, reg=None):
     """Fraction of noise draws whose image peak lands farther than half a
     wavelength from the source, for each relative noise level sigma.
 
-    The estimator matrix G = V psi(D) U^dag and the separable grid
-    factors are precomputed once per sigma; the per-trial work runs in
-    the batched peak-search kernel.
+    The estimator matrix G = V psi(D) U^dag of each sigma and the
+    separable grid factors are built once. Trials then run in blocks of
+    TRIAL_BLOCK: each trial's unit noise Z_t is drawn once, and every
+    sigma's peak search in the block reuses it as s_meas / sqrt(2) * Z_t.
+    So a run makes one draw per trial, and the noise held at once never
+    exceeds TRIAL_BLOCK x M values per array.
     """
     if grid is None:
         grid = default_grid(ms)
@@ -89,21 +99,19 @@ def localization_error_rates(ms, src, points, sigmas, trials, seed,
     p = sm.B @ a_o
     xs, zs = grid.x, grid.z
     E = np.exp(1j * np.outer(xs, ms.beta))
-    PT = np.ascontiguousarray(ms.profile_matrix(zs).T, dtype=complex)
+    PT = np.ascontiguousarray(ms.profile_matrix(zs).T)
     half2 = (0.5 * ms.lambda_o) ** 2
-    m = p.size
-    rates = []
-    for sig in np.asarray(sigmas, dtype=float):
-        s_meas = sig * np.abs(p).max()
-        filt = _filter_for(reg, s_meas, a_o, sm.s)
-        G = (sm.V * filt) @ sm.U.conj().T
-        W = np.empty((trials, m), dtype=complex)
-        for t in range(trials):
-            W[t] = _trial_noise(m, s_meas, seed, t)
-        peaks = _kernels.peak_search(G, p, W, ms.beta, E, PT)
-        d2 = (xs[peaks[:, 0]] - src.x_o) ** 2 + (zs[peaks[:, 1]] - src.z_o) ** 2
-        rates.append(float(np.mean(d2 > half2)))
-    return np.array(rates)
+    s_meas = np.asarray(sigmas, dtype=float) * np.abs(p).max()
+    Gs = [(sm.V * _filter_for(reg, s, a_o, sm.s)) @ sm.U.conj().T for s in s_meas]
+    misses = np.zeros(len(Gs), dtype=np.int64)
+    for t0 in range(0, trials, TRIAL_BLOCK):
+        Z = np.array([_trial_noise(p.size, seed, t)
+                      for t in range(t0, min(t0 + TRIAL_BLOCK, trials))])
+        for k, (s, G) in enumerate(zip(s_meas, Gs)):
+            peaks = _kernels.peak_search(G, p, s / np.sqrt(2.0) * Z, ms.beta, E, PT)
+            d2 = (xs[peaks[:, 0]] - src.x_o) ** 2 + (zs[peaks[:, 1]] - src.z_o) ** 2
+            misses[k] += np.count_nonzero(d2 > half2)
+    return misses / trials
 
 
 def threshold_sigma(sigmas, rates, level=0.5):
@@ -154,7 +162,7 @@ def run_image(ecfg, sigma, outdir, png=False):
     a_o = source_amplitudes(ms, src)
     p = sm.B @ a_o
     s_meas = sigma * np.abs(p).max()
-    w = _trial_noise(p.size, s_meas, ecfg.seed, 0)
+    w = s_meas / np.sqrt(2.0) * _trial_noise(p.size, ecfg.seed, 0)
     filt = _filter_for(ecfg.reg, s_meas, a_o, sm.s)
     a = (sm.V * filt) @ (sm.U.conj().T @ (p + w))
     im = migrate(a, ms, ecfg.grid)

@@ -2,13 +2,6 @@ import numpy as np
 import pytest
 
 import wgimage as wg
-from wgimage import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the batched kernel once so per-test runtime budgets are honest
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")

@@ -92,6 +92,39 @@ def test_build_rejections():
         build_experiment(parse_config_text(base + "array.kind = points\narray.points = 1;2\n"))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("noise.seed", "-1"),
+    ("noise.seed", str(2**128)),
+    ("noise.sigmas", "-1e-6, 1e-5"),
+    ("noise.sigmas", "nan, 1e-5"),
+    ("noise.sigmas", "1e-5, inf"),
+])
+def test_noise_keys_rejected(tmp_path, capsys, key, value):
+    lines = [ln for ln in load_config(VERTICAL).text.splitlines()
+             if not ln.startswith(key)]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    with pytest.raises(wg.ConfigError, match=key):
+        build_experiment(load_config(str(cfg)))
+    assert main(["mc-rate", "--config", str(cfg), "--trials", "2",
+                 "--out", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "rates.csv").exists()
+
+
+def test_noise_overrides_rejected(tmp_path, capsys):
+    assert main(["mc-rate", "--config", VERTICAL, "--trials", "2", "--seed", "-1",
+                 "--out", str(tmp_path)]) == 2
+    assert "noise.seed" in capsys.readouterr().err
+    assert main(["image", "--config", VERTICAL, "--sigma=-1e-6",
+                 "--out", str(tmp_path)]) == 2
+    assert "noise.sigmas" in capsys.readouterr().err
+    # sigma 0 (noiseless data) and seed 0 stay valid
+    ecfg = build_experiment(parse_config_text(
+        "waveguide.L = 20\nomega = 1\nnoise.sigmas = 0, 1e-6\nnoise.seed = 0\n"))
+    assert ecfg.sigmas == [0.0, 1e-6] and ecfg.seed == 0
+
+
 def test_points_geometry_and_explicit_reg():
     cfg = parse_config_text(
         "waveguide.L = 20\nomega = 1\n"
