@@ -116,6 +116,20 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 # builders
 
+def _positive(cfg, key, default=_REQUIRED):
+    val = cfg.get_float(key, default)
+    if not (np.isfinite(val) and val > 0):
+        raise ConfigError(f"{key} must be finite and > 0, got {val!r}")
+    return val
+
+
+def _finite(cfg, key, default):
+    val = cfg.get_float(key, default)
+    if not np.isfinite(val):
+        raise ConfigError(f"{key} must be finite, got {val!r}")
+    return val
+
+
 _MODELS = {
     "homogeneous_dd": HomogeneousDD,
     "homogeneous_dn": HomogeneousDN,
@@ -128,14 +142,12 @@ def build_spec(cfg):
     if name not in _MODELS:
         raise ConfigError(
             f"waveguide.model must be one of {sorted(_MODELS)}, got {name!r}")
-    L = cfg.get_float("waveguide.L")
-    if L <= 0:
-        raise ConfigError("waveguide.L must be positive")
-    return _MODELS[name](L=L, c_o=cfg.get_float("waveguide.c_o", 1.0))
+    return _MODELS[name](L=_positive(cfg, "waveguide.L"),
+                         c_o=_positive(cfg, "waveguide.c_o", 1.0))
 
 
 def build_modeset(cfg):
-    return solve_modes(build_spec(cfg), cfg.get_float("omega"))
+    return solve_modes(build_spec(cfg), _positive(cfg, "omega"))
 
 
 def build_source(cfg):
@@ -197,12 +209,16 @@ def build_geometry(cfg):
 
 
 def build_grid(cfg, ms):
-    base = default_grid(ms,
-                        x_min=cfg.get_float("grid.x_min", 50.0),
-                        x_max=cfg.get_float("grid.x_max", 150.0),
-                        step_fraction=cfg.get_float("grid.step_fraction", 20.0))
-    z_min = cfg.get_float("grid.z_min", base.z_min)
-    z_max = cfg.get_float("grid.z_max", base.z_max)
+    x_min = _finite(cfg, "grid.x_min", 50.0)
+    x_max = _finite(cfg, "grid.x_max", 150.0)
+    if not x_min < x_max:
+        raise ConfigError(f"grid.x_min must be < grid.x_max, got {x_min!r} >= {x_max!r}")
+    base = default_grid(ms, x_min=x_min, x_max=x_max,
+                        step_fraction=_positive(cfg, "grid.step_fraction", 20.0))
+    z_min = _finite(cfg, "grid.z_min", base.z_min)
+    z_max = _finite(cfg, "grid.z_max", base.z_max)
+    if not z_min < z_max:
+        raise ConfigError(f"grid.z_min must be < grid.z_max, got {z_min!r} >= {z_max!r}")
     return SearchGrid(base.x_min, base.x_max, z_min, z_max, base.dx, base.dz)
 
 

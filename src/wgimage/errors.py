@@ -13,10 +13,6 @@ class SingularUnregularized(Exception):
     """Raised when unregularized inversion meets a numerically singular spectrum."""
 
 
-class TooFewReceivers(Exception):
-    """Raised when a sensing matrix would have fewer rows than modes."""
-
-
 class EmptySpectrum(Exception):
     """Raised when an effective-rank query receives no spectral values."""
 
@@ -27,3 +23,8 @@ class GeometryMismatch(Exception):
 
 class ConfigError(Exception):
     """Raised on invalid or inconsistent experiment configuration."""
+
+
+class TooFewReceivers(ConfigError):
+    """Raised when a sensing matrix would have fewer rows than modes: the
+    array (array.M) is too small for the configured guide and frequency."""

@@ -2,19 +2,19 @@
 
 Every file starts with `#`-prefixed comment lines carrying the tool
 version, a hash of the generating configuration, and the seed, so any
-output can be traced back to its inputs. Numbers are formatted with
-{:.12g}: enough digits to round-trip the physics, short enough to diff.
+output can be traced back to its inputs. Then come the column names and
+one line per row. Each column keeps one format, fixed by its value in
+the first row: integers are written exactly, floats with %.12g (enough
+digits to round-trip the physics, short enough to diff). Rows stream to
+the file one at a time; the image writer, whose grids reach 10^5 pixels,
+never builds its rows in memory. Image rows are x-major: z varies
+fastest.
 """
 
 import hashlib
+from itertools import chain, repeat
 
 import numpy as np
-
-
-def _fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".12g")
 
 
 def config_digest(text):
@@ -34,15 +34,29 @@ def _header_lines(meta):
     return lines
 
 
+def _conversion(v):
+    if isinstance(v, str):
+        return "%s"
+    if isinstance(v, (int, np.integer)):
+        return "%d"
+    return "%.12g"
+
+
 def write_csv(path, columns, rows, meta=None):
-    """Write rows of numbers under a column-name line, after the comment
-    header. Deterministic bytes for identical inputs."""
-    out = _header_lines(meta)
-    out.append(",".join(columns))
-    for row in rows:
-        out.append(",".join(_fmt(v) for v in row))
+    """Write rows under a column-name line, after the comment header.
+
+    `rows` is any iterable of tuples; it is consumed once. The first row
+    fixes each column's format: a str is written as is, an int or numpy
+    integer exactly, anything else with %.12g. Deterministic bytes for
+    identical inputs."""
+    rows = iter(rows)
+    first = next(rows, None)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+        fh.write("\n".join(_header_lines(meta) + [",".join(columns)]) + "\n")
+        if first is not None:
+            fmt = ",".join(map(_conversion, first)) + "\n"
+            fh.write(fmt % first)
+            fh.writelines(map(fmt.__mod__, rows))
 
 
 def write_spectrum_csv(path, spectrum, meta=None):
@@ -51,11 +65,13 @@ def write_spectrum_csv(path, spectrum, meta=None):
 
 
 def write_image_csv(path, im, meta=None):
-    """Normalized image modulus on the grid, x-major."""
+    """Normalized image modulus on the grid, x-major. Each axis value is
+    formatted once; the pixel rows stream from a generator."""
     norm = im if im.normalized else im.normalize()
-    xs, zs = norm.grid.x, norm.grid.z
-    rows = [(xs[i], zs[k], norm.values[i, k])
-            for i in range(xs.size) for k in range(zs.size)]
+    xs = ["%.12g" % x for x in norm.grid.x.tolist()]
+    zs = ["%.12g" % z for z in norm.grid.z.tolist()]
+    rows = chain.from_iterable(zip(repeat(x), zs, vals.tolist())
+                               for x, vals in zip(xs, norm.values))
     write_csv(path, ("x", "z", "I_normalized"), rows, meta)
 
 

@@ -92,6 +92,15 @@ def test_build_rejections():
         build_experiment(parse_config_text(base + "array.kind = points\narray.points = 1;2\n"))
 
 
+def _vertical_with(tmp_path, entries):
+    """configs/vertical.cfg with `entries` set; returns the new path."""
+    lines = [ln for ln in load_config(VERTICAL).text.splitlines()
+             if ln.partition("=")[0].strip() not in entries]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(lines + [f"{k} = {v}" for k, v in entries.items()]) + "\n")
+    return str(cfg)
+
+
 @pytest.mark.parametrize("key, value", [
     ("noise.seed", "-1"),
     ("noise.seed", str(2**128)),
@@ -100,16 +109,48 @@ def test_build_rejections():
     ("noise.sigmas", "1e-5, inf"),
 ])
 def test_noise_keys_rejected(tmp_path, capsys, key, value):
-    lines = [ln for ln in load_config(VERTICAL).text.splitlines()
-             if not ln.startswith(key)]
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    cfg = _vertical_with(tmp_path, {key: value})
     with pytest.raises(wg.ConfigError, match=key):
-        build_experiment(load_config(str(cfg)))
-    assert main(["mc-rate", "--config", str(cfg), "--trials", "2",
+        build_experiment(load_config(cfg))
+    assert main(["mc-rate", "--config", cfg, "--trials", "2",
                  "--out", str(tmp_path)]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "rates.csv").exists()
+
+
+@pytest.mark.parametrize("key, entries", [
+    ("omega", {"omega": "-1"}),
+    ("omega", {"omega": "nan"}),
+    ("waveguide.L", {"waveguide.L": "inf"}),
+    ("waveguide.L", {"waveguide.L": "0"}),
+    ("waveguide.c_o", {"waveguide.c_o": "0"}),
+    ("waveguide.c_o", {"waveguide.c_o": "nan"}),
+    ("grid.step_fraction", {"grid.step_fraction": "0"}),
+    ("grid.step_fraction", {"grid.step_fraction": "-5"}),
+    ("grid.step_fraction", {"grid.step_fraction": "inf"}),
+    ("grid.x_min", {"grid.x_min": "150", "grid.x_max": "50"}),
+    ("grid.x_min", {"grid.x_min": "50", "grid.x_max": "50"}),
+    ("grid.z_min", {"grid.z_min": "15", "grid.z_max": "5"}),
+    ("grid.x_min", {"grid.x_min": "-inf"}),
+    ("grid.x_max", {"grid.x_max": "nan"}),
+    ("grid.z_min", {"grid.z_min": "nan"}),
+    ("grid.z_max", {"grid.z_max": "inf"}),
+])
+def test_scale_and_grid_keys_rejected(tmp_path, capsys, key, entries):
+    cfg = _vertical_with(tmp_path, entries)
+    with pytest.raises(wg.ConfigError, match=key):
+        build_experiment(load_config(cfg))
+    assert main(["image", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "image.csv").exists()
+
+
+def test_too_few_receivers_exits_2(tmp_path, capsys):
+    cfg = _vertical_with(tmp_path, {"array.M": "3"})
+    assert main(["image", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "3 receivers" in err
+    assert not (tmp_path / "image.csv").exists()
 
 
 def test_noise_overrides_rejected(tmp_path, capsys):

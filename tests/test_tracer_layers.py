@@ -45,3 +45,19 @@ def test_kernel_arguments_match_tracer_unpacking():
     # the tracer counts work from the six positional arguments, in this order
     params = list(inspect.signature(_kernels.peak_search).parameters)
     assert params == ["G", "p", "W", "beta", "E", "PT"]
+
+
+def test_csv_counts_of_a_streamed_image(tracer, tmp_path):
+    # write_image_csv hands write_csv a generator; the tracer must still
+    # count every pixel row and every byte of image.csv
+    vertical = str(TRACER.parent.parent / "configs" / "vertical.cfg")
+    t = tracer.Tracer()
+    undo = tracer.install(t)
+    try:
+        assert wgimage.cli.main(["image", "--config", vertical, "--sigma", "0",
+                                 "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall(undo)
+    layer = tracer.summarize(t.spans)["io.write_csv"]
+    assert layer["rows_written"] == 319 * 65
+    assert layer["bytes_written"] == (tmp_path / "image.csv").stat().st_size
