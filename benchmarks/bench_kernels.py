@@ -17,7 +17,7 @@ import numpy as np
 
 import wgimage as wg
 from wgimage import _kernels
-from wgimage.experiments import TRIAL_BLOCK, _filter_for, _trial_noise
+from wgimage.experiments import TRIAL_BLOCK, _trial_noise
 
 
 def build_workload(trials, sigma=1e-6, seed=2024):
@@ -27,7 +27,7 @@ def build_workload(trials, sigma=1e-6, seed=2024):
     a_o = wg.source_amplitudes(ms, src)
     p = sm.B @ a_o
     s_meas = sigma * np.abs(p).max()
-    G = (sm.V * _filter_for(None, s_meas, a_o, sm.s)) @ sm.U.conj().T
+    G = wg.estimator_matrix(sm, wg.RegPolicy().regularizer(s_meas, a_o))
     grid = wg.default_grid(ms)
     E = np.exp(1j * np.outer(grid.x, ms.beta))
     PT = np.ascontiguousarray(ms.profile_matrix(grid.z).T)

@@ -20,10 +20,12 @@ from .estimate import (
     CouplingMatrix,
     EstimationReport,
     HardThreshold,
+    RegPolicy,
     SensingMatrix,
     Tikhonov,
     coupling_matrix,
     estimate_amplitudes,
+    estimator_matrix,
     mse_decomposition,
     optimal_epsilon,
     project_reduced,

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .estimate import HardThreshold, RegPolicy, Tikhonov
 from .image import SearchGrid, default_grid
 from .modes import HomogeneousDD, HomogeneousDN, Parabolic, solve_modes
 from .synth import (
@@ -156,12 +157,17 @@ def build_source(cfg):
 
 def _parse_segments(text):
     try:
-        return tuple(
+        segs = tuple(
             (float(b), float(h))
             for b, _, h in (tok.strip().partition(":")
                             for tok in text.split(";") if tok.strip()))
     except ValueError:
-        raise ConfigError(f"bad segment list {text!r}; expected b1:h1;b2:h2") from None
+        raise ConfigError(f"array.intervals must be b1:h1;b2:h2, got {text!r}") from None
+    for b, h in segs:
+        if not (np.isfinite(b) and np.isfinite(h) and h > 0):
+            raise ConfigError(f"array.intervals centers must be finite and half-widths "
+                              f"finite and > 0, got {b!r}:{h!r}")
+    return segs
 
 
 def build_geometry(cfg):
@@ -200,11 +206,11 @@ def build_geometry(cfg):
         cls = DenseVertical if kind == "dense_vertical" else DenseHorizontal
         segs = cfg.get("array.intervals", None)
         return cls(z_a=cfg.get_float("array.z_a", 0.0),
-                   a=cfg.get_float("array.a", 0.0),
+                   a=cfg.get_float("array.a", 0.0) if segs else _positive(cfg, "array.a"),
                    intervals=_parse_segments(segs) if segs else None)
     if kind == "dense_planar":
         return DensePlanar(z_a=cfg.get_float("array.z_a"),
-                           a=cfg.get_float("array.a"))
+                           a=_positive(cfg, "array.a"))
     raise ConfigError(f"unknown array.kind {kind!r}")
 
 
@@ -222,29 +228,21 @@ def build_grid(cfg, ms):
     return SearchGrid(base.x_min, base.x_max, z_min, z_max, base.dx, base.dz)
 
 
-@dataclass
-class RegPolicy:
-    """Regularizer choice: kind in {tikhonov, hard, none}; eps either the
-    noise-driven heuristic ('heuristic') or an explicit value."""
-
-    kind: str = "tikhonov"
-    policy: str = "heuristic"
-    eps: float = None
+_REGULARIZERS = {"tikhonov": Tikhonov, "hard": HardThreshold, "none": None}
 
 
 def build_reg_policy(cfg):
+    """RegPolicy from reg.kind and reg.eps (omitted: the heuristic eps)."""
+    if "reg.policy" in cfg.entries:
+        raise ConfigError("reg.policy is not a key: set reg.eps for a fixed eps, "
+                          "or leave it out for the noise-matched heuristic")
     kind = cfg.get_str("reg.kind", "tikhonov").lower()
-    policy = cfg.get_str("reg.policy", "heuristic").lower()
-    if kind not in ("tikhonov", "hard", "none"):
+    if kind not in _REGULARIZERS:
         raise ConfigError(f"reg.kind must be tikhonov, hard or none, got {kind!r}")
-    if policy not in ("heuristic", "explicit"):
-        raise ConfigError(f"reg.policy must be heuristic or explicit, got {policy!r}")
-    eps = None
-    if policy == "explicit":
-        eps = cfg.get_float("reg.eps")
-        if eps < 0:
-            raise ConfigError("reg.eps must be nonnegative")
-    return RegPolicy(kind=kind, policy=policy, eps=eps)
+    eps = cfg.get_float("reg.eps") if "reg.eps" in cfg.entries else None
+    if eps is not None and not (np.isfinite(eps) and eps >= 0):
+        raise ConfigError(f"reg.eps must be finite and >= 0, got {eps!r}")
+    return RegPolicy(_REGULARIZERS[kind], eps)
 
 
 @dataclass

@@ -9,10 +9,6 @@ class QuadratureNotConverged(Exception):
     """Raised when adaptive refinement of an array integral fails its tolerance."""
 
 
-class SingularUnregularized(Exception):
-    """Raised when unregularized inversion meets a numerically singular spectrum."""
-
-
 class EmptySpectrum(Exception):
     """Raised when an effective-rank query receives no spectral values."""
 
@@ -23,6 +19,10 @@ class GeometryMismatch(Exception):
 
 class ConfigError(Exception):
     """Raised on invalid or inconsistent experiment configuration."""
+
+
+class SingularUnregularized(ConfigError):
+    """Raised when plain inversion (reg.kind = none) meets a singular spectrum."""
 
 
 class TooFewReceivers(ConfigError):

@@ -3,8 +3,12 @@
 Two routes to the amplitude vector: project data onto reduced mode
 profiles and invert the coupling matrix A (any geometry), or apply a
 regularized pseudo-inverse of the sensing matrix B (discrete receiver
-sets). Both share the same spectral filters and the same analytic
-bias/variance decomposition of the estimation error.
+sets). Both are one estimator a_eps = V psi_eps(D) X (X = b, U^dag p,
+or U^dag for the estimator matrix G), formed only in `_filtered`, with
+one analytic bias/variance decomposition of the error. A `RegPolicy`
+picks psi_eps at each noise level: Tikhonov, HardThreshold or None
+(plain inversion, refused on a spectrum spanning more than 14 decades),
+at a fixed eps or at the noise-matched `heuristic_eps`.
 
 A discrete receiver set has the exact Gram (1/M) B^dag B. Every dense
 aperture carries a product measure mu_x (x) mu_z, so its Gram is the
@@ -82,22 +86,35 @@ class HardThreshold:
         return (np.asarray(d, dtype=float) <= self.eps).astype(float)
 
 
-def residual_diagonal(reg, d):
-    """R^eps diagonal 1 - d psi_eps(d): the bias weight of each component,
-    in [0, 1]."""
-    return reg.residual(d)
+def heuristic_eps(sigma_meas, a_o):
+    """eps = sigma_meas sqrt(N) / ||a_o||, matching the noise-to-signal
+    balance of the discrepancy principle."""
+    a_o = np.asarray(a_o)
+    return sigma_meas * np.sqrt(a_o.size) / np.linalg.norm(a_o)
 
 
-def _apply_filter(reg, d, floor_check=True):
-    # reg=None means plain inversion, legal only on a safely nonsingular
-    # spectrum; regularization must be explicit otherwise.
-    d = np.asarray(d, dtype=float)
-    if reg is None:
-        if floor_check and np.min(d) < 1e-14 * np.max(d):
-            raise SingularUnregularized(
-                "spectrum spans more than 14 decades; pass a Regularizer")
-        return 1.0 / d
-    return reg.filter(d)
+@dataclass(frozen=True)
+class RegPolicy:
+    """Regularizer choice at any noise level: kind is Tikhonov,
+    HardThreshold or None (plain inversion); eps=None means heuristic_eps."""
+
+    kind: type = Tikhonov
+    eps: float = None
+
+    def regularizer(self, sigma_meas, a_o):
+        """kind(eps) for measurement noise sigma_meas, or None."""
+        if self.kind is None:
+            return None
+        return self.kind(heuristic_eps(sigma_meas, a_o) if self.eps is None else self.eps)
+
+
+def _filtered(V, d, reg, X):
+    """V psi(D) X, associated as (V psi) X: the one place a filter is
+    applied. reg=None is plain inversion, refused on a singular spectrum."""
+    if reg is None and np.min(d) < 1e-14 * np.max(d):
+        raise SingularUnregularized("spectrum spans more than 14 decades: plain "
+                                    "inversion (reg.kind = none) needs a regularizer")
+    return (V * (1.0 / d if reg is None else reg.filter(d))) @ X
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +253,21 @@ def coupling_matrix(ms, geom):
     return CouplingMatrix(A=A, V=V, d=d, geometry=geom)
 
 
+def _backproject(fs, cm, ms):
+    """m = C^dag (w (.) p): m_j = int p conj(phi_j e^{-i beta_j x}) dmu."""
+    if not geometry_equal(fs.geometry, cm.geometry):
+        raise GeometryMismatch("field samples and coupling matrix disagree on geometry")
+    C = mode_traces(ms, fs.points)
+    return C.conj().T @ (fs.weights * fs.values)
+
+
 def project_reduced(fs, cm, ms):
     """Project field samples onto the reduced mode profiles:
     b_l = int p conj(psi_l) dmu with psi_l = sum_j V_jl phi_j(z) e^{-i beta_j x}.
 
     For noiseless mode-sum data b = D V^dag a_o.
     """
-    if not geometry_equal(fs.geometry, cm.geometry):
-        raise GeometryMismatch("field samples and coupling matrix disagree on geometry")
-    C = mode_traces(ms, fs.points)
-    m = C.conj().T @ (fs.weights * fs.values)
-    return cm.V.conj().T @ m
+    return cm.V.conj().T @ _backproject(fs, cm, ms)
 
 
 def estimate_amplitudes(b, cm, reg):
@@ -254,7 +275,7 @@ def estimate_amplitudes(b, cm, reg):
     b = np.asarray(b)
     if b.shape != (cm.d.size,):
         raise GeometryMismatch(f"projection length {b.shape} != mode count {cm.d.size}")
-    return cm.V @ (_apply_filter(reg, cm.d) * b)
+    return _filtered(cm.V, cm.d, reg, b)
 
 
 def sensing_matrix(ms, points):
@@ -276,7 +297,12 @@ def svd_estimate(p_meas, sm, reg):
     p = p_meas.values if isinstance(p_meas, FieldSamples) else np.asarray(p_meas)
     if p.shape != (sm.B.shape[0],):
         raise GeometryMismatch(f"data length {p.shape} != receiver count {sm.B.shape[0]}")
-    return sm.V @ (_apply_filter(reg, sm.s) * (sm.U.conj().T @ p))
+    return _filtered(sm.V, sm.s, reg, sm.U.conj().T @ p)
+
+
+def estimator_matrix(sm, reg):
+    """G = V psi_eps(D) U^dag, so that a_eps = G p for receiver data p."""
+    return _filtered(sm.V, sm.s, reg, sm.U.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +316,6 @@ class EstimationReport:
     spectrum: np.ndarray
 
 
-def _as_regularizer(eps):
-    return eps if hasattr(eps, "filter") else Tikhonov(float(eps))
-
-
 def mse_decomposition(op, a_o, sigma, eps):
     """Analytic mean-square estimation error E||a_eps - a_o||^2.
 
@@ -305,7 +327,7 @@ def mse_decomposition(op, a_o, sigma, eps):
         sigma^2 sum_j d_j psi(d_j)^2.  For M discrete receivers with
         per-sample std sigma_s this sigma equals sigma_s/sqrt(M).
     """
-    reg = _as_regularizer(eps)
+    reg = eps if hasattr(eps, "filter") else Tikhonov(float(eps))
     if isinstance(op, SensingMatrix):
         d, V = op.s, op.V
         var_weights = reg.filter(d) ** 2
@@ -313,7 +335,7 @@ def mse_decomposition(op, a_o, sigma, eps):
         d, V = op.d, op.V
         var_weights = d * reg.filter(d) ** 2
     coeff = np.abs(V.conj().T @ np.asarray(a_o)) ** 2
-    bias_sq = float(np.sum(residual_diagonal(reg, d) ** 2 * coeff))
+    bias_sq = float(np.sum(reg.residual(d) ** 2 * coeff))
     variance = float(sigma * sigma * np.sum(var_weights))
     return EstimationReport(bias_sq=bias_sq, variance=variance,
                             mse=bias_sq + variance, spectrum=np.array(d))
@@ -322,14 +344,11 @@ def mse_decomposition(op, a_o, sigma, eps):
 def optimal_epsilon(sm, a_o, sigma_meas, grid_points=200):
     """Tikhonov parameter choices for a given noise level.
 
-    Returns (heuristic, scanned): the closed form
-    eps = sigma_meas sqrt(N) / ||a_o|| matching the noise-to-signal
-    balance of the discrepancy principle, and the argmin of the analytic
-    mse over a log grid spanning [1e-12, 1e2] times the top singular value.
+    Returns (heuristic, scanned): heuristic_eps, and the argmin of the
+    analytic mse over a log grid spanning [1e-12, 1e2] times the top
+    singular value.
     """
-    a_o = np.asarray(a_o)
-    heuristic = sigma_meas * np.sqrt(a_o.size) / np.linalg.norm(a_o)
     d_max = float(np.max(sm.s if isinstance(sm, SensingMatrix) else sm.d))
     grid = d_max * np.logspace(-12.0, 2.0, grid_points)
     mses = [mse_decomposition(sm, a_o, sigma_meas, e).mse for e in grid]
-    return float(heuristic), float(grid[int(np.argmin(mses))])
+    return float(heuristic_eps(sigma_meas, a_o)), float(grid[int(np.argmin(mses))])

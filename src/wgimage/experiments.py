@@ -15,10 +15,11 @@ import numpy as np
 from . import _kernels, io
 from .errors import ConfigError
 from .estimate import (
-    HardThreshold,
-    Tikhonov,
+    RegPolicy,
     coupling_matrix,
+    estimator_matrix,
     sensing_matrix,
+    svd_estimate,
 )
 from .image import default_grid, locate_peak, localization_success, migrate
 from .rank import AbsoluteThreshold, PlateauHalf, dense_rank_prediction, effective_rank, spectrum_report
@@ -53,25 +54,6 @@ def _trial_noise(m, seed, t):
     return rng.standard_normal(m) + 1j * rng.standard_normal(m)
 
 
-def _filter_for(reg, sigma_meas, a_o, s):
-    """Spectral filter values for a RegPolicy at a given noise level."""
-    if reg is None or reg.kind == "tikhonov":
-        if reg is None or reg.policy == "heuristic":
-            eps = sigma_meas * np.sqrt(a_o.size) / np.linalg.norm(a_o)
-        else:
-            eps = reg.eps
-        return Tikhonov(eps).filter(s)
-    if reg.kind == "hard":
-        if reg.policy == "heuristic":
-            eps = sigma_meas * np.sqrt(a_o.size) / np.linalg.norm(a_o)
-        else:
-            eps = reg.eps
-        return HardThreshold(eps).filter(s)
-    if reg.kind == "none":
-        return 1.0 / s
-    raise ConfigError(f"unknown regularizer kind {reg.kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # localization error rates
 
@@ -81,7 +63,7 @@ TRIAL_BLOCK = 128
 
 
 def localization_error_rates(ms, src, points, sigmas, trials, seed,
-                             grid=None, reg=None):
+                             grid=None, reg=RegPolicy()):
     """Fraction of noise draws whose image peak lands farther than half a
     wavelength from the source, for each relative noise level sigma.
 
@@ -102,7 +84,7 @@ def localization_error_rates(ms, src, points, sigmas, trials, seed,
     PT = np.ascontiguousarray(ms.profile_matrix(zs).T)
     half2 = (0.5 * ms.lambda_o) ** 2
     s_meas = np.asarray(sigmas, dtype=float) * np.abs(p).max()
-    Gs = [(sm.V * _filter_for(reg, s, a_o, sm.s)) @ sm.U.conj().T for s in s_meas]
+    Gs = [estimator_matrix(sm, reg.regularizer(s, a_o)) for s in s_meas]
     misses = np.zeros(len(Gs), dtype=np.int64)
     for t0 in range(0, trials, TRIAL_BLOCK):
         Z = np.array([_trial_noise(p.size, seed, t)
@@ -163,8 +145,7 @@ def run_image(ecfg, sigma, outdir, png=False):
     p = sm.B @ a_o
     s_meas = sigma * np.abs(p).max()
     w = s_meas / np.sqrt(2.0) * _trial_noise(p.size, ecfg.seed, 0)
-    filt = _filter_for(ecfg.reg, s_meas, a_o, sm.s)
-    a = (sm.V * filt) @ (sm.U.conj().T @ (p + w))
+    a = svd_estimate(p + w, sm, ecfg.reg.regularizer(s_meas, a_o))
     im = migrate(a, ms, ecfg.grid)
     peak = locate_peak(im)
     success = localization_success(peak, src, ms.lambda_o)

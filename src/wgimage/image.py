@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryMismatch
+from .estimate import _backproject
 from .modes import Parabolic
-from .synth import geometry_equal, mode_traces
 
 
 def _axis(lo, hi, step):
@@ -96,11 +96,7 @@ def reverse_time(fs, cm, ms, grid):
     projected on the mode traces, m_j = int p conj(phi_j e^{-i beta_j x}) dmu,
     and m is migrated. For noiseless data m = A a_o, so the result is
     I[A a_o] and coincides with (1/L) I[a_o] at full aperture."""
-    if not geometry_equal(fs.geometry, cm.geometry):
-        raise GeometryMismatch("field samples and coupling matrix disagree on geometry")
-    C = mode_traces(ms, fs.points)
-    m = C.conj().T @ (fs.weights * fs.values)
-    return migrate(m, ms, grid)
+    return migrate(_backproject(fs, cm, ms), ms, grid)
 
 
 def locate_peak(im):

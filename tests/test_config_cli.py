@@ -153,6 +153,64 @@ def test_too_few_receivers_exits_2(tmp_path, capsys):
     assert not (tmp_path / "image.csv").exists()
 
 
+@pytest.mark.parametrize("key, entries", [
+    ("reg.eps", {"reg.eps": "nan"}),
+    ("reg.eps", {"reg.eps": "inf"}),
+    ("reg.eps", {"reg.eps": "-1e-3"}),
+    ("reg.eps", {"reg.kind": "hard", "reg.eps": "nan"}),
+    # the removed key: it may not silently switch eps on or off
+    ("reg.policy", {"reg.policy": "heuristic", "reg.eps": "5"}),
+    ("reg.policy", {"reg.policy": "explicit", "reg.eps": "1e-3"}),
+])
+def test_reg_keys_rejected(tmp_path, capsys, key, entries):
+    cfg = _vertical_with(tmp_path, entries)
+    with pytest.raises(wg.ConfigError, match=key):
+        build_experiment(load_config(cfg))
+    for cmd in (["image"], ["mc-rate", "--trials", "2"]):
+        assert main([*cmd, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "reg.eps" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_plain_inversion_of_singular_spectrum_exits_2(tmp_path, capsys):
+    # a repeated receiver: 6 modes on 6 receivers, s_0/s_min ~ 1e16
+    entries = {"array.kind": "points",
+               "array.points": "0,3;0,3;0,7;0,9;0,12;0,15", "reg.kind": "none"}
+    cfg = _vertical_with(tmp_path, entries)
+    for cmd in (["image", "--sigma", "1e-6"], ["mc-rate", "--trials", "2"]):
+        assert main([*cmd, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "reg.kind" in err
+    assert not list(tmp_path.glob("*.csv"))
+    # the default regularizer runs on the same receivers
+    cfg = _vertical_with(tmp_path, dict(entries, **{"reg.kind": "tikhonov"}))
+    assert main(["image", "--sigma", "1e-6", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("key, kind, value", [
+    ("array.a", kind, a)
+    for kind in ("dense_vertical", "dense_horizontal", "dense_planar")
+    for a in ("0", "-3", "nan", "inf")
+] + [
+    ("array.a", "dense_vertical", None),  # no intervals: a is required
+    ("array.intervals", "dense_vertical", "5:2;12:0"),
+    ("array.intervals", "dense_vertical", "5:-2"),
+    ("array.intervals", "dense_horizontal", "nan:2"),
+    ("array.intervals", "dense_horizontal", "5:inf"),
+    ("array.intervals", "dense_horizontal", "5-2"),
+])
+def test_dense_half_widths_rejected(tmp_path, capsys, key, kind, value):
+    cfg = tmp_path / "dense.cfg"
+    cfg.write_text(f"waveguide.L = 20\nomega = 1\narray.z_a = 10\narray.kind = {kind}\n"
+                   + (f"{key} = {value}\n" if value is not None else ""))
+    with pytest.raises(wg.ConfigError, match=key):
+        build_experiment(load_config(str(cfg)))
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 def test_noise_overrides_rejected(tmp_path, capsys):
     assert main(["mc-rate", "--config", VERTICAL, "--trials", "2", "--seed", "-1",
                  "--out", str(tmp_path)]) == 2
@@ -170,10 +228,10 @@ def test_points_geometry_and_explicit_reg():
     cfg = parse_config_text(
         "waveguide.L = 20\nomega = 1\n"
         "array.kind = points\narray.points = 0,3; 0,7.5\n"
-        "reg.kind = hard\nreg.policy = explicit\nreg.eps = 1e-3\n")
+        "reg.kind = hard\nreg.eps = 1e-3\n")
     ecfg = build_experiment(cfg)
     assert np.array_equal(ecfg.geometry.points, [[0.0, 3.0], [0.0, 7.5]])
-    assert ecfg.reg.kind == "hard" and ecfg.reg.eps == 1e-3
+    assert ecfg.reg == wg.RegPolicy(wg.HardThreshold, 1e-3)
 
 
 def test_mode_table_numbering(ms_dd20, ms_parab10):

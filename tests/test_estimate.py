@@ -4,11 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wgimage as wg
-from wgimage.estimate import (
-    mse_decomposition,
-    optimal_epsilon,
-    residual_diagonal,
-)
+from wgimage.estimate import heuristic_eps, mse_decomposition, optimal_epsilon
 from wgimage.synth import array_samples, mode_traces
 
 
@@ -129,7 +125,7 @@ def test_tikhonov_residual_identity():
     d = np.logspace(-8, 1, 30)
     reg = wg.Tikhonov(1e-4)
     expect = reg.eps**2 / (d**2 + reg.eps**2)
-    assert np.allclose(residual_diagonal(reg, d), expect, rtol=1e-14)
+    assert np.allclose(reg.residual(d), expect, rtol=1e-14)
 
 
 def test_hard_threshold_above_top_kills_everything(ms_dd20, src_ref, vertical_points):
@@ -151,6 +147,21 @@ def test_unregularized_inversion_refuses_singular_spectrum(
     sm = wg.sensing_matrix(ms_dd20, pts)
     with pytest.raises(wg.SingularUnregularized):
         wg.svd_estimate(np.zeros(6, complex), sm, None)
+
+
+def test_reg_policy_picks_regularizer(ms_dd20, src_ref, vertical_points):
+    a_o = wg.source_amplitudes(ms_dd20, src_ref)
+    heur = heuristic_eps(1e-3, a_o)
+    assert wg.RegPolicy().regularizer(1e-3, a_o) == wg.Tikhonov(heur)
+    assert wg.RegPolicy(wg.HardThreshold).regularizer(1e-3, a_o) == wg.HardThreshold(heur)
+    assert wg.RegPolicy(wg.Tikhonov, 0.5).regularizer(1e-3, a_o) == wg.Tikhonov(0.5)
+    assert wg.RegPolicy(None, 0.5).regularizer(1e-3, a_o) is None
+    # G p is the same estimate as svd_estimate
+    sm = wg.sensing_matrix(ms_dd20, vertical_points)
+    p = sm.B @ a_o
+    for reg in (wg.Tikhonov(heur), wg.HardThreshold(1e-3 * sm.s[0])):
+        np.testing.assert_allclose(wg.estimator_matrix(sm, reg) @ p,
+                                   wg.svd_estimate(p, sm, reg), rtol=1e-12)
 
 
 def test_too_few_receivers(ms_dd20):
@@ -236,4 +247,4 @@ def test_filter_shrinkage_bounds(d, eps):
     assert 0.0 < t <= up
     h = (dv * wg.HardThreshold(eps).filter(dv)).item()
     assert h == 0.0 or h == pytest.approx(1.0)
-    assert 0.0 <= residual_diagonal(wg.Tikhonov(eps), dv).item() <= up
+    assert 0.0 <= wg.Tikhonov(eps).residual(dv).item() <= up

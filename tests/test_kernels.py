@@ -1,3 +1,7 @@
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -5,11 +9,12 @@ import pytest
 
 from wgimage import _kernels
 from wgimage.config import build_experiment, load_config
-from wgimage.estimate import sensing_matrix
-from wgimage.experiments import TRIAL_BLOCK, _filter_for, localization_error_rates
+from wgimage.estimate import HardThreshold, sensing_matrix
+from wgimage.experiments import TRIAL_BLOCK, localization_error_rates
 from wgimage.synth import source_amplitudes
 
-CFG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CFG_DIR = ROOT / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +58,16 @@ def test_peak_search_deterministic(workload):
     assert np.array_equal(a, b)
 
 
+def _reference_filter(reg, s_meas, a_o, s):
+    """psi(s) of a RegPolicy written out: Tikhonov s / (s^2 + eps^2) or the
+    hard threshold (1/s) 1{s > eps}, at the fixed eps or at
+    s_meas sqrt(N) / ||a_o||."""
+    eps = s_meas * np.sqrt(a_o.size) / np.linalg.norm(a_o) if reg.eps is None else reg.eps
+    if reg.kind is HardThreshold:
+        return np.where(s > eps, 1.0 / s, 0.0)
+    return 1.0 / s if eps == 0 else s / (s * s + eps * eps)
+
+
 def _reference_error_rates(ecfg, trials):
     """The per-sigma Monte Carlo loop: a fresh draw per sigma and trial,
     one complex GEMV and one complex image GEMM per trial, argmax of the
@@ -67,7 +82,7 @@ def _reference_error_rates(ecfg, trials):
     rates = []
     for sig in np.asarray(ecfg.sigmas, dtype=float):
         s_meas = sig * np.abs(p).max()
-        G = (sm.V * _filter_for(ecfg.reg, s_meas, a_o, sm.s)) @ sm.U.conj().T
+        G = (sm.V * _reference_filter(ecfg.reg, s_meas, a_o, sm.s)) @ sm.U.conj().T
         misses = 0
         for t in range(trials):
             rng = np.random.Generator(np.random.Philox(key=seed ^ t))
@@ -81,14 +96,33 @@ def _reference_error_rates(ecfg, trials):
     return np.array(rates)
 
 
-@pytest.mark.parametrize("name", ["vertical", "parabolic"])
-def test_error_rates_match_per_sigma_reference(name):
+@pytest.mark.parametrize("name, entries", [
+    pytest.param("vertical", {}, id="vertical"),
+    pytest.param("parabolic", {}, id="parabolic"),
+    pytest.param("vertical", {"reg.kind": "hard"}, id="vertical-hard"),
+    pytest.param("vertical", {"reg.eps": "1e-9"}, id="vertical-eps1e-9"),
+])
+def test_error_rates_match_per_sigma_reference(name, entries):
     # a partial last block, and (parabolic) a sigma-0 level in the list
     trials = TRIAL_BLOCK + 3
-    ecfg = build_experiment(load_config(CFG_DIR / f"{name}.cfg"))
+    cfg = load_config(CFG_DIR / f"{name}.cfg")
+    for key, value in entries.items():
+        cfg.override(key, value)
+    ecfg = build_experiment(cfg)
     rates = localization_error_rates(
         ecfg.ms, ecfg.source, ecfg.geometry.points, ecfg.sigmas, trials,
         ecfg.seed, grid=ecfg.grid, reg=ecfg.reg)
     ref = _reference_error_rates(ecfg, trials)
     assert rates.tobytes() == ref.tobytes()
     assert 0 < ref.sum() < len(ref)  # the curves are not trivially all 0 or 1
+
+
+def test_bench_kernels_output_parses():
+    # perfbench/crosscheck_kernels.py reads the numpy line with this regex
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_kernels.py"),
+         "--trials", "8", "--repeats", "1"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert re.search(r"^numpy\s*:.*\(([\d.]+) us/trial\)", out, re.M)
