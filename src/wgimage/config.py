@@ -17,9 +17,15 @@ Example:
 
 Lines starting with # and blank lines are ignored. The format is
 diff-friendly on purpose; there is no nesting and no quoting.
+
+Every key is declared once, in KEYS. `read_keys` turns a Config into
+typed values through that table alone; `build_experiment` builds from them.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,49 +44,14 @@ from .synth import (
     vertical_line,
 )
 
-_REQUIRED = object()
-
 
 class Config:
-    """Parsed key=value entries with typed access. Keeps the source text
-    so outputs can embed its digest."""
+    """Parsed key=value entries, as text. Keeps the source text so
+    outputs can embed its digest."""
 
     def __init__(self, entries, text=""):
         self.entries = dict(entries)
         self.text = text
-
-    def get(self, key, default=_REQUIRED):
-        if key in self.entries:
-            return self.entries[key]
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-
-    def get_str(self, key, default=_REQUIRED):
-        return str(self.get(key, default))
-
-    def get_float(self, key, default=_REQUIRED):
-        val = self.get(key, default)
-        try:
-            return float(val)
-        except (TypeError, ValueError):
-            raise ConfigError(f"key {key!r}: expected a number, got {val!r}") from None
-
-    def get_int(self, key, default=_REQUIRED):
-        val = self.get(key, default)
-        try:
-            return int(str(val), 0)
-        except (TypeError, ValueError):
-            raise ConfigError(f"key {key!r}: expected an integer, got {val!r}") from None
-
-    def get_floats(self, key, default=_REQUIRED):
-        val = self.get(key, default)
-        if isinstance(val, (list, tuple, np.ndarray)):
-            return [float(v) for v in val]
-        try:
-            return [float(tok) for tok in str(val).split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError(f"key {key!r}: expected comma-separated numbers, got {val!r}") from None
 
     def override(self, key, value):
         if value is not None:
@@ -115,134 +86,180 @@ def load_config(path):
 
 
 # ---------------------------------------------------------------------------
-# builders
+# the key table
 
-def _positive(cfg, key, default=_REQUIRED):
-    val = cfg.get_float(key, default)
-    if not (np.isfinite(val) and val > 0):
-        raise ConfigError(f"{key} must be finite and > 0, got {val!r}")
-    return val
+REQUIRED = object()
 
 
-def _finite(cfg, key, default):
-    val = cfg.get_float(key, default)
-    if not np.isfinite(val):
-        raise ConfigError(f"{key} must be finite, got {val!r}")
-    return val
+class Key(NamedTuple):
+    """One declared key: default is REQUIRED, None (unset) or its value as
+    text; `ok` checks the parsed value, `must` words that check for the
+    error message; kinds are the array.kinds that read it (None: all)."""
+
+    name: str
+    default: object
+    parse: Callable
+    ok: Callable
+    must: str
+    kinds: tuple = None
 
 
-_MODELS = {
-    "homogeneous_dd": HomogeneousDD,
-    "homogeneous_dn": HomogeneousDN,
-    "parabolic": Parabolic,
-}
+def _list(item):
+    return lambda text: [item(tok.strip()) for tok in text.split(",") if tok.strip()]
 
 
-def build_spec(cfg):
-    name = cfg.get_str("waveguide.model", "homogeneous_dd").lower()
-    if name not in _MODELS:
-        raise ConfigError(
-            f"waveguide.model must be one of {sorted(_MODELS)}, got {name!r}")
-    return _MODELS[name](L=_positive(cfg, "waveguide.L"),
-                         c_o=_positive(cfg, "waveguide.c_o", 1.0))
+def _pairs(sep):
+    def parse(text):
+        pairs = [tuple(map(float, tok.split(sep))) for tok in text.split(";") if tok.strip()]
+        if not pairs or any(len(p) != 2 for p in pairs):
+            raise ValueError(text)
+        return pairs
+    return parse
 
 
-def build_modeset(cfg):
-    return solve_modes(build_spec(cfg), _positive(cfg, "omega"))
+def _each(ok):
+    return lambda values: all(map(ok, values))
 
 
-def build_source(cfg):
-    return PointSource(cfg.get_float("source.x"), cfg.get_float("source.z"))
+def _one_of(names):
+    return str.lower, names.__contains__, "one of " + ", ".join(names)
 
 
-def _parse_segments(text):
-    try:
-        segs = tuple(
-            (float(b), float(h))
-            for b, _, h in (tok.strip().partition(":")
-                            for tok in text.split(";") if tok.strip()))
-    except ValueError:
-        raise ConfigError(f"array.intervals must be b1:h1;b2:h2, got {text!r}") from None
-    for b, h in segs:
-        if not (np.isfinite(b) and np.isfinite(h) and h > 0):
-            raise ConfigError(f"array.intervals centers must be finite and half-widths "
-                              f"finite and > 0, got {b!r}:{h!r}")
-    return segs
+_int = partial(int, base=0)
+_FINITE = (float, math.isfinite, "a finite number")
+_POSITIVE = (float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_NONNEGATIVE = (float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+_COUNT = (_int, lambda n: n >= 1, "an integer >= 1")
+_RATIOS = (_list(float), _each(_POSITIVE[1]), "comma-separated finite numbers > 0")
 
-
-def build_geometry(cfg):
-    """Array geometry from array.* keys. Receiver-set kinds (vertical,
-    horizontal, planar_lhs, points) give Discrete geometries; dense_*
-    kinds give continuous-aperture ones."""
-    kind = cfg.get_str("array.kind").lower()
-    if kind == "vertical":
-        pts = vertical_line(cfg.get_int("array.M"),
-                            cfg.get_float("array.z_a", 11.0),
-                            cfg.get_float("array.extent", 0.25))
-        return Discrete(pts)
-    if kind == "horizontal":
-        pts = horizontal_line(cfg.get_int("array.M"),
-                              cfg.get_float("array.z_a", 11.0),
-                              cfg.get_float("array.extent", 0.25))
-        return Discrete(pts)
-    if kind == "planar_lhs":
-        pts = lhs_design(cfg.get_int("array.M"),
-                         (cfg.get_float("array.center_x", 0.0),
-                          cfg.get_float("array.center_z", 11.0)),
-                         cfg.get_float("array.size", 0.125),
-                         cfg.get_int("array.seed", 0))
-        return Discrete(pts)
-    if kind == "points":
-        try:
-            pts = np.array([[float(c) for c in tok.split(",")]
-                            for tok in cfg.get_str("array.points").split(";")
-                            if tok.strip()])
-        except ValueError:
-            raise ConfigError("array.points must be x1,z1;x2,z2;...") from None
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ConfigError("array.points must be x1,z1;x2,z2;...")
-        return Discrete(pts)
-    if kind in ("dense_vertical", "dense_horizontal"):
-        cls = DenseVertical if kind == "dense_vertical" else DenseHorizontal
-        segs = cfg.get("array.intervals", None)
-        return cls(z_a=cfg.get_float("array.z_a", 0.0),
-                   a=cfg.get_float("array.a", 0.0) if segs else _positive(cfg, "array.a"),
-                   intervals=_parse_segments(segs) if segs else None)
-    if kind == "dense_planar":
-        return DensePlanar(z_a=cfg.get_float("array.z_a"),
-                           a=_positive(cfg, "array.a"))
-    raise ConfigError(f"unknown array.kind {kind!r}")
-
-
-def build_grid(cfg, ms):
-    x_min = _finite(cfg, "grid.x_min", 50.0)
-    x_max = _finite(cfg, "grid.x_max", 150.0)
-    if not x_min < x_max:
-        raise ConfigError(f"grid.x_min must be < grid.x_max, got {x_min!r} >= {x_max!r}")
-    base = default_grid(ms, x_min=x_min, x_max=x_max,
-                        step_fraction=_positive(cfg, "grid.step_fraction", 20.0))
-    z_min = _finite(cfg, "grid.z_min", base.z_min)
-    z_max = _finite(cfg, "grid.z_max", base.z_max)
-    if not z_min < z_max:
-        raise ConfigError(f"grid.z_min must be < grid.z_max, got {z_min!r} >= {z_max!r}")
-    return SearchGrid(base.x_min, base.x_max, z_min, z_max, base.dx, base.dz)
-
-
+_MODELS = {"homogeneous_dd": HomogeneousDD, "homogeneous_dn": HomogeneousDN,
+           "parabolic": Parabolic}
 _REGULARIZERS = {"tikhonov": Tikhonov, "hard": HardThreshold, "none": None}
+_LINES = ("vertical", "horizontal")
+_LHS = ("planar_lhs",)
+_DENSE_LINES = ("dense_vertical", "dense_horizontal")
+_DENSE_PLANAR = ("dense_planar",)
+_KINDS = _LINES + _LHS + ("points",) + _DENSE_LINES + _DENSE_PLANAR
+
+KEYS = (
+    Key("waveguide.model", "homogeneous_dd", *_one_of(_MODELS)),
+    Key("waveguide.L", REQUIRED, *_POSITIVE),
+    Key("waveguide.c_o", "1", *_POSITIVE),
+    Key("omega", REQUIRED, *_POSITIVE),
+    Key("source.x", None, *_FINITE),
+    Key("source.z", None, *_FINITE),
+    Key("array.kind", None, *_one_of(_KINDS)),
+    Key("array.M", REQUIRED, *_COUNT, _LINES + _LHS),
+    Key("array.z_a", "11", *_FINITE, _LINES),
+    Key("array.z_a", "0", *_FINITE, _DENSE_LINES),
+    Key("array.z_a", REQUIRED, *_FINITE, _DENSE_PLANAR),
+    Key("array.extent", "0.25", *_POSITIVE, _LINES),
+    Key("array.center_x", "0", *_FINITE, _LHS),
+    Key("array.center_z", "11", *_FINITE, _LHS),
+    Key("array.size", "0.125", *_POSITIVE, _LHS),
+    Key("array.seed", "0", _int, lambda n: n >= 0, "an integer >= 0", _LHS),
+    Key("array.points", REQUIRED, _pairs(","), _each(_each(math.isfinite)),
+        "x1,z1; x2,z2; ... with finite coordinates", ("points",)),
+    Key("array.a", None, *_POSITIVE, _DENSE_LINES),
+    Key("array.a", REQUIRED, *_POSITIVE, _DENSE_PLANAR),
+    Key("array.intervals", None, _pairs(":"),
+        _each(lambda seg: math.isfinite(seg[0]) and _POSITIVE[1](seg[1])),
+        "b1:h1; b2:h2; ... with b finite and h finite > 0", _DENSE_LINES),
+    Key("noise.sigmas", "", _list(float), _each(_NONNEGATIVE[1]),
+        "comma-separated finite numbers >= 0"),
+    Key("noise.trials", "200", *_COUNT),
+    # trial t draws from Philox(key=seed ^ t), whose key is a 128-bit word
+    Key("noise.seed", "0", _int, lambda n: 0 <= n < 2**128, "an integer in [0, 2**128)"),
+    Key("reg.kind", "tikhonov", *_one_of(_REGULARIZERS)),
+    Key("reg.eps", None, *_NONNEGATIVE),
+    Key("grid.x_min", "50", *_FINITE),
+    Key("grid.x_max", "150", *_FINITE),
+    Key("grid.z_min", None, *_FINITE),
+    Key("grid.z_max", None, *_FINITE),
+    Key("grid.step_fraction", "20", *_POSITIVE),
+    Key("rank.eps", "1e-7", *_POSITIVE),
+    Key("rank.kinds", "vertical, horizontal", _list(str), _each(_LINES.__contains__),
+        "a comma list of vertical, horizontal"),
+    Key("rank.ratios", None, *_RATIOS),
+    Key("rank.ratios_vertical", "0.1, 0.2, 0.3, 0.4", *_RATIOS),
+    Key("rank.ratios_horizontal", "0.05, 0.1", *_RATIOS),
+    Key("rank.z_a", None, *_FINITE),
+)
 
 
-def build_reg_policy(cfg):
-    """RegPolicy from reg.kind and reg.eps (omitted: the heuristic eps)."""
-    if "reg.policy" in cfg.entries:
-        raise ConfigError("reg.policy is not a key: set reg.eps for a fixed eps, "
-                          "or leave it out for the noise-matched heuristic")
-    kind = cfg.get_str("reg.kind", "tikhonov").lower()
-    if kind not in _REGULARIZERS:
-        raise ConfigError(f"reg.kind must be tikhonov, hard or none, got {kind!r}")
-    eps = cfg.get_float("reg.eps") if "reg.eps" in cfg.entries else None
-    if eps is not None and not (np.isfinite(eps) and eps >= 0):
-        raise ConfigError(f"reg.eps must be finite and >= 0, got {eps!r}")
-    return RegPolicy(_REGULARIZERS[kind], eps)
+def _value(key, text):
+    if text is REQUIRED:
+        raise ConfigError(f"missing required key {key.name!r}")
+    if text is None:
+        return None
+    try:
+        val = key.parse(text)
+        if key.ok(val):
+            return val
+    except ValueError:
+        pass
+    raise ConfigError(f"{key.name} must be {key.must}, got {text!r}")
+
+
+def _unread(name, kind):
+    if any(key.name == name for key in KEYS):
+        where = f"array.kind = {kind}" if kind else "array.kind unset"
+        return f"{name} is not read with {where}"
+    section = name.partition(".")[0] + "."
+    known = sorted({key.name for key in KEYS if key.name.startswith(section)})
+    if known:
+        return f"unknown key {name!r} ({section}* keys: {', '.join(known)})"
+    known = sorted({key.name.split(".")[0] + ".*" * ("." in key.name) for key in KEYS})
+    return f"unknown key {name!r} (keys: {', '.join(known)})"
+
+
+def read_keys(cfg):
+    """Typed value (None: unset) of every key the config's array.kind reads.
+    Raises ConfigError, naming the key, on a missing, unknown or unread
+    key, a value that fails its parser or check, and the cross-key rules."""
+    entries, v = cfg.entries, {}
+    for key in KEYS:  # array.kind comes before every row that depends on it
+        if key.kinds is None or v["array.kind"] in key.kinds:
+            v[key.name] = _value(key, entries.get(key.name, key.default))
+    kind = v["array.kind"]
+    for name in entries:
+        if name not in v:
+            raise ConfigError(_unread(name, kind))
+    if kind in _DENSE_LINES and (v["array.a"] is None) == (v["array.intervals"] is None):
+        raise ConfigError(f"array.kind = {kind} reads one of array.a and array.intervals")
+    if v["reg.kind"] == "none" and v["reg.eps"] is not None:
+        raise ConfigError("reg.eps is not read with reg.kind = none (plain inversion)")
+    if (v["source.x"] is None) != (v["source.z"] is None):
+        raise ConfigError("source.x and source.z are set together or not at all")
+    return v
+
+
+#: the keys that place each receiver-set kind in depth
+_DEPTH_KEYS = {"vertical": "array.z_a/array.extent", "horizontal": "array.z_a",
+               "planar_lhs": "array.center_z/array.size", "points": "array.points"}
+
+
+def _geometry(kind, v):
+    """Discrete for receiver-set kinds, a continuous aperture for dense_*."""
+    if kind in _LINES:
+        line = vertical_line if kind == "vertical" else horizontal_line
+        return Discrete(line(v["array.M"], v["array.z_a"], v["array.extent"]))
+    if kind == "planar_lhs":
+        return Discrete(lhs_design(v["array.M"], (v["array.center_x"], v["array.center_z"]),
+                                   v["array.size"], v["array.seed"]))
+    if kind == "points":
+        return Discrete(np.array(v["array.points"]))
+    if kind == "dense_planar":
+        return DensePlanar(z_a=v["array.z_a"], a=v["array.a"])
+    cls = DenseVertical if kind == "dense_vertical" else DenseHorizontal
+    segs = v["array.intervals"]
+    return cls(z_a=v["array.z_a"], a=0.0 if segs else v["array.a"],
+               intervals=tuple(segs) if segs else None)
+
+
+def _in_guide(name, lo, hi, L):
+    if lo < 0 or hi > L:
+        raise ConfigError(f"{name} puts depths {lo:g}..{hi:g} outside the guide [0, {L:g}]")
 
 
 @dataclass
@@ -255,36 +272,42 @@ class ExperimentConfig:
     geometry: object
     grid: SearchGrid
     reg: RegPolicy
-    sigmas: list = field(default_factory=list)
-    trials: int = 200
-    seed: int = 0
+    sigmas: list
+    trials: int
+    seed: int
+    rank_eps: float
+    rank_kinds: list
+    rank_ratios: dict  # per rank kind
+    rank_z_a: float
 
 
 def build_experiment(cfg):
-    ms = build_modeset(cfg)
-    source = None
-    if "source.x" in cfg.entries or "source.z" in cfg.entries:
-        source = build_source(cfg)
-    geometry = build_geometry(cfg) if "array.kind" in cfg.entries else None
-    trials = cfg.get_int("noise.trials", 200)
-    if trials < 1:
-        raise ConfigError("noise.trials must be >= 1")
-    sigmas = cfg.get_floats("noise.sigmas", [])
-    for sig in sigmas:
-        if not (np.isfinite(sig) and sig >= 0):
-            raise ConfigError(f"noise.sigmas entries must be finite and >= 0, got {sig!r}")
-    seed = cfg.get_int("noise.seed", 0)
-    if not 0 <= seed < 2**128:
-        # trial t draws from Philox(key=seed ^ t), whose key is a 128-bit word
-        raise ConfigError(f"noise.seed must be in [0, 2**128), got {seed}")
+    v = read_keys(cfg)
+    kind, L = v["array.kind"], v["waveguide.L"]
+    spec = _MODELS[v["waveguide.model"]](L=L, c_o=v["waveguide.c_o"])
+    ms = solve_modes(spec, v["omega"])
+    source = None if v["source.x"] is None else PointSource(v["source.x"], v["source.z"])
+    geometry = None if kind is None else _geometry(kind, v)
+    if not isinstance(spec, Parabolic):  # the graded guide is unbounded in depth
+        if source is not None:
+            _in_guide("source.z", source.z_o, source.z_o, L)
+        if isinstance(geometry, Discrete):
+            z = geometry.points[:, 1]
+            _in_guide(_DEPTH_KEYS[kind], z.min(), z.max(), L)
+    grid = replace(default_grid(ms, v["grid.x_min"], v["grid.x_max"], v["grid.step_fraction"]),
+                   **{k: v[f"grid.{k}"] for k in ("z_min", "z_max") if v[f"grid.{k}"] is not None})
+    for lo, hi in (("x_min", "x_max"), ("z_min", "z_max")):
+        if not getattr(grid, lo) < getattr(grid, hi):
+            raise ConfigError(f"grid.{lo} must be < grid.{hi}, "
+                              f"got {getattr(grid, lo)!r} >= {getattr(grid, hi)!r}")
+    ratios = v["rank.ratios"]
     return ExperimentConfig(
-        cfg=cfg,
-        ms=ms,
-        source=source,
-        geometry=geometry,
-        grid=build_grid(cfg, ms),
-        reg=build_reg_policy(cfg),
-        sigmas=sigmas,
-        trials=trials,
-        seed=seed,
-    )
+        cfg=cfg, ms=ms, source=source, geometry=geometry, grid=grid,
+        reg=RegPolicy(_REGULARIZERS[v["reg.kind"]], v["reg.eps"]),
+        sigmas=v["noise.sigmas"], trials=v["noise.trials"], seed=v["noise.seed"],
+        rank_eps=v["rank.eps"], rank_kinds=v["rank.kinds"],
+        # rank.ratios_<kind>, else rank.ratios, else the rank.ratios_<kind> default
+        rank_ratios={k: v[f"rank.ratios_{k}"]
+                     if ratios is None or f"rank.ratios_{k}" in cfg.entries else ratios
+                     for k in _LINES},
+        rank_z_a=0.22 * L if v["rank.z_a"] is None else v["rank.z_a"])

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class NoGuidedModes(Exception):
-    """Raised when the frequency is below the first waveguide cutoff."""
-
-
 class QuadratureNotConverged(Exception):
     """Raised when adaptive refinement of an array integral fails its tolerance."""
 
@@ -19,6 +15,10 @@ class GeometryMismatch(Exception):
 
 class ConfigError(Exception):
     """Raised on invalid or inconsistent experiment configuration."""
+
+
+class NoGuidedModes(ConfigError):
+    """Raised when the frequency is below the first waveguide cutoff."""
 
 
 class SingularUnregularized(ConfigError):

@@ -122,8 +122,7 @@ def run_spectrum(ecfg, outdir):
         spectrum = sensing_matrix(ecfg.ms, ecfg.geometry.points).s
     else:
         spectrum = coupling_matrix(ecfg.ms, ecfg.geometry).d
-    eps = ecfg.cfg.get_float("rank.eps", 1e-7)
-    report = spectrum_report(spectrum, AbsoluteThreshold(eps))
+    report = spectrum_report(spectrum, AbsoluteThreshold(ecfg.rank_eps))
     io.write_spectrum_csv(f"{outdir}/spectrum.csv", spectrum, _meta(ecfg))
     return report
 
@@ -201,16 +200,9 @@ def rank_scan_rows(ms, kind, ratios, z_a):
 
 def run_rank_scan(ecfg, outdir):
     """Predicted vs measured effective rank over a/L, one CSV per kind."""
-    cfg = ecfg.cfg
-    kinds = [k.strip() for k in
-             cfg.get_str("rank.kinds", "vertical,horizontal").split(",") if k.strip()]
-    z_a = cfg.get_float("rank.z_a", 0.22 * ecfg.ms.spec.L)
     out = {}
-    for kind in kinds:
-        default = "0.1,0.2,0.3,0.4" if kind == "vertical" else "0.05,0.1"
-        ratios = cfg.get_floats(f"rank.ratios_{kind}",
-                                cfg.get("rank.ratios", default))
-        rows = rank_scan_rows(ecfg.ms, kind, ratios, z_a)
+    for kind in ecfg.rank_kinds:
+        rows = rank_scan_rows(ecfg.ms, kind, ecfg.rank_ratios[kind], ecfg.rank_z_a)
         io.write_rank_scan_csv(f"{outdir}/rank_scan_{kind}.csv", rows, _meta(ecfg))
         out[kind] = rows
     return out

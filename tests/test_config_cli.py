@@ -1,16 +1,20 @@
 import glob
+import importlib.util
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wgimage as wg
 from wgimage import io
 from wgimage.cli import main
-from wgimage.config import build_experiment, load_config, parse_config_text
+from wgimage.config import KEYS, build_experiment, load_config, parse_config_text, read_keys
 from wgimage.experiments import (
     localization_error_rates,
     mode_table,
@@ -18,7 +22,8 @@ from wgimage.experiments import (
     threshold_sigma,
 )
 
-CFG_DIR = str(Path(__file__).resolve().parent.parent / "configs")
+ROOT = Path(__file__).resolve().parent.parent
+CFG_DIR = str(ROOT / "configs")
 VERTICAL = f"{CFG_DIR}/vertical.cfg"
 
 
@@ -26,9 +31,9 @@ VERTICAL = f"{CFG_DIR}/vertical.cfg"
 # config parsing
 
 def test_parse_skips_comments_and_blanks():
-    cfg = parse_config_text("# a comment\n\nomega = 1.0\nwaveguide.L=20\n")
-    assert cfg.get_float("omega") == 1.0
-    assert cfg.get_float("waveguide.L") == 20.0
+    values = read_keys(parse_config_text("# a comment\n\nomega = 1.0\nwaveguide.L=20\n"))
+    assert values["omega"] == 1.0
+    assert values["waveguide.L"] == 20.0
 
 
 @pytest.mark.parametrize("text", [
@@ -42,21 +47,22 @@ def test_parse_rejects_malformed(text):
 
 
 def test_typed_getters():
-    cfg = parse_config_text(
-        "n = 0x10\nx = 2.5\nxs = 1e-3, 2e-3,\nname = abc\n")
-    assert cfg.get_int("n") == 16
-    assert cfg.get_float("x") == 2.5
-    assert cfg.get_floats("xs") == [1e-3, 2e-3]
-    with pytest.raises(wg.ConfigError):
-        cfg.get("missing")
-    with pytest.raises(wg.ConfigError):
-        cfg.get_float("name")
-    with pytest.raises(wg.ConfigError):
-        cfg.get_int("x")
-    assert cfg.get_float("missing", 7.0) == 7.0
-    cfg.override("n", "3")
-    cfg.override("x", None)  # None leaves the entry alone
-    assert cfg.get_int("n") == 3 and cfg.get_float("x") == 2.5
+    base = "waveguide.L = 20\nomega = 1\n"
+    cfg = parse_config_text(base + "noise.trials = 0x10\nnoise.sigmas = 1e-3, 2e-3,\n")
+    ecfg = build_experiment(cfg)
+    assert ecfg.trials == 16
+    assert ecfg.sigmas == [1e-3, 2e-3]
+    assert ecfg.ms.spec.c_o == 1.0  # the declared default
+    with pytest.raises(wg.ConfigError, match="missing required key 'omega'"):
+        build_experiment(parse_config_text("waveguide.L = 20\n"))
+    with pytest.raises(wg.ConfigError, match="omega must be a finite number"):
+        build_experiment(parse_config_text("waveguide.L = 20\nomega = abc\n"))
+    with pytest.raises(wg.ConfigError, match="noise.trials must be an integer"):
+        build_experiment(parse_config_text(base + "noise.trials = 2.5\n"))
+    cfg.override("noise.trials", "3")
+    cfg.override("noise.sigmas", None)  # None leaves the entry alone
+    values = read_keys(cfg)
+    assert values["noise.trials"] == 3 and values["noise.sigmas"] == [1e-3, 2e-3]
 
 
 def test_all_shipped_configs_build():
@@ -65,6 +71,29 @@ def test_all_shipped_configs_build():
     for path in paths:
         ecfg = build_experiment(load_config(path))
         assert ecfg.ms.n_modes >= 1
+
+
+@pytest.mark.parametrize("seed", [0, 2024])
+def test_every_benchmark_config_builds(tmp_path, monkeypatch, seed):
+    # a stricter key table must never turn a benchmark operation into exit 2
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends perfbench/
+    spec = importlib.util.spec_from_file_location("wgimage_bench_run",
+                                                  ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    for name, make_ops in run.WORKLOADS.items():
+        cfgdir = tmp_path / name
+        cfgdir.mkdir()
+        for op in make_ops(seed, str(cfgdir)):
+            path = op.argv[op.argv.index("--config") + 1]
+            assert build_experiment(load_config(path)).ms.n_modes >= 1, (name, op.label)
+
+
+def test_readme_lists_every_key():
+    block = (ROOT / "README.md").read_text().split("### Config keys")[1].split("```")[1]
+    rows = [line.split()[0] for line in block.splitlines() if line[:1].strip()]
+    assert rows == [key.name for key in KEYS]
 
 
 def test_vertical_config_contents():
@@ -93,11 +122,16 @@ def test_build_rejections():
 
 
 def _vertical_with(tmp_path, entries):
-    """configs/vertical.cfg with `entries` set; returns the new path."""
+    """configs/vertical.cfg with `entries` set (None: left out); returns the
+    new path. A new array.kind drops the vertical line's array.* keys."""
+    def dropped(key):
+        return key in entries or ("array.kind" in entries and key.startswith("array."))
+
     lines = [ln for ln in load_config(VERTICAL).text.splitlines()
-             if ln.partition("=")[0].strip() not in entries]
+             if not dropped(ln.partition("=")[0].strip())]
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("\n".join(lines + [f"{k} = {v}" for k, v in entries.items()]) + "\n")
+    cfg.write_text("\n".join(lines + [f"{k} = {v}" for k, v in entries.items()
+                                       if v is not None]) + "\n")
     return str(cfg)
 
 
@@ -209,6 +243,97 @@ def test_dense_half_widths_rejected(tmp_path, capsys, key, kind, value):
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "spectrum.csv").exists()
+
+
+_PLANAR = {"array.kind": "planar_lhs", "array.M": "20"}
+_DENSE = {"array.kind": "dense_vertical", "array.a": "2"}
+
+
+@pytest.mark.parametrize("key, entries", [
+    ("noise.trial", {"noise.trial": "5"}),
+    ("array.extnet", {"array.extnet": "3"}),
+    ("array.M", {"array.M": "-5"}),
+    ("array.extent", {"array.extent": "nan"}),
+    ("array.extent", {"array.extent": "0"}),
+    ("array.z_a", {"array.z_a": "nan"}),
+    ("array.size", dict(_PLANAR, **{"array.size": "nan"})),
+    ("array.size", dict(_PLANAR, **{"array.size": "-1"})),
+    ("array.center_x", dict(_PLANAR, **{"array.center_x": "inf"})),
+    ("array.seed", dict(_PLANAR, **{"array.seed": "-1"})),
+    ("array.points", {"array.kind": "points", "array.points": "0,3;0,5;0,7;0,9;0,11;0,nan"}),
+    ("array.z_a", dict(_DENSE, **{"array.z_a": "nan"})),
+    ("array.intervals", dict(_DENSE, **{"array.intervals": "5:2"})),  # next to array.a
+    ("array.M", {"array.kind": "points", "array.points": "0,3", "array.M": "20"}),
+    ("source.x", {"source.x": "nan"}),
+    ("source.z", {"source.x": "100", "source.z": None}),
+    ("source.z", {"source.z": "25"}),  # below the floor of the L=20 guide
+    ("array.z_a", {"array.z_a": "40"}),
+    ("array.points", {"array.kind": "points", "array.points": "0,3;0,5;0,7;0,9;0,11;0,-1"}),
+    ("reg.eps", {"reg.kind": "none", "reg.eps": "5"}),
+    ("rank.eps", {"rank.eps": "-1"}),
+    ("rank.eps", {"rank.eps": "nan"}),
+    ("rank.ratios", {"rank.ratios": "0"}),
+    ("rank.ratios", {"rank.ratios": "-0.1"}),
+    ("rank.ratios", {"rank.ratios": "nan"}),
+    ("rank.ratios_horizontal", {"rank.ratios_horizontal": "0.05, -1"}),
+    ("rank.z_a", {"rank.z_a": "nan"}),
+    ("rank.kinds", {"rank.kinds": "vertical, diagonal"}),
+    ("omega", {"omega": "0.1"}),  # below the first cutoff: no guided modes
+])
+def test_invalid_keys_exit_2_before_any_output(tmp_path, capsys, key, entries):
+    cfg = _vertical_with(tmp_path, entries)
+    with pytest.raises(wg.ConfigError, match=key):
+        build_experiment(load_config(cfg))
+    for cmd in ("spectrum", "image", "mc-rate", "rank-scan"):
+        assert main([cmd, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_unknown_key_lists_its_section():
+    cfg = parse_config_text("waveguide.L = 20\nomega = 1\nnoise.trial = 5\n")
+    with pytest.raises(wg.ConfigError) as exc:
+        read_keys(cfg)
+    assert str(exc.value) == ("unknown key 'noise.trial' "
+                              "(noise.* keys: noise.seed, noise.sigmas, noise.trials)")
+
+
+# every key, some misspellings, and values from one token list: valid small
+# values, 0, -1, nan, inf, abc, the empty value, and None for a left-out key
+_FUZZ_KEYS = sorted({key.name for key in KEYS}) + [
+    "noise.trial", "array.extnet", "omeg", "reg.policy", "grid.xmin"]
+_FUZZ_TOKENS = [None, "", "0", "-1", "nan", "inf", "abc", "1", "2", "0.5", "7", "0x10",
+                "1e-6, 0", "0,3;0,7", "5:2", "vertical", "horizontal", "planar_lhs",
+                "points", "dense_vertical", "dense_horizontal", "dense_planar",
+                "homogeneous_dn", "parabolic", "hard", "none"]
+_FUZZ_ARRAYS = [
+    {"array.kind": "vertical", "array.M": "12"},
+    {"array.kind": "horizontal", "array.M": "12", "array.z_a": "5"},
+    {"array.kind": "planar_lhs", "array.M": "12"},
+    {"array.kind": "points", "array.points": "0,2;0,4;0,6;0,8;0,10;0,12;0,14;0,16"},
+    {"array.kind": "dense_vertical", "array.a": "3"},
+    {"array.kind": "dense_planar", "array.z_a": "10", "array.a": "1"},
+    {},
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(array=st.sampled_from(_FUZZ_ARRAYS),
+       edits=st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_TOKENS))
+                      .filter(lambda e: e != ("omega", "7")),  # omega <= 2: few modes
+                      min_size=1, max_size=3))
+def test_fuzzed_configs_run_or_exit_2(array, edits):
+    entries = {"waveguide.L": "20", "omega": "1", "source.x": "100", "source.z": "7.7",
+               "grid.x_min": "95", "grid.x_max": "105", **array, **dict(edits)}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in entries.items() if v is not None))
+        for cmd in (["spectrum"], ["image", "--sigma", "0"]):
+            out = Path(tmp) / cmd[0]
+            code = main([*cmd, "--config", str(cfg), "--out", str(out)])
+            assert code in (0, 2), (cmd, entries)
+            if code == 2:
+                assert not list(out.glob("*.csv")), (cmd, entries)
 
 
 def test_noise_overrides_rejected(tmp_path, capsys):
