@@ -227,6 +227,9 @@ def read_keys(cfg):
             raise ConfigError(_unread(name, kind))
     if kind in _DENSE_LINES and (v["array.a"] is None) == (v["array.intervals"] is None):
         raise ConfigError(f"array.kind = {kind} reads one of array.a and array.intervals")
+    if kind == "dense_vertical" and v["array.intervals"] is not None and "array.z_a" in entries:
+        raise ConfigError("array.z_a is not read with array.kind = dense_vertical and "
+                          "array.intervals (each interval b:h is centered at depth b)")
     if v["reg.kind"] == "none" and v["reg.eps"] is not None:
         raise ConfigError("reg.eps is not read with reg.kind = none (plain inversion)")
     if (v["source.x"] is None) != (v["source.z"] is None):
@@ -257,9 +260,16 @@ def _geometry(kind, v):
                intervals=tuple(segs) if segs else None)
 
 
-def _in_guide(name, lo, hi, L):
+def _in_guide(name, z, L, walls, what):
+    """Depths z must lie in [0, L], and not all on a Dirichlet wall, where
+    every mode vanishes and the field is zero."""
+    lo, hi = z.min(), z.max()
     if lo < 0 or hi > L:
         raise ConfigError(f"{name} puts depths {lo:g}..{hi:g} outside the guide [0, {L:g}]")
+    if np.isin(z, walls).all():
+        at = " or ".join(f"{w:g}" for w in walls)
+        raise ConfigError(f"{name} puts {what} on a Dirichlet wall (z = {at}), "
+                          "where every mode vanishes")
 
 
 @dataclass
@@ -289,11 +299,11 @@ def build_experiment(cfg):
     source = None if v["source.x"] is None else PointSource(v["source.x"], v["source.z"])
     geometry = None if kind is None else _geometry(kind, v)
     if not isinstance(spec, Parabolic):  # the graded guide is unbounded in depth
+        walls = (L,) if isinstance(spec, HomogeneousDN) else (0.0, L)
         if source is not None:
-            _in_guide("source.z", source.z_o, source.z_o, L)
+            _in_guide("source.z", np.array([source.z_o]), L, walls, "the source")
         if isinstance(geometry, Discrete):
-            z = geometry.points[:, 1]
-            _in_guide(_DEPTH_KEYS[kind], z.min(), z.max(), L)
+            _in_guide(_DEPTH_KEYS[kind], geometry.points[:, 1], L, walls, "every receiver")
     grid = replace(default_grid(ms, v["grid.x_min"], v["grid.x_max"], v["grid.step_fraction"]),
                    **{k: v[f"grid.{k}"] for k in ("z_min", "z_max") if v[f"grid.{k}"] is not None})
     for lo, hi in (("x_min", "x_max"), ("z_min", "z_max")):

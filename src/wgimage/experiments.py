@@ -10,6 +10,8 @@ them can be recomputed in isolation. The loop runs over blocks of
 TRIAL_BLOCK trials and draws each Z_t once, for every sigma.
 """
 
+import functools
+
 import numpy as np
 
 from . import _kernels, io
@@ -46,12 +48,35 @@ def _meta(ecfg, **extra):
     return meta
 
 
+@functools.cache
+def _philox_normal():
+    """The one Philox generator behind every draw, built on the first
+    (numpy.random is imported lazily, and most runs draw no noise)."""
+    return np.random.Generator(np.random.Philox(key=0))
+
+
 def _trial_noise(m, seed, t):
     """Unit complex noise Z_t of trial t: real and imaginary parts
     standard normal, from the Philox stream keyed seed XOR t, real parts
-    drawn before imaginary parts. The noise at scale s is s / sqrt(2) * Z_t."""
-    rng = np.random.Generator(np.random.Philox(key=seed ^ t))
-    return rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    drawn before imaginary parts. The noise at scale s is s / sqrt(2) * Z_t.
+
+    The values are those of Generator(Philox(key=seed ^ t)). Rather than
+    build that generator (whose constructor also seeds a SeedSequence from
+    OS entropy, only to discard it), the draw resets one shared Philox to
+    the state a fresh one starts in: the 128-bit key as two 64-bit words,
+    a zero counter and an empty output buffer. The reset covers the whole
+    state, so no draw depends on an earlier one; draws from concurrent
+    threads would share it, though."""
+    rng, key = _philox_normal(), seed ^ t
+    rng.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": (0, 0, 0, 0),
+                                         "key": (key & (2**64 - 1), key >> 64)},
+                               "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                               "has_uint32": 0, "uinteger": 0}
+    x = rng.standard_normal(2 * m)
+    z = np.empty(m, dtype=complex)
+    z.real, z.imag = x[:m], x[m:]
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,17 @@ _DENSE = {"array.kind": "dense_vertical", "array.a": "2"}
     ("rank.z_a", {"rank.z_a": "nan"}),
     ("rank.kinds", {"rank.kinds": "vertical, diagonal"}),
     ("omega", {"omega": "0.1"}),  # below the first cutoff: no guided modes
+    # each interval is centered at its own depth: z_a would be ignored
+    ("array.z_a", {"array.kind": "dense_vertical", "array.intervals": "5:2;12:1",
+                   "array.z_a": "3"}),
+    # on a Dirichlet wall every mode vanishes: z = 0 and L (DD), z = L (DN)
+    ("source.z", {"source.z": "0"}),
+    ("source.z", {"source.z": "20"}),
+    ("source.z", {"waveguide.model": "homogeneous_dn", "source.z": "20"}),
+    ("array.z_a", {"array.kind": "horizontal", "array.M": "20", "array.z_a": "0"}),
+    ("array.z_a", {"waveguide.model": "homogeneous_dn", "array.kind": "horizontal",
+                   "array.M": "20", "array.z_a": "20"}),
+    ("array.points", {"array.kind": "points", "array.points": "0,0;1,0;2,0;0,20;1,20;2,20"}),
 ])
 def test_invalid_keys_exit_2_before_any_output(tmp_path, capsys, key, entries):
     cfg = _vertical_with(tmp_path, entries)
@@ -288,6 +299,17 @@ def test_invalid_keys_exit_2_before_any_output(tmp_path, capsys, key, entries):
         assert main([cmd, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("entries", [
+    {"waveguide.model": "homogeneous_dn", "source.z": "0"},  # Neumann at z = 0
+    {"waveguide.model": "homogeneous_dn", "array.kind": "horizontal", "array.M": "20",
+     "array.z_a": "0"},
+    {"array.kind": "points", "array.points": "0,0;1,0;2,0;0,20;1,20;2,7"},  # one off the walls
+    {"array.kind": "dense_vertical", "array.intervals": "5:2;12:1"},
+])
+def test_depths_off_the_dirichlet_walls_accepted(tmp_path, entries):
+    build_experiment(load_config(_vertical_with(tmp_path, entries)))
 
 
 def test_unknown_key_lists_its_section():

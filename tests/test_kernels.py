@@ -6,11 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgimage import _kernels
 from wgimage.config import build_experiment, load_config
 from wgimage.estimate import HardThreshold, sensing_matrix
-from wgimage.experiments import TRIAL_BLOCK, localization_error_rates
+from wgimage.experiments import TRIAL_BLOCK, _trial_noise, localization_error_rates
 from wgimage.synth import source_amplitudes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,10 +54,65 @@ def test_tie_breaks_to_first_flat_index():
     assert tuple(out[0]) == (0, 0)
 
 
+def test_planted_ties_resolve_to_first_flat_index():
+    # c = 2i conj(a) = 1 in every mode, so every image value is exact.
+    # Row z=0 has the larger bound (25 against 16) and is visited first;
+    # its max 16 sits at x=1 (flat index 2). Row z=1 ties it at x=0 and
+    # x=1, so the later row wins on flat index 1, within it at x=0.
+    a = np.full(3, 0.5j)
+    E = np.array([[1, 0, 0], [1, 1, 0], [0, 0, 1]], dtype=complex)
+    PT = np.array([[2.0, 4.0], [2.0, 0.0], [1.0, 0.0]])
+    out = _kernels.peak_search(np.eye(3, dtype=complex), a, np.zeros((2, 3), complex),
+                               np.ones(3), E, PT)
+    assert out.tolist() == [[0, 1], [0, 1]]
+    # the same image with the rows swapped: the tie now falls in the first row
+    out = _kernels.peak_search(np.eye(3, dtype=complex), a, np.zeros((1, 3), complex),
+                               np.ones(3), E, PT[:, ::-1].copy())
+    assert out.tolist() == [[0, 0]]
+
+
+def test_all_zero_image_peaks_at_origin(workload):
+    G, p, W, beta, E, PT = workload
+    out = _kernels.peak_search(np.zeros_like(G), p, W, beta, E, PT)
+    assert out.shape == (W.shape[0], 2) and out.dtype == np.int64
+    assert not out.any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(N=st.integers(1, 8), nx=st.integers(1, 12), nz=st.integers(1, 12),
+       T=st.integers(1, 2 * _kernels.ROW_CHUNK + 5),
+       scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+def test_peak_search_equals_full_image_argmax(N, nx, nz, T, scale, seed):
+    # arbitrary complex range factors, not just unit phases: the row bound
+    # carries max_x |E[x, j]|
+    rng = np.random.default_rng(seed)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    M = N + 2
+    G, p, W = cplx(N, M), cplx(M), scale * cplx(T, M)
+    beta, E, PT = rng.uniform(0.1, 1.0, N), cplx(nx, N), rng.standard_normal((N, nz))
+    out = _kernels.peak_search(G, p, W, beta, E, PT)
+    C = 2j * beta * np.conj((p + W) @ G.T)
+    ref = [divmod(int(np.argmax(np.abs((E * c) @ PT))), nz) for c in C]
+    assert out.tolist() == [list(r) for r in ref]
+
+
 def test_peak_search_deterministic(workload):
     a = _kernels.peak_search(*workload)
     b = _kernels.peak_search(*workload)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 2024, 2**64 + 5, 2**128 - 1])
+def test_trial_noise_equals_fresh_philox(seed):
+    # the reused, reset generator draws what a fresh one keyed seed ^ t draws,
+    # whatever was drawn before it
+    for m, t in [(20, 0), (1, 1), (1000, 5), (20, 999), (20, 0)]:
+        rng = np.random.Generator(np.random.Philox(key=seed ^ t))
+        ref = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        assert _trial_noise(m, seed, t).tobytes() == ref.tobytes()
 
 
 def _reference_filter(reg, s_meas, a_o, s):
@@ -99,6 +156,8 @@ def _reference_error_rates(ecfg, trials):
 @pytest.mark.parametrize("name, entries", [
     pytest.param("vertical", {}, id="vertical"),
     pytest.param("parabolic", {}, id="parabolic"),
+    pytest.param("horizontal", {}, id="horizontal"),
+    pytest.param("planar_lhs_w07", {}, id="planar_lhs_w07"),
     pytest.param("vertical", {"reg.kind": "hard"}, id="vertical-hard"),
     pytest.param("vertical", {"reg.eps": "1e-9"}, id="vertical-eps1e-9"),
 ])
