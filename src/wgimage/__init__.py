@@ -65,9 +65,7 @@ from .synth import (
     DenseVertical,
     Discrete,
     FieldSamples,
-    NoiseModel,
     PointSource,
-    add_noise,
     array_samples,
     horizontal_line,
     lhs_design,

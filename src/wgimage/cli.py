@@ -29,7 +29,7 @@ def build_parser():
                     "localization error rates, effective-rank scans.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, sigma=False, png=False, trials=False):
+    def common(p, sigma=False, trials=False):
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", default=".", help="output directory (default .)")
         p.add_argument("--seed", type=int, default=None,
@@ -40,14 +40,10 @@ def build_parser():
         if trials:
             p.add_argument("--trials", type=int, default=None,
                            help="override noise.trials")
-        if png:
-            p.add_argument("--png", action="store_true",
-                           help="also write a heatmap raster")
 
     common(sub.add_parser("modes", help="list guided modes"))
     common(sub.add_parser("spectrum", help="array operator spectrum"))
-    common(sub.add_parser("image", help="single noisy imaging pass"),
-           sigma=True, png=True)
+    common(sub.add_parser("image", help="single noisy imaging pass"), sigma=True)
     common(sub.add_parser("mc-rate", help="localization error-rate curve"),
            sigma=True, trials=True)
     common(sub.add_parser("rank-scan", help="predicted vs measured effective rank"))
@@ -94,7 +90,7 @@ def _cmd_image(args):
     if sigma is None:
         sigma = ecfg.sigmas[0] if ecfg.sigmas else 0.0
     os.makedirs(args.out, exist_ok=True)
-    _, peak, success = run_image(ecfg, sigma, args.out, png=args.png)
+    _, peak, success = run_image(ecfg, sigma, args.out)
     print(f"sigma={sigma:g} peak x={peak[0]:.6g} z={peak[1]:.6g} "
           f"value={peak[2]:.6g} success={'true' if success else 'false'}")
     print(f"wrote {args.out}/image.csv")

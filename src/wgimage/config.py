@@ -46,12 +46,10 @@ from .synth import (
 
 
 class Config:
-    """Parsed key=value entries, as text. Keeps the source text so
-    outputs can embed its digest."""
+    """Parsed key=value entries, as text."""
 
-    def __init__(self, entries, text=""):
+    def __init__(self, entries):
         self.entries = dict(entries)
-        self.text = text
 
     def override(self, key, value):
         if value is not None:
@@ -73,7 +71,7 @@ def parse_config_text(text):
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = val
-    return Config(entries, text)
+    return Config(entries)
 
 
 def load_config(path):
@@ -168,7 +166,7 @@ KEYS = (
     Key("noise.sigmas", "", _list(float), _each(_NONNEGATIVE[1]),
         "comma-separated finite numbers >= 0"),
     Key("noise.trials", "200", *_COUNT),
-    # trial t draws from Philox(key=seed ^ t), whose key is a 128-bit word
+    # the 128-bit Philox key of every trial's draw; trial t sets the counter
     Key("noise.seed", "0", _int, lambda n: 0 <= n < 2**128, "an integer in [0, 2**128)"),
     Key("reg.kind", "tikhonov", *_one_of(_REGULARIZERS)),
     Key("reg.eps", None, *_NONNEGATIVE),
@@ -276,7 +274,7 @@ def _in_guide(name, z, L, walls, what):
 class ExperimentConfig:
     """Everything a runner needs, built and validated."""
 
-    cfg: Config
+    values: dict  # typed value of every key read (read_keys), for provenance
     ms: object
     source: PointSource
     geometry: object
@@ -312,7 +310,7 @@ def build_experiment(cfg):
                               f"got {getattr(grid, lo)!r} >= {getattr(grid, hi)!r}")
     ratios = v["rank.ratios"]
     return ExperimentConfig(
-        cfg=cfg, ms=ms, source=source, geometry=geometry, grid=grid,
+        values=v, ms=ms, source=source, geometry=geometry, grid=grid,
         reg=RegPolicy(_REGULARIZERS[v["reg.kind"]], v["reg.eps"]),
         sigmas=v["noise.sigmas"], trials=v["noise.trials"], seed=v["noise.seed"],
         rank_eps=v["rank.eps"], rank_kinds=v["rank.kinds"],

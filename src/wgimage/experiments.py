@@ -2,12 +2,18 @@
 
 These are the work units behind the command line. Each runner takes a
 built ExperimentConfig, computes with the library modules, and writes
-deterministic CSV. The Monte Carlo loop keeps a fixed convention for
-reproducibility: trial t draws its unit complex noise Z_t from a Philox
-stream keyed seed XOR t, and its noise at relative level sigma is
-s_meas / sqrt(2) * Z_t. Trials are order-independent, and any slice of
-them can be recomputed in isolation. The loop runs over blocks of
-TRIAL_BLOCK trials and draws each Z_t once, for every sigma.
+deterministic CSV.
+
+Measurement noise is additive circular complex Gaussian, scaled relative
+to the peak data amplitude, and follows one convention. Trial t draws its
+unit complex noise Z_t (real and imaginary parts standard normal) from
+the Philox stream keyed on the pair (seed, t): key = seed, counter =
+(0, 0, t, 0). At relative level sigma the noise on data p is
+s_meas / sqrt(2) * Z_t, with s_meas = sigma * max|p| (`noise_scale`).
+A single imaging pass uses trial 0. Trials are order-independent, and
+any slice of them can be recomputed in isolation. The Monte Carlo loop
+runs over blocks of TRIAL_BLOCK trials and draws each Z_t once, for
+every sigma.
 """
 
 import functools
@@ -42,10 +48,19 @@ def mode_table(ms):
 
 
 def _meta(ecfg, **extra):
-    meta = {"config": io.config_digest(ecfg.cfg.text or repr(sorted(ecfg.cfg.entries.items()))),
-            "seed": ecfg.seed}
+    """CSV header fields: the digest of the effective config (every key's
+    typed value after command-line overrides, sorted by key, so comments
+    and layout do not count) and the seed."""
+    text = "\n".join(f"{k} = {v!r}" for k, v in sorted(ecfg.values.items()))
+    meta = {"config": io.config_digest(text), "seed": ecfg.seed}
     meta.update(extra)
     return meta
+
+
+def noise_scale(sigma, p):
+    """s_meas = sigma * max|p|, the absolute noise scale of relative level
+    sigma (a number or an array of them) on data p."""
+    return np.asarray(sigma, dtype=float) * np.abs(p).max()
 
 
 @functools.cache
@@ -56,21 +71,20 @@ def _philox_normal():
 
 
 def _trial_noise(m, seed, t):
-    """Unit complex noise Z_t of trial t: real and imaginary parts
-    standard normal, from the Philox stream keyed seed XOR t, real parts
-    drawn before imaginary parts. The noise at scale s is s / sqrt(2) * Z_t.
+    """Unit complex noise Z_t of trial t, shape (m,): real parts drawn
+    before imaginary parts, from the Philox stream keyed on (seed, t).
 
-    The values are those of Generator(Philox(key=seed ^ t)). Rather than
-    build that generator (whose constructor also seeds a SeedSequence from
-    OS entropy, only to discard it), the draw resets one shared Philox to
-    the state a fresh one starts in: the 128-bit key as two 64-bit words,
-    a zero counter and an empty output buffer. The reset covers the whole
-    state, so no draw depends on an earlier one; draws from concurrent
-    threads would share it, though."""
-    rng, key = _philox_normal(), seed ^ t
+    The values are those of Generator(Philox(key=seed, counter=t << 128)).
+    Rather than build that generator (whose constructor also seeds a
+    SeedSequence from OS entropy, only to discard it), the draw resets one
+    shared Philox to the state a fresh one starts in: the 128-bit key as
+    two 64-bit words, the counter words (0, 0, t, 0) and an empty output
+    buffer. The reset covers the whole state, so no draw depends on an
+    earlier one; draws from concurrent threads would share it, though."""
+    rng = _philox_normal()
     rng.bit_generator.state = {"bit_generator": "Philox",
-                               "state": {"counter": (0, 0, 0, 0),
-                                         "key": (key & (2**64 - 1), key >> 64)},
+                               "state": {"counter": (0, 0, t, 0),
+                                         "key": (seed & (2**64 - 1), seed >> 64)},
                                "buffer": (0, 0, 0, 0), "buffer_pos": 4,
                                "has_uint32": 0, "uinteger": 0}
     x = rng.standard_normal(2 * m)
@@ -95,9 +109,9 @@ def localization_error_rates(ms, src, points, sigmas, trials, seed,
     The estimator matrix G = V psi(D) U^dag of each sigma and the
     separable grid factors are built once. Trials then run in blocks of
     TRIAL_BLOCK: each trial's unit noise Z_t is drawn once, and every
-    sigma's peak search in the block reuses it as s_meas / sqrt(2) * Z_t.
-    So a run makes one draw per trial, and the noise held at once never
-    exceeds TRIAL_BLOCK x M values per array.
+    sigma's peak search in the block reuses it, rescaled. So a run makes
+    one draw per trial, and the noise held at once never exceeds
+    TRIAL_BLOCK x M values per array.
     """
     if grid is None:
         grid = default_grid(ms)
@@ -108,7 +122,7 @@ def localization_error_rates(ms, src, points, sigmas, trials, seed,
     E = np.exp(1j * np.outer(xs, ms.beta))
     PT = np.ascontiguousarray(ms.profile_matrix(zs).T)
     half2 = (0.5 * ms.lambda_o) ** 2
-    s_meas = np.asarray(sigmas, dtype=float) * np.abs(p).max()
+    s_meas = noise_scale(sigmas, p)
     Gs = [estimator_matrix(sm, reg.regularizer(s, a_o)) for s in s_meas]
     misses = np.zeros(len(Gs), dtype=np.int64)
     for t0 in range(0, trials, TRIAL_BLOCK):
@@ -152,13 +166,12 @@ def run_spectrum(ecfg, outdir):
     return report
 
 
-def run_image(ecfg, sigma, outdir, png=False):
+def run_image(ecfg, sigma, outdir):
     """Single noisy-data imaging pass at relative noise level sigma.
 
     Records data on the receivers, adds the trial-0 noise draw, builds
     the regularized estimate, migrates it, and reports the peak with its
-    half-wavelength success flag. Writes image.csv (and image.png on
-    request)."""
+    half-wavelength success flag. Writes image.csv."""
     if ecfg.geometry is None or ecfg.source is None:
         raise ConfigError("image experiment needs array.* and source.* keys")
     if not isinstance(ecfg.geometry, Discrete):
@@ -167,15 +180,13 @@ def run_image(ecfg, sigma, outdir, png=False):
     sm = sensing_matrix(ms, ecfg.geometry.points)
     a_o = source_amplitudes(ms, src)
     p = sm.B @ a_o
-    s_meas = sigma * np.abs(p).max()
+    s_meas = noise_scale(sigma, p)
     w = s_meas / np.sqrt(2.0) * _trial_noise(p.size, ecfg.seed, 0)
     a = svd_estimate(p + w, sm, ecfg.reg.regularizer(s_meas, a_o))
     im = migrate(a, ms, ecfg.grid)
     peak = locate_peak(im)
     success = localization_success(peak, src, ms.lambda_o)
     io.write_image_csv(f"{outdir}/image.csv", im, _meta(ecfg, sigma=sigma))
-    if png:
-        io.save_heatmap_png(f"{outdir}/image.png", im)
     return im, peak, success
 
 
@@ -190,8 +201,8 @@ def run_mc_rate(ecfg, outdir):
     rates = localization_error_rates(
         ecfg.ms, ecfg.source, ecfg.geometry.points, ecfg.sigmas,
         ecfg.trials, ecfg.seed, grid=ecfg.grid, reg=ecfg.reg)
-    io.write_rates_csv(f"{outdir}/rates.csv", ecfg.sigmas, rates,
-                       ecfg.trials, ecfg.seed, _meta(ecfg))
+    meta = _meta(ecfg, noise="philox key=seed counter=(0,0,trial,0)")
+    io.write_rates_csv(f"{outdir}/rates.csv", ecfg.sigmas, rates, ecfg.trials, ecfg.seed, meta)
     return np.asarray(ecfg.sigmas, dtype=float), rates
 
 

@@ -1,7 +1,7 @@
 """Deterministic CSV export of experiment results.
 
 Every file starts with `#`-prefixed comment lines carrying the tool
-version, a hash of the generating configuration, and the seed, so any
+version, a hash of the effective configuration, and the seed, so any
 output can be traced back to its inputs. Then come the column names and
 one line per row. Each column keeps one format, fixed by its value in
 the first row: integers are written exactly, floats with %.12g (enough
@@ -83,25 +83,3 @@ def write_rates_csv(path, sigmas, rates, trials, seed, meta=None):
 def write_rank_scan_csv(path, rows, meta=None):
     write_csv(path, ("a_over_L", "predicted", "measured"), rows, meta)
 
-
-def save_heatmap_png(path, im, dpi=150):
-    """Raster of the normalized image modulus, viridis colormap, x along
-    the horizontal axis. Requires matplotlib (optional dependency)."""
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError as exc:
-        raise RuntimeError(
-            "PNG export needs matplotlib; install the [png] extra") from exc
-    norm = im if im.normalized else im.normalize()
-    xs, zs = norm.grid.x, norm.grid.z
-    fig, ax = plt.subplots(figsize=(8, 3))
-    mesh = ax.pcolormesh(xs, zs, np.abs(norm.values).T,
-                         cmap="viridis", shading="nearest")
-    fig.colorbar(mesh, ax=ax, label="|I| / max")
-    ax.set_xlabel("x")
-    ax.set_ylabel("z")
-    fig.tight_layout()
-    fig.savefig(path, dpi=dpi)
-    plt.close(fig)

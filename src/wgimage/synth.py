@@ -4,9 +4,7 @@ An array geometry carries a uniform unit-mass measure mu. A dense
 aperture's mu is the product mu_x (x) mu_z of a range and a depth
 factor (`dense_axes`); its field samples are composite Gauss-Legendre
 nodes of that measure, so array integrals of data are plain weighted
-sums. Field synthesis is the guided-mode sum, and measurement noise is
-additive circular complex Gaussian scaled relative to the peak data
-amplitude.
+sums. Field synthesis is the guided-mode sum.
 """
 
 from dataclasses import dataclass
@@ -85,16 +83,6 @@ class FieldSamples:
     points: np.ndarray   # (K, 2)
     weights: np.ndarray  # (K,)
     values: np.ndarray   # (K,) complex
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    sigma_rel: float
-    seed: int = 0
-
-    def sigma_meas(self, p):
-        """Absolute per-sample noise level sigma_rel * ||p||_inf."""
-        return self.sigma_rel * np.max(np.abs(p))
 
 
 def geometry_equal(g1, g2):
@@ -179,16 +167,6 @@ def sample_field(ms, amps, geom):
     pts, w = array_samples(geom, ms.lambda_o)
     values = mode_traces(ms, pts) @ np.asarray(amps, dtype=complex)
     return FieldSamples(geom, pts, w, values)
-
-
-def add_noise(fs, nm):
-    """Add i.i.d. circular complex Gaussian noise of per-sample variance
-    sigma_meas^2 = (sigma_rel ||p||_inf)^2; deterministic for a fixed seed."""
-    s_meas = nm.sigma_meas(fs.values)
-    rng = np.random.Generator(np.random.Philox(nm.seed))
-    k = fs.values.size
-    w = s_meas / np.sqrt(2.0) * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
-    return FieldSamples(fs.geometry, fs.points, fs.weights, fs.values + w)
 
 
 def lhs_design(M, center, size, seed):

@@ -2,8 +2,7 @@
 
 One test per criterion; each prints a single PASS/FAIL summary line with
 the measured quantities and asserts the stated tolerance and runtime
-budget. Budgets assume the compiled peak-search path is available; the
-numpy fallback also fits them on current hardware.
+budget. Budgets are set for the numpy peak search on current hardware.
 """
 
 import time

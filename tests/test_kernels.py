@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from wgimage import _kernels
 from wgimage.config import build_experiment, load_config
 from wgimage.estimate import HardThreshold, sensing_matrix
-from wgimage.experiments import TRIAL_BLOCK, _trial_noise, localization_error_rates
+from wgimage.experiments import TRIAL_BLOCK, _trial_noise, localization_error_rates, noise_scale
 from wgimage.synth import source_amplitudes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,12 +107,46 @@ def test_peak_search_deterministic(workload):
 
 @pytest.mark.parametrize("seed", [0, 2024, 2**64 + 5, 2**128 - 1])
 def test_trial_noise_equals_fresh_philox(seed):
-    # the reused, reset generator draws what a fresh one keyed seed ^ t draws,
-    # whatever was drawn before it
+    # the reused, reset generator draws what a fresh one keyed on
+    # (seed, t) draws, whatever was drawn before it
     for m, t in [(20, 0), (1, 1), (1000, 5), (20, 999), (20, 0)]:
-        rng = np.random.Generator(np.random.Philox(key=seed ^ t))
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=t << 128))
         ref = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         assert _trial_noise(m, seed, t).tobytes() == ref.tobytes()
+
+
+def test_trial_noise_keyed_on_seed_and_trial_pair():
+    # 2024 ^ 1 == 2025 ^ 0: a key of seed XOR t gave these two one draw
+    assert not np.array_equal(_trial_noise(20, 2024, 1), _trial_noise(20, 2025, 0))
+
+
+def test_trial_noise_deterministic_per_seed_and_trial():
+    z = _trial_noise(20, 42, 3)
+    assert np.array_equal(z, _trial_noise(20, 42, 3))
+    assert not np.array_equal(z, _trial_noise(20, 43, 3))
+    assert not np.array_equal(z, _trial_noise(20, 42, 4))
+
+
+def test_zero_sigma_adds_no_noise():
+    p = np.array([1.0 + 2.0j, -3.0, 0.5j])
+    s = noise_scale(0.0, p)
+    assert s == 0.0
+    assert np.array_equal(p + s / np.sqrt(2.0) * _trial_noise(p.size, 1, 0), p)
+
+
+def test_noise_statistics():
+    # unit noise: zero mean, E|Z|^2 = 2, independent samples; the noise
+    # s_meas / sqrt(2) Z then has per-sample variance s_meas^2
+    k = 100_000
+    s_meas = noise_scale(0.3, np.array([1.0, -0.5j, 0.25]))
+    assert s_meas == pytest.approx(0.3)
+    z = _trial_noise(k, 7, 0)
+    se = 1 / np.sqrt(k)
+    assert abs(z.real.mean()) < 5 * se and abs(z.imag.mean()) < 5 * se
+    assert np.mean(np.abs(z) ** 2) == pytest.approx(2.0, rel=0.02)
+    # adjacent-sample cross-correlation vanishes
+    cross = np.mean(z[:-1] * np.conj(z[1:]))
+    assert abs(cross) < 10 / np.sqrt(k)
 
 
 def _reference_filter(reg, s_meas, a_o, s):
@@ -142,7 +176,7 @@ def _reference_error_rates(ecfg, trials):
         G = (sm.V * _reference_filter(ecfg.reg, s_meas, a_o, sm.s)) @ sm.U.conj().T
         misses = 0
         for t in range(trials):
-            rng = np.random.Generator(np.random.Philox(key=seed ^ t))
+            rng = np.random.Generator(np.random.Philox(key=seed, counter=t << 128))
             w = s_meas / np.sqrt(2.0) * (rng.standard_normal(p.size)
                                          + 1j * rng.standard_normal(p.size))
             a = G @ (p + w)

@@ -72,41 +72,6 @@ def test_array_measure_has_unit_mass(geom):
     assert w.sum() == pytest.approx(1.0, abs=1e-13)
 
 
-def test_add_noise_zero_sigma_is_identity(ms_dd20, src_ref, vertical_points):
-    a = wg.source_amplitudes(ms_dd20, src_ref)
-    fs = wg.sample_field(ms_dd20, a, wg.Discrete(vertical_points))
-    noisy = wg.add_noise(fs, wg.NoiseModel(0.0, seed=1))
-    assert np.array_equal(noisy.values, fs.values)
-
-
-def test_add_noise_deterministic(ms_dd20, src_ref, vertical_points):
-    a = wg.source_amplitudes(ms_dd20, src_ref)
-    fs = wg.sample_field(ms_dd20, a, wg.Discrete(vertical_points))
-    nm = wg.NoiseModel(1e-3, seed=42)
-    w1 = wg.add_noise(fs, nm).values
-    w2 = wg.add_noise(fs, nm).values
-    assert np.array_equal(w1, w2)
-    w3 = wg.add_noise(fs, wg.NoiseModel(1e-3, seed=43)).values
-    assert not np.array_equal(w1, w3)
-
-
-def test_noise_statistics():
-    # per-sample variance sigma_meas^2, zero mean, independent samples
-    k = 100_000
-    fs = wg.FieldSamples(None, np.zeros((k, 2)), np.full(k, 1.0 / k),
-                         np.ones(k, dtype=complex))
-    nm = wg.NoiseModel(0.3, seed=7)
-    s_meas = nm.sigma_meas(fs.values)
-    assert s_meas == pytest.approx(0.3)
-    w = wg.add_noise(fs, nm).values - fs.values
-    se = s_meas / np.sqrt(2 * k)
-    assert abs(w.real.mean()) < 5 * se and abs(w.imag.mean()) < 5 * se
-    assert np.mean(np.abs(w) ** 2) == pytest.approx(s_meas**2, rel=0.02)
-    # adjacent-sample cross-correlation vanishes
-    cross = np.mean(w[:-1] * np.conj(w[1:]))
-    assert abs(cross) < 5 * s_meas**2 / np.sqrt(k)
-
-
 def test_lhs_single_point():
     pts = wg.lhs_design(1, (0.0, 11.0), 0.125, seed=3)
     assert pts.shape == (1, 2)
