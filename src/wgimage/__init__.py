@@ -60,9 +60,7 @@ from .rank import (
     taylor_rank_prediction,
 )
 from .synth import (
-    DenseHorizontal,
-    DensePlanar,
-    DenseVertical,
+    Dense,
     Discrete,
     FieldSamples,
     PointSource,

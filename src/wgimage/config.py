@@ -34,9 +34,7 @@ from .estimate import HardThreshold, RegPolicy, Tikhonov
 from .image import SearchGrid, default_grid
 from .modes import HomogeneousDD, HomogeneousDN, Parabolic, solve_modes
 from .synth import (
-    DenseHorizontal,
-    DensePlanar,
-    DenseVertical,
+    Dense,
     Discrete,
     PointSource,
     horizontal_line,
@@ -235,13 +233,18 @@ def read_keys(cfg):
     return v
 
 
-#: the keys that place each receiver-set kind in depth
+#: the keys that place each array kind in depth
 _DEPTH_KEYS = {"vertical": "array.z_a/array.extent", "horizontal": "array.z_a",
-               "planar_lhs": "array.center_z/array.size", "points": "array.points"}
+               "planar_lhs": "array.center_z/array.size", "points": "array.points",
+               "dense_vertical": "array.z_a/array.a", "dense_horizontal": "array.z_a",
+               "dense_planar": "array.z_a/array.a"}
 
 
 def _geometry(kind, v):
-    """Discrete for receiver-set kinds, a continuous aperture for dense_*."""
+    """Discrete for receiver-set kinds, the product measure Dense(mu_x, mu_z)
+    for dense_*: vertical x = 0 over [z_a - a, z_a + a], horizontal [0, 2a]
+    at depth z_a, planar [-a, a] x [z_a - a, z_a + a]; each array.intervals
+    segment b:h spans [b - h, b + h] in place of the one of half-length a."""
     if kind in _LINES:
         line = vertical_line if kind == "vertical" else horizontal_line
         return Discrete(line(v["array.M"], v["array.z_a"], v["array.extent"]))
@@ -250,12 +253,13 @@ def _geometry(kind, v):
                                    v["array.size"], v["array.seed"]))
     if kind == "points":
         return Discrete(np.array(v["array.points"]))
+    z_a, a = v["array.z_a"], v["array.a"]
     if kind == "dense_planar":
-        return DensePlanar(z_a=v["array.z_a"], a=v["array.a"])
-    cls = DenseVertical if kind == "dense_vertical" else DenseHorizontal
+        return Dense(((0.0, a),), ((z_a, a),))
     segs = v["array.intervals"]
-    return cls(z_a=v["array.z_a"], a=0.0 if segs else v["array.a"],
-               intervals=tuple(segs) if segs else None)
+    if kind == "dense_vertical":
+        return Dense(0.0, tuple(segs) if segs else ((z_a, a),))
+    return Dense(tuple(segs) if segs else ((a, a),), z_a)
 
 
 def _in_guide(name, z, L, walls, what):
@@ -264,10 +268,19 @@ def _in_guide(name, z, L, walls, what):
     lo, hi = z.min(), z.max()
     if lo < 0 or hi > L:
         raise ConfigError(f"{name} puts depths {lo:g}..{hi:g} outside the guide [0, {L:g}]")
-    if np.isin(z, walls).all():
+    if set(z.tolist()) <= set(walls):
         at = " or ".join(f"{w:g}" for w in walls)
         raise ConfigError(f"{name} puts {what} on a Dirichlet wall (z = {at}), "
                           "where every mode vanishes")
+
+
+def _depth_in_guide(name, mu_z, L, walls):
+    """_in_guide on the endpoints of a dense aperture's depth factor: a
+    segment may touch a Dirichlet wall, a point mass may not lie on one."""
+    if np.isscalar(mu_z):
+        _in_guide(name, np.array([mu_z]), L, walls, "the aperture")
+    else:
+        _in_guide(name, np.ravel([(b - h, b + h) for b, h in mu_z]), L, (), "the aperture")
 
 
 @dataclass
@@ -296,26 +309,35 @@ def build_experiment(cfg):
     ms = solve_modes(spec, v["omega"])
     source = None if v["source.x"] is None else PointSource(v["source.x"], v["source.z"])
     geometry = None if kind is None else _geometry(kind, v)
+    # rank.ratios_<kind>, else rank.ratios, else the rank.ratios_<kind> default
+    ratio_keys = {k: f"rank.ratios_{k}" if v["rank.ratios"] is None
+                  or f"rank.ratios_{k}" in cfg.entries else "rank.ratios" for k in _LINES}
+    rank_z_a = 0.22 * L if v["rank.z_a"] is None else v["rank.z_a"]
     if not isinstance(spec, Parabolic):  # the graded guide is unbounded in depth
         walls = (L,) if isinstance(spec, HomogeneousDN) else (0.0, L)
         if source is not None:
             _in_guide("source.z", np.array([source.z_o]), L, walls, "the source")
         if isinstance(geometry, Discrete):
             _in_guide(_DEPTH_KEYS[kind], geometry.points[:, 1], L, walls, "every receiver")
+        elif geometry is not None:
+            intervals = kind == "dense_vertical" and v["array.intervals"]
+            _depth_in_guide("array.intervals" if intervals else _DEPTH_KEYS[kind],
+                            geometry.mu_z, L, walls)
+        # the depth factors of the rank-scan apertures (experiments.rank_scan_rows)
+        if "vertical" in v["rank.kinds"]:
+            key = ratio_keys["vertical"]
+            _depth_in_guide(key, tuple((r * L, r * L) for r in v[key]), L, walls)
+        if "horizontal" in v["rank.kinds"]:
+            _depth_in_guide("rank.z_a", rank_z_a, L, walls)
     grid = replace(default_grid(ms, v["grid.x_min"], v["grid.x_max"], v["grid.step_fraction"]),
                    **{k: v[f"grid.{k}"] for k in ("z_min", "z_max") if v[f"grid.{k}"] is not None})
     for lo, hi in (("x_min", "x_max"), ("z_min", "z_max")):
         if not getattr(grid, lo) < getattr(grid, hi):
             raise ConfigError(f"grid.{lo} must be < grid.{hi}, "
                               f"got {getattr(grid, lo)!r} >= {getattr(grid, hi)!r}")
-    ratios = v["rank.ratios"]
     return ExperimentConfig(
         values=v, ms=ms, source=source, geometry=geometry, grid=grid,
         reg=RegPolicy(_REGULARIZERS[v["reg.kind"]], v["reg.eps"]),
         sigmas=v["noise.sigmas"], trials=v["noise.trials"], seed=v["noise.seed"],
         rank_eps=v["rank.eps"], rank_kinds=v["rank.kinds"],
-        # rank.ratios_<kind>, else rank.ratios, else the rank.ratios_<kind> default
-        rank_ratios={k: v[f"rank.ratios_{k}"]
-                     if ratios is None or f"rank.ratios_{k}" in cfg.entries else ratios
-                     for k in _LINES},
-        rank_z_a=0.22 * L if v["rank.z_a"] is None else v["rank.z_a"])
+        rank_ratios={k: v[key] for k, key in ratio_keys.items()}, rank_z_a=rank_z_a)

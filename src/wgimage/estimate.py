@@ -10,14 +10,15 @@ picks psi_eps at each noise level: Tikhonov, HardThreshold or None
 (plain inversion, refused on a spectrum spanning more than 14 decades),
 at a fixed eps or at the noise-matched `heuristic_eps`.
 
-A discrete receiver set has the exact Gram (1/M) B^dag B. Every dense
-aperture carries a product measure mu_x (x) mu_z, so its Gram is the
+A discrete receiver set has the exact Gram (1/M) B^dag B. A `Dense`
+aperture is its product measure mu_x (x) mu_z, so its Gram is the
 elementwise product A = X (.) Z of a range factor
-X_jl = int e^{i(beta_j - beta_l) x} dmu_x, a sum of sincs over the range
-segments for every model, and a depth factor Z_jl = int phi_j phi_l dmu_z.
-Z is outer(phi(z_a), phi(z_a)) on a horizontal line and closed form over
-depth segments for the homogeneous models; the parabolic depth factor
-is the only part of a Gram computed by quadrature.
+X_jl = int e^{i(beta_j - beta_l) x} dmu_x (a phase for a range point
+mass, a sum of sincs over range segments, for every model) and a depth
+factor Z_jl = int phi_j phi_l dmu_z (outer(phi(z_0), phi(z_0)) for a
+depth point mass z_0, closed form over depth segments for the
+homogeneous models). The parabolic depth factor over segments is the
+only part of a Gram computed by quadrature.
 
 Spectral conventions, fixed for reproducibility: eigenvalues and
 singular values in descending order, and each eigen/singular vector
@@ -39,7 +40,6 @@ from .synth import (
     Discrete,
     FieldSamples,
     _segment_nodes,
-    dense_axes,
     geometry_equal,
     mode_traces,
 )
@@ -180,19 +180,22 @@ def _segment_sum(segments, term):
 
 
 def _range_factor(ms, mu_x):
-    """X_jl = int e^{i(beta_j - beta_l) x} dmu_x: over each segment (b, h)
-    the average is e^{i db b} sinc(db h), with db = beta_j - beta_l. The
-    only range point mass is the vertical aperture's x = 0, where X = 1."""
-    if np.isscalar(mu_x):
+    """X_jl = int e^{i(beta_j - beta_l) x} dmu_x with db = beta_j - beta_l:
+    e^{i db x0} for a point mass at x0, and over each segment (b, h) the
+    average e^{i db b} sinc(db h). At x0 = 0 X is the scalar 1, which
+    keeps a Gram at x = 0 real."""
+    if np.isscalar(mu_x) and mu_x == 0:
         return 1.0
     db = ms.beta[:, None] - ms.beta[None, :]
+    if np.isscalar(mu_x):
+        return np.exp(1j * db * mu_x)
     return _segment_sum(mu_x, lambda b, h: np.exp(1j * db * b) * _sinc(db * h))
 
 
 def _depth_factor(ms, mu_z):
     """Z_jl = int phi_j phi_l dmu_z.
 
-    A point mass at z_a gives outer(phi(z_a), phi(z_a)). Over segments
+    A point mass at z_0 gives outer(phi(z_0), phi(z_0)). Over segments
     the homogeneous bases have a closed form: for each segment (b, h),
     (1/(2h)) int_{b-h}^{b+h} phi_j phi_l dz
     = (1/L)[cos(da b) sinc(da h) -+ cos(sa b) sinc(sa h)]
@@ -236,19 +239,18 @@ def _depth_quadrature(ms, segments):
 def coupling_matrix(ms, geom):
     """Build A for an array geometry.
 
-    Discrete receiver sets use the exact Gram (1/M) B^dag B. Every dense
-    aperture carries a product measure mu_x (x) mu_z, so its Gram matrix
-    is the elementwise product A = X (.) Z of the range factor X (a sum
-    of sincs, closed form for every model) and the depth factor Z
-    (closed form for the homogeneous models and for a horizontal line,
-    converged 1-D quadrature for the parabolic model).
+    A Discrete receiver set uses the exact Gram (1/M) B^dag B. A Dense
+    aperture's Gram is the elementwise product A = X (.) Z of the range
+    factor X over geom.mu_x (closed form for every model) and the depth
+    factor Z over geom.mu_z (closed form at a point mass and for the
+    homogeneous models, converged 1-D quadrature over parabolic depth
+    segments).
     """
     if isinstance(geom, Discrete):
         B = mode_traces(ms, geom.points)
         A = B.conj().T @ B / geom.points.shape[0]
     else:
-        mu_x, mu_z = dense_axes(geom)
-        A = _depth_factor(ms, mu_z) * _range_factor(ms, mu_x)
+        A = _depth_factor(ms, geom.mu_z) * _range_factor(ms, geom.mu_x)
     A, V, d = _eigh_descending(A)
     return CouplingMatrix(A=A, V=V, d=d, geometry=geom)
 

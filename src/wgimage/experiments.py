@@ -31,12 +31,7 @@ from .estimate import (
 )
 from .image import default_grid, locate_peak, localization_success, migrate
 from .rank import AbsoluteThreshold, PlateauHalf, dense_rank_prediction, effective_rank, spectrum_report
-from .synth import (
-    DenseHorizontal,
-    DenseVertical,
-    Discrete,
-    source_amplitudes,
-)
+from .synth import Dense, Discrete, source_amplitudes
 
 
 def mode_table(ms):
@@ -208,7 +203,8 @@ def run_mc_rate(ecfg, outdir):
 
 def rank_scan_rows(ms, kind, ratios, z_a):
     """(a/L, predicted, measured) rows for dense apertures of total
-    length 2a = 2 (a/L) L.
+    length 2a = 2 (a/L) L: the vertical one x = 0 over depths [0, 2a],
+    the horizontal one [0, 2a] in range at depth z_a.
 
     Vertical spectra plateau at their top value, so the half-maximum
     count is the natural measure. Horizontal spectra have no plateau:
@@ -220,12 +216,10 @@ def rank_scan_rows(ms, kind, ratios, z_a):
     for r in ratios:
         a = r * L
         if kind == "vertical":
-            geom = DenseVertical(z_a=a, a=a)
-            cm = coupling_matrix(ms, geom)
+            cm = coupling_matrix(ms, Dense(0.0, ((a, a),)))
             measured = effective_rank(cm.d, PlateauHalf())
         elif kind == "horizontal":
-            geom = DenseHorizontal(z_a=z_a, a=a)
-            cm = coupling_matrix(ms, geom)
+            cm = coupling_matrix(ms, Dense(((a, a),), z_a))
             measured = effective_rank(cm.d, AbsoluteThreshold(1e-2 * cm.d[0]))
         else:
             raise ConfigError(f"rank kind must be vertical or horizontal, got {kind!r}")

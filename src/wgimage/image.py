@@ -68,13 +68,13 @@ class ImageMap:
 
     values: np.ndarray
     grid: SearchGrid
-    normalized: bool = False
 
     def normalize(self):
-        """Modulus divided by its maximum, as plotted in the figures."""
+        """Modulus divided by its maximum, as plotted in the figures; a
+        normalized image normalizes to itself, bit for bit."""
         mod = np.abs(self.values)
         peak = mod.max()
-        return ImageMap(mod / peak if peak > 0 else mod, self.grid, normalized=True)
+        return ImageMap(mod / peak if peak > 0 else mod, self.grid)
 
 
 def migrate(a, ms, grid):

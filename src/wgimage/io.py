@@ -67,7 +67,7 @@ def write_spectrum_csv(path, spectrum, meta=None):
 def write_image_csv(path, im, meta=None):
     """Normalized image modulus on the grid, x-major. Each axis value is
     formatted once; the pixel rows stream from a generator."""
-    norm = im if im.normalized else im.normalize()
+    norm = im.normalize()
     xs = ["%.12g" % x for x in norm.grid.x.tolist()]
     zs = ["%.12g" % z for z in norm.grid.z.tolist()]
     rows = chain.from_iterable(zip(repeat(x), zs, vals.tolist())

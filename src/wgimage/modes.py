@@ -79,18 +79,11 @@ class ModeSet:
         self.lambda_o = 2.0 * np.pi / self.k_o
         self.alpha = np.asarray(alpha, dtype=float)
         self.beta = np.asarray(beta, dtype=float)
-        self.eigenvalues = self.beta**2
         self.paper_index_offset = paper_index_offset
 
     @property
     def n_modes(self):
         return self.beta.size
-
-    @property
-    def N(self):
-        """The conventional mode-count label: N for homogeneous models
-        (n_modes = N), the top parabolic index N (n_modes = N + 1)."""
-        return self.n_modes - 1 + self.paper_index_offset
 
     def eval(self, j, z, q=0):
         """phi_j^{(q)}(z) for the 0-based mode position j; vectorized in z."""

@@ -1,10 +1,11 @@
 """Point-source data synthesis on antenna arrays.
 
-An array geometry carries a uniform unit-mass measure mu. A dense
-aperture's mu is the product mu_x (x) mu_z of a range and a depth
-factor (`dense_axes`); its field samples are composite Gauss-Legendre
-nodes of that measure, so array integrals of data are plain weighted
-sums. Field synthesis is the guided-mode sum.
+An array geometry carries a unit-mass measure mu: weight 1/M on each
+receiver of a `Discrete` set, or, for a `Dense` aperture, the product
+mu_x (x) mu_z of a range and a depth factor. A dense aperture's field
+samples are composite Gauss-Legendre nodes of that measure, so array
+integrals of data are plain weighted sums. Field synthesis is the
+guided-mode sum.
 """
 
 from dataclasses import dataclass
@@ -33,41 +34,13 @@ class Discrete:
 
 
 @dataclass(frozen=True)
-class DenseVertical:
-    """Vertical segments {0} x [b_k - a_k, b_k + a_k]; default one segment
-    of half-length a centered at z_a."""
+class Dense:
+    """Dense aperture with product measure mu_x (x) mu_z. Each factor is a
+    tuple of segments (b, h), uniform on [b - h, b + h] with mass
+    proportional to h, or a number: a unit point mass at that coordinate."""
 
-    z_a: float
-    a: float
-    intervals: tuple = None
-
-    def segments(self):
-        if self.intervals is not None:
-            return tuple((float(b), float(h)) for b, h in self.intervals)
-        return ((self.z_a, self.a),)
-
-
-@dataclass(frozen=True)
-class DenseHorizontal:
-    """Horizontal segments [b_k - a_k, b_k + a_k] x {z_a}; default segment
-    [0, 2a] as in the dense-aperture analysis."""
-
-    z_a: float
-    a: float
-    intervals: tuple = None
-
-    def segments(self):
-        if self.intervals is not None:
-            return tuple((float(b), float(h)) for b, h in self.intervals)
-        return ((self.a, self.a),)
-
-
-@dataclass(frozen=True)
-class DensePlanar:
-    """Square aperture [-a, a] x [z_a - a, z_a + a] with uniform measure."""
-
-    z_a: float
-    a: float
+    mu_x: object
+    mu_z: object
 
 
 @dataclass
@@ -114,23 +87,6 @@ def _segment_nodes(segments, lambda_o):
     return np.concatenate(coords), np.concatenate(weights)
 
 
-def dense_axes(geom):
-    """The factors (mu_x, mu_z) of a dense aperture's product measure.
-
-    A factor is either a tuple of segments (b, h), each uniform on
-    [b - h, b + h] with mass proportional to h, or a number: a unit point
-    mass at that coordinate (x = 0 for vertical apertures, z = z_a for
-    horizontal ones).
-    """
-    if isinstance(geom, DenseVertical):
-        return 0.0, geom.segments()
-    if isinstance(geom, DenseHorizontal):
-        return geom.segments(), geom.z_a
-    if isinstance(geom, DensePlanar):
-        return ((0.0, geom.a),), ((geom.z_a, geom.a),)
-    raise TypeError(f"unknown geometry {type(geom).__name__}")
-
-
 def _axis_nodes(factor, lambda_o):
     if np.isscalar(factor):
         return np.array([float(factor)]), np.ones(1)
@@ -142,9 +98,8 @@ def array_samples(geom, lambda_o):
     if isinstance(geom, Discrete):
         m = geom.points.shape[0]
         return geom.points, np.full(m, 1.0 / m)
-    mu_x, mu_z = dense_axes(geom)
-    x, wx = _axis_nodes(mu_x, lambda_o)
-    z, wz = _axis_nodes(mu_z, lambda_o)
+    x, wx = _axis_nodes(geom.mu_x, lambda_o)
+    z, wz = _axis_nodes(geom.mu_z, lambda_o)
     xx, zz = np.meshgrid(x, z, indexing="ij")
     return np.column_stack([xx.ravel(), zz.ravel()]), np.outer(wx, wz).ravel()
 

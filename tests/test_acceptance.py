@@ -94,7 +94,7 @@ def test_criterion_04_planar_spectrum_across_seeds(ms_ref):
 
 def test_criterion_05_perfect_recovery(ms_ref, src):
     t0 = time.perf_counter()
-    geom = wg.DenseVertical(z_a=10.0, a=10.0)
+    geom = wg.Dense(0.0, ((10.0, 10.0),))
     cm = wg.coupling_matrix(ms_ref, geom)
     dev = float(np.abs(cm.A - np.eye(6) / 20.0).max())
     a_o = wg.source_amplitudes(ms_ref, src)
@@ -176,13 +176,13 @@ def test_criterion_09_dense_rank_asymptotics():
     devs = []
     for r in (0.1, 0.2, 0.3, 0.4):
         a = r * 1000.0
-        cm = wg.coupling_matrix(ms, wg.DenseVertical(z_a=a, a=a))
+        cm = wg.coupling_matrix(ms, wg.Dense(0.0, ((a, a),)))
         measured = wg.effective_rank(cm.d, wg.PlateauHalf())
         devs.append(("v", r, measured, abs(measured - 2 * ms.n_modes * r)
                      / (2 * ms.n_modes * r)))
     for r in (0.05, 0.1):
         a = r * 1000.0
-        cm = wg.coupling_matrix(ms, wg.DenseHorizontal(z_a=220.0, a=a))
+        cm = wg.coupling_matrix(ms, wg.Dense(((a, a),), 220.0))
         measured = wg.effective_rank(cm.d, wg.AbsoluteThreshold(1e-2 * cm.d[0]))
         devs.append(("h", r, measured, abs(measured - ms.n_modes * r)
                      / (ms.n_modes * r)))
@@ -200,9 +200,8 @@ def test_criterion_09_dense_rank_asymptotics():
 def test_criterion_10_interval_position_independence():
     t0 = time.perf_counter()
     ms = wg.solve_modes(wg.HomogeneousDD(L=1000.0), 1.0)
-    one = wg.coupling_matrix(ms, wg.DenseVertical(z_a=100.0, a=100.0))
-    two = wg.coupling_matrix(ms, wg.DenseVertical(
-        z_a=0.0, a=0.0, intervals=((300.0, 50.0), (700.0, 50.0))))
+    one = wg.coupling_matrix(ms, wg.Dense(0.0, ((100.0, 100.0),)))
+    two = wg.coupling_matrix(ms, wg.Dense(0.0, ((300.0, 50.0), (700.0, 50.0))))
     r1 = wg.effective_rank(one.d, wg.PlateauHalf())
     r2 = wg.effective_rank(two.d, wg.PlateauHalf())
     dt = time.perf_counter() - t0

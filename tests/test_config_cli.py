@@ -290,6 +290,21 @@ _DENSE = {"array.kind": "dense_vertical", "array.a": "2"}
     ("array.z_a", {"waveguide.model": "homogeneous_dn", "array.kind": "horizontal",
                    "array.M": "20", "array.z_a": "20"}),
     ("array.points", {"array.kind": "points", "array.points": "0,0;1,0;2,0;0,20;1,20;2,20"}),
+    # a dense aperture's depth factor: segments within [0, L], point masses
+    # also off the Dirichlet walls; likewise the rank-scan apertures
+    ("array.z_a", {"array.kind": "dense_horizontal", "array.z_a": "0", "array.a": "1"}),
+    ("array.z_a", {"waveguide.model": "homogeneous_dn", "array.kind": "dense_horizontal",
+                   "array.z_a": "20", "array.a": "1"}),
+    ("array.z_a", {"array.kind": "dense_horizontal", "array.intervals": "5:2",
+                   "array.z_a": "-1"}),
+    ("array.z_a", {"array.kind": "dense_vertical", "array.z_a": "50", "array.a": "4"}),
+    ("array.z_a", {"array.kind": "dense_vertical", "array.a": "3"}),  # default z_a = 0
+    ("array.intervals", {"array.kind": "dense_vertical", "array.intervals": "5:2; 30:1"}),
+    ("array.z_a", {"array.kind": "dense_planar", "array.z_a": "19.5", "array.a": "1"}),
+    ("rank.z_a", {"rank.z_a": "0"}),
+    ("rank.z_a", {"rank.z_a": "25"}),
+    ("rank.ratios_vertical", {"rank.ratios_vertical": "0.3, 0.7"}),
+    ("rank.ratios", {"rank.ratios": "0.7"}),
 ])
 def test_invalid_keys_exit_2_before_any_output(tmp_path, capsys, key, entries):
     cfg = _vertical_with(tmp_path, entries)
@@ -307,9 +322,35 @@ def test_invalid_keys_exit_2_before_any_output(tmp_path, capsys, key, entries):
      "array.z_a": "0"},
     {"array.kind": "points", "array.points": "0,0;1,0;2,0;0,20;1,20;2,7"},  # one off the walls
     {"array.kind": "dense_vertical", "array.intervals": "5:2;12:1"},
+    {"waveguide.model": "homogeneous_dn", "array.kind": "dense_horizontal",
+     "array.z_a": "0", "array.a": "1"},
+    {"array.kind": "dense_vertical", "array.z_a": "2", "array.a": "2"},  # segment [0, 4]
+    {"rank.ratios_vertical": "0.5"},  # the full depth [0, L]
+    {"rank.kinds": "vertical", "rank.z_a": "0"},  # no horizontal scan reads rank.z_a
+    {"waveguide.model": "parabolic", "array.kind": "dense_vertical", "array.z_a": "-3",
+     "array.a": "1"},
 ])
 def test_depths_off_the_dirichlet_walls_accepted(tmp_path, entries):
     build_experiment(load_config(_vertical_with(tmp_path, entries)))
+
+
+@pytest.mark.parametrize("entries, geometry", [
+    ("array.kind = dense_vertical\narray.z_a = 10\narray.a = 2",
+     wg.Dense(0.0, ((10.0, 2.0),))),
+    ("array.kind = dense_vertical\narray.intervals = 5:2; 12:1",
+     wg.Dense(0.0, ((5.0, 2.0), (12.0, 1.0)))),
+    ("array.kind = dense_horizontal\narray.z_a = 7\narray.a = 3",
+     wg.Dense(((3.0, 3.0),), 7.0)),
+    ("array.kind = dense_horizontal\narray.z_a = 7\narray.intervals = 5:2; 12:1",
+     wg.Dense(((5.0, 2.0), (12.0, 1.0)), 7.0)),
+    ("array.kind = dense_planar\narray.z_a = 10\narray.a = 2",
+     wg.Dense(((0.0, 2.0),), ((10.0, 2.0),))),
+], ids=["vertical", "vertical_intervals", "horizontal", "horizontal_intervals", "planar"])
+def test_dense_kinds_build_their_product_measure(entries, geometry):
+    # the shapes README documents: vertical x = 0 over [z_a -+ a],
+    # horizontal [0, 2a] at depth z_a, planar [-a, a] x [z_a -+ a]
+    ecfg = build_experiment(parse_config_text(f"waveguide.L = 20\nomega = 1\n{entries}\n"))
+    assert ecfg.geometry == geometry
 
 
 def test_unknown_key_lists_its_section():
@@ -333,7 +374,7 @@ _FUZZ_ARRAYS = [
     {"array.kind": "horizontal", "array.M": "12", "array.z_a": "5"},
     {"array.kind": "planar_lhs", "array.M": "12"},
     {"array.kind": "points", "array.points": "0,2;0,4;0,6;0,8;0,10;0,12;0,14;0,16"},
-    {"array.kind": "dense_vertical", "array.a": "3"},
+    {"array.kind": "dense_vertical", "array.z_a": "10", "array.a": "3"},
     {"array.kind": "dense_planar", "array.z_a": "10", "array.a": "1"},
     {},
 ]

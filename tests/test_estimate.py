@@ -9,7 +9,7 @@ from wgimage.synth import array_samples, mode_traces
 
 
 def test_full_aperture_coupling_is_identity_over_depth(ms_dd20):
-    cm = wg.coupling_matrix(ms_dd20, wg.DenseVertical(z_a=10.0, a=10.0))
+    cm = wg.coupling_matrix(ms_dd20, wg.Dense(0.0, ((10.0, 10.0),)))
     assert np.abs(cm.A - np.eye(6) / 20.0).max() < 1e-12
 
 
@@ -22,9 +22,9 @@ def _quadrature_gram(ms, geom):
 
 
 @pytest.mark.parametrize("geom", [
-    wg.DenseVertical(z_a=11.0, a=0.125),
-    wg.DenseVertical(z_a=0.0, a=0.0, intervals=((5.0, 2.0), (15.0, 3.0))),
-    wg.DenseHorizontal(z_a=11.0, a=0.5),
+    wg.Dense(0.0, ((11.0, 0.125),)),
+    wg.Dense(0.0, ((5.0, 2.0), (15.0, 3.0))),
+    wg.Dense(((0.5, 0.5),), 11.0),
 ])
 def test_closed_forms_match_quadrature(ms_dd20, geom):
     closed = wg.coupling_matrix(ms_dd20, geom).A
@@ -37,15 +37,16 @@ def test_closed_forms_match_quadrature(ms_dd20, geom):
     (wg.HomogeneousDN(L=20.0), 11.0),
     (wg.Parabolic(L=10.0), 1.0),
 ], ids=["dd", "dn", "parabolic"])
-@pytest.mark.parametrize("kind", ["vertical", "two_interval", "horizontal", "planar"])
+@pytest.mark.parametrize("kind", ["vertical", "two_interval", "horizontal", "planar",
+                                  "vertical_off_x0"])
 def test_separable_gram_matches_quadrature(spec, z_c, kind):
     ms = wg.solve_modes(spec, 1.0)
     geom = {
-        "vertical": wg.DenseVertical(z_a=z_c, a=0.5),
-        "two_interval": wg.DenseVertical(
-            z_a=0.0, a=0.0, intervals=((z_c - 2.0, 1.0), (z_c + 2.0, 1.5))),
-        "horizontal": wg.DenseHorizontal(z_a=z_c, a=1.5),
-        "planar": wg.DensePlanar(z_a=z_c, a=0.5),
+        "vertical": wg.Dense(0.0, ((z_c, 0.5),)),
+        "two_interval": wg.Dense(0.0, ((z_c - 2.0, 1.0), (z_c + 2.0, 1.5))),
+        "horizontal": wg.Dense(((1.5, 1.5),), z_c),
+        "planar": wg.Dense(((0.0, 0.5),), ((z_c, 0.5),)),
+        "vertical_off_x0": wg.Dense(3.0, ((z_c, 0.5),)),
     }[kind]
     sep = wg.coupling_matrix(ms, geom).A
     quad = _quadrature_gram(ms, geom)
@@ -57,7 +58,7 @@ def test_large_planar_gram_trace():
     # sum_j (2/L) sin^2(alpha_j z) over [z_a - a, z_a + a] in closed form
     L, z_a, a = 200.0, 100.0, 40.0
     ms = wg.solve_modes(wg.HomogeneousDD(L=L), 1.0)
-    cm = wg.coupling_matrix(ms, wg.DensePlanar(z_a=z_a, a=a))
+    cm = wg.coupling_matrix(ms, wg.Dense(((0.0, a),), ((z_a, a),)))
     al = ms.alpha
     avg = (1.0 - (np.sin(2 * al * (z_a + a)) - np.sin(2 * al * (z_a - a)))
            / (4 * al * a)) / L
@@ -85,7 +86,7 @@ def test_projection_of_noiseless_data(ms_dd20, src_ref, vertical_points):
 def test_full_aperture_projection_rescales_amplitudes(ms_dd20, src_ref):
     # with A = I/L the back-projected estimate is a_o / L before filtering
     a_o = wg.source_amplitudes(ms_dd20, src_ref)
-    geom = wg.DenseVertical(z_a=10.0, a=10.0)
+    geom = wg.Dense(0.0, ((10.0, 10.0),))
     fs = wg.sample_field(ms_dd20, a_o, geom)
     cm = wg.coupling_matrix(ms_dd20, geom)
     b = wg.project_reduced(fs, cm, ms_dd20)

@@ -30,7 +30,7 @@ def reference_csv(path, columns, rows, meta=None):
 
 
 def reference_image_csv(path, im, meta=None):
-    norm = im if im.normalized else im.normalize()
+    norm = im.normalize()
     xs, zs = norm.grid.x, norm.grid.z
     rows = [(xs[i], zs[k], norm.values[i, k])
             for i in range(xs.size) for k in range(zs.size)]

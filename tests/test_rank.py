@@ -126,10 +126,10 @@ def test_horizontal_spectrum_below_vertical(ms_dd20):
 def test_two_interval_coupling_is_measure_convex(ms_dd20):
     # the union Gram is the length-weighted average of the per-segment
     # Grams: lengths 1 and 4 give weights 0.2 and 0.8
-    union = wg.DenseVertical(z_a=0.0, a=0.0, intervals=((5.0, 0.5), (15.0, 2.0)))
+    union = wg.Dense(0.0, ((5.0, 0.5), (15.0, 2.0)))
     A_u = wg.coupling_matrix(ms_dd20, union).A
-    A_1 = wg.coupling_matrix(ms_dd20, wg.DenseVertical(z_a=5.0, a=0.5)).A
-    A_2 = wg.coupling_matrix(ms_dd20, wg.DenseVertical(z_a=15.0, a=2.0)).A
+    A_1 = wg.coupling_matrix(ms_dd20, wg.Dense(0.0, ((5.0, 0.5),))).A
+    A_2 = wg.coupling_matrix(ms_dd20, wg.Dense(0.0, ((15.0, 2.0),))).A
     assert np.abs(A_u - (0.2 * A_1 + 0.8 * A_2)).max() < 1e-13
 
 
@@ -137,6 +137,6 @@ def test_vertical_rank_position_independent(ms_dd20):
     # dense plateau rank depends on aperture length, not placement
     ranks = []
     for b in (5.0, 10.0, 15.0):
-        cm = wg.coupling_matrix(ms_dd20, wg.DenseVertical(z_a=b, a=5.0))
+        cm = wg.coupling_matrix(ms_dd20, wg.Dense(0.0, ((b, 5.0),)))
         ranks.append(wg.effective_rank(cm.d, wg.PlateauHalf()))
     assert max(ranks) - min(ranks) <= 2

@@ -53,7 +53,7 @@ def test_sample_field_linearity(ms_dd20, src_ref, vertical_points):
 def test_full_aperture_projection_recovers_amplitudes(ms_dd20, src_ref):
     # integral over z of p(0, z) phi_j(z) equals a_{j,o}
     a_o = wg.source_amplitudes(ms_dd20, src_ref)
-    geom = wg.DenseVertical(z_a=10.0, a=10.0)
+    geom = wg.Dense(0.0, ((10.0, 10.0),))
     fs = wg.sample_field(ms_dd20, a_o, geom)
     L = 20.0
     proj = L * (mode_traces(ms_dd20, fs.points).conj().T @ (fs.weights * fs.values))
@@ -62,10 +62,10 @@ def test_full_aperture_projection_recovers_amplitudes(ms_dd20, src_ref):
 
 @pytest.mark.parametrize("geom", [
     wg.Discrete(np.array([[0.0, 3.0], [0.0, 7.0], [1.0, 9.0]])),
-    wg.DenseVertical(z_a=11.0, a=0.125),
-    wg.DenseVertical(z_a=0.0, a=0.0, intervals=((5.0, 2.0), (15.0, 3.0))),
-    wg.DenseHorizontal(z_a=11.0, a=0.125),
-    wg.DensePlanar(z_a=11.0, a=0.125),
+    wg.Dense(0.0, ((11.0, 0.125),)),
+    wg.Dense(0.0, ((5.0, 2.0), (15.0, 3.0))),
+    wg.Dense(((0.125, 0.125),), 11.0),
+    wg.Dense(((0.0, 0.125),), ((11.0, 0.125),)),
 ])
 def test_array_measure_has_unit_mass(geom):
     _, w = array_samples(geom, 2 * np.pi)
