@@ -298,8 +298,7 @@ class ExperimentConfig:
     seed: int
     rank_eps: float
     rank_kinds: list
-    rank_ratios: dict  # per rank kind
-    rank_z_a: float
+    rank_apertures: dict  # rank kind -> [(a/L, Dense)], see experiments.rank_scan_rows
 
 
 def build_experiment(cfg):
@@ -313,6 +312,12 @@ def build_experiment(cfg):
     ratio_keys = {k: f"rank.ratios_{k}" if v["rank.ratios"] is None
                   or f"rank.ratios_{k}" in cfg.entries else "rank.ratios" for k in _LINES}
     rank_z_a = 0.22 * L if v["rank.z_a"] is None else v["rank.z_a"]
+    # rank-scan apertures of total length 2a = 2 (a/L) L: the vertical one
+    # x = 0 over depths [0, 2a], the horizontal one [0, 2a] at depth rank.z_a
+    shapes = {"vertical": lambda a: Dense(0.0, ((a, a),)),
+              "horizontal": lambda a: Dense(((a, a),), rank_z_a)}
+    rank_apertures = {k: [(r, shapes[k](r * L)) for r in v[ratio_keys[k]]]
+                      for k in v["rank.kinds"]}
     if not isinstance(spec, Parabolic):  # the graded guide is unbounded in depth
         walls = (L,) if isinstance(spec, HomogeneousDN) else (0.0, L)
         if source is not None:
@@ -323,12 +328,10 @@ def build_experiment(cfg):
             intervals = kind == "dense_vertical" and v["array.intervals"]
             _depth_in_guide("array.intervals" if intervals else _DEPTH_KEYS[kind],
                             geometry.mu_z, L, walls)
-        # the depth factors of the rank-scan apertures (experiments.rank_scan_rows)
-        if "vertical" in v["rank.kinds"]:
-            key = ratio_keys["vertical"]
-            _depth_in_guide(key, tuple((r * L, r * L) for r in v[key]), L, walls)
-        if "horizontal" in v["rank.kinds"]:
-            _depth_in_guide("rank.z_a", rank_z_a, L, walls)
+        depth_keys = {"vertical": ratio_keys["vertical"], "horizontal": "rank.z_a"}
+        for k, apertures in rank_apertures.items():
+            for _, aperture in apertures:
+                _depth_in_guide(depth_keys[k], aperture.mu_z, L, walls)
     grid = replace(default_grid(ms, v["grid.x_min"], v["grid.x_max"], v["grid.step_fraction"]),
                    **{k: v[f"grid.{k}"] for k in ("z_min", "z_max") if v[f"grid.{k}"] is not None})
     for lo, hi in (("x_min", "x_max"), ("z_min", "z_max")):
@@ -339,5 +342,4 @@ def build_experiment(cfg):
         values=v, ms=ms, source=source, geometry=geometry, grid=grid,
         reg=RegPolicy(_REGULARIZERS[v["reg.kind"]], v["reg.eps"]),
         sigmas=v["noise.sigmas"], trials=v["noise.trials"], seed=v["noise.seed"],
-        rank_eps=v["rank.eps"], rank_kinds=v["rank.kinds"],
-        rank_ratios={k: v[key] for k, key in ratio_keys.items()}, rank_z_a=rank_z_a)
+        rank_eps=v["rank.eps"], rank_kinds=v["rank.kinds"], rank_apertures=rank_apertures)

@@ -31,7 +31,7 @@ from .estimate import (
 )
 from .image import default_grid, locate_peak, localization_success, migrate
 from .rank import AbsoluteThreshold, PlateauHalf, dense_rank_prediction, effective_rank, spectrum_report
-from .synth import Dense, Discrete, source_amplitudes
+from .synth import Discrete, source_amplitudes
 
 
 def mode_table(ms):
@@ -201,29 +201,26 @@ def run_mc_rate(ecfg, outdir):
     return np.asarray(ecfg.sigmas, dtype=float), rates
 
 
-def rank_scan_rows(ms, kind, ratios, z_a):
-    """(a/L, predicted, measured) rows for dense apertures of total
-    length 2a = 2 (a/L) L: the vertical one x = 0 over depths [0, 2a],
-    the horizontal one [0, 2a] in range at depth z_a.
+def rank_scan_rows(ms, kind, apertures):
+    """(a/L, predicted, measured) rows for the (a/L, Dense) apertures of
+    one kind that config.build_experiment builds.
 
     Vertical spectra plateau at their top value, so the half-maximum
     count is the natural measure. Horizontal spectra have no plateau:
     they decay smoothly to a sharp drop at the predicted rank, so the
     significant set is counted at 1e-2 of the top eigenvalue.
     """
-    L = ms.spec.L
     rows = []
-    for r in ratios:
-        a = r * L
+    for r, aperture in apertures:
+        cm = coupling_matrix(ms, aperture)
         if kind == "vertical":
-            cm = coupling_matrix(ms, Dense(0.0, ((a, a),)))
-            measured = effective_rank(cm.d, PlateauHalf())
+            segments, measured = aperture.mu_z, effective_rank(cm.d, PlateauHalf())
         elif kind == "horizontal":
-            cm = coupling_matrix(ms, Dense(((a, a),), z_a))
+            segments = aperture.mu_x
             measured = effective_rank(cm.d, AbsoluteThreshold(1e-2 * cm.d[0]))
         else:
             raise ConfigError(f"rank kind must be vertical or horizontal, got {kind!r}")
-        predicted = dense_rank_prediction(kind, [(a, a)], ms.lambda_o, ms.n_modes)
+        predicted = dense_rank_prediction(kind, segments, ms.lambda_o, ms.n_modes)
         rows.append((r, predicted, measured))
     return rows
 
@@ -232,7 +229,7 @@ def run_rank_scan(ecfg, outdir):
     """Predicted vs measured effective rank over a/L, one CSV per kind."""
     out = {}
     for kind in ecfg.rank_kinds:
-        rows = rank_scan_rows(ecfg.ms, kind, ecfg.rank_ratios[kind], ecfg.rank_z_a)
+        rows = rank_scan_rows(ecfg.ms, kind, ecfg.rank_apertures[kind])
         io.write_rank_scan_csv(f"{outdir}/rank_scan_{kind}.csv", rows, _meta(ecfg))
         out[kind] = rows
     return out

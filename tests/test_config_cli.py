@@ -327,6 +327,8 @@ def test_invalid_keys_exit_2_before_any_output(tmp_path, capsys, key, entries):
     {"array.kind": "dense_vertical", "array.z_a": "2", "array.a": "2"},  # segment [0, 4]
     {"rank.ratios_vertical": "0.5"},  # the full depth [0, L]
     {"rank.kinds": "vertical", "rank.z_a": "0"},  # no horizontal scan reads rank.z_a
+    {"rank.ratios_vertical": ""},  # an empty scan has no aperture to check
+    {"rank.ratios": ""},
     {"waveguide.model": "parabolic", "array.kind": "dense_vertical", "array.z_a": "-3",
      "array.a": "1"},
 ])
@@ -351,6 +353,16 @@ def test_dense_kinds_build_their_product_measure(entries, geometry):
     # horizontal [0, 2a] at depth z_a, planar [-a, a] x [z_a -+ a]
     ecfg = build_experiment(parse_config_text(f"waveguide.L = 20\nomega = 1\n{entries}\n"))
     assert ecfg.geometry == geometry
+
+
+def test_rank_scan_apertures():
+    # vertical x = 0 over depths [0, 2a], horizontal [0, 2a] at depth rank.z_a
+    ecfg = build_experiment(parse_config_text(
+        "waveguide.L = 20\nomega = 1\nrank.ratios = 0.1, 0.25\nrank.z_a = 7\n"))
+    assert ecfg.rank_apertures == {
+        "vertical": [(0.1, wg.Dense(0.0, ((2.0, 2.0),))), (0.25, wg.Dense(0.0, ((5.0, 5.0),)))],
+        "horizontal": [(0.1, wg.Dense(((2.0, 2.0),), 7.0)),
+                       (0.25, wg.Dense(((5.0, 5.0),), 7.0))]}
 
 
 def test_unknown_key_lists_its_section():
