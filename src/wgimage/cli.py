@@ -5,15 +5,25 @@ key=value config file (see config.py), applies any command-line
 overrides, runs the experiment, writes CSV into --out, and prints a
 short summary. Exit codes: 0 success, 2 configuration error, 1 runtime
 failure.
+
+BLAS runs on one thread: before numpy first loads, this module defaults
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1. The
+operators here are small, so a second thread does not shorten a run; it
+only burns CPU. A value exported in the environment wins. The package
+imports lazily, so `import wgimage` alone never changes the environment.
 """
 
 import argparse
 import os
 import sys
 
-from .config import build_experiment, load_config
-from .errors import ConfigError
-from .experiments import (
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
+from .config import build_experiment, load_config  # noqa: E402
+from .errors import ConfigError  # noqa: E402
+from .experiments import (  # noqa: E402
     mode_table,
     run_image,
     run_mc_rate,

@@ -147,8 +147,7 @@ KEYS = (
     Key("array.kind", None, *_one_of(_KINDS)),
     Key("array.M", REQUIRED, *_COUNT, _LINES + _LHS),
     Key("array.z_a", "11", *_FINITE, _LINES),
-    Key("array.z_a", "0", *_FINITE, _DENSE_LINES),
-    Key("array.z_a", REQUIRED, *_FINITE, _DENSE_PLANAR),
+    Key("array.z_a", REQUIRED, *_FINITE, _DENSE_LINES + _DENSE_PLANAR),
     Key("array.extent", "0.25", *_POSITIVE, _LINES),
     Key("array.center_x", "0", *_FINITE, _LHS),
     Key("array.center_z", "11", *_FINITE, _LHS),
@@ -216,7 +215,11 @@ def read_keys(cfg):
     entries, v = cfg.entries, {}
     for key in KEYS:  # array.kind comes before every row that depends on it
         if key.kinds is None or v["array.kind"] in key.kinds:
-            v[key.name] = _value(key, entries.get(key.name, key.default))
+            default = key.default
+            if (key.name == "array.z_a" and v["array.kind"] == "dense_vertical"
+                    and "array.intervals" in entries):
+                default = None  # each interval b:h is centered at its own depth b
+            v[key.name] = _value(key, entries.get(key.name, default))
     kind = v["array.kind"]
     for name in entries:
         if name not in v:

@@ -298,13 +298,18 @@ _DENSE = {"array.kind": "dense_vertical", "array.a": "2"}
     ("array.z_a", {"array.kind": "dense_horizontal", "array.intervals": "5:2",
                    "array.z_a": "-1"}),
     ("array.z_a", {"array.kind": "dense_vertical", "array.z_a": "50", "array.a": "4"}),
-    ("array.z_a", {"array.kind": "dense_vertical", "array.a": "3"}),  # default z_a = 0
+    ("array.z_a", {"array.kind": "dense_vertical", "array.a": "3"}),  # no array.z_a
     ("array.intervals", {"array.kind": "dense_vertical", "array.intervals": "5:2; 30:1"}),
     ("array.z_a", {"array.kind": "dense_planar", "array.z_a": "19.5", "array.a": "1"}),
     ("rank.z_a", {"rank.z_a": "0"}),
     ("rank.z_a", {"rank.z_a": "25"}),
     ("rank.ratios_vertical", {"rank.ratios_vertical": "0.3, 0.7"}),
     ("rank.ratios", {"rank.ratios": "0.7"}),
+    # every dense aperture names its depth, even where z_a = 0 would fit the guide
+    ("array.z_a", {"waveguide.model": "parabolic", "array.kind": "dense_vertical",
+                   "array.a": "1"}),
+    ("array.z_a", {"waveguide.model": "homogeneous_dn", "array.kind": "dense_horizontal",
+                   "array.a": "1"}),
 ])
 def test_invalid_keys_exit_2_before_any_output(tmp_path, capsys, key, entries):
     cfg = _vertical_with(tmp_path, entries)
@@ -579,22 +584,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert "disk full" in capsys.readouterr().err
 
 
-def test_console_script_installed(tmp_path):
-    # Run the `wgimage` command that pyproject.toml declares, through the
-    # same wrapper an installer writes, so a source checkout needs no install.
-    tomllib = pytest.importorskip("tomllib")
-    with open(Path(CFG_DIR).parent / "pyproject.toml", "rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"]["wgimage"]
-    bindir = tmp_path / "bin"
-    bindir.mkdir()
-    script = bindir / "wgimage"
-    script.write_text(
-        f"#!{sys.executable}\n"
-        "import sys\n"
-        "from importlib.metadata import EntryPoint\n"
-        f"main = EntryPoint('wgimage', {target!r}, 'console_scripts').load()\n"
-        "sys.exit(main())\n")
-    script.chmod(0o755)
+def test_console_script_installed(tmp_path, console_script):
+    bindir = console_script()
     pkg_root = str(Path(wg.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PATH"] = os.pathsep.join([str(bindir), env.get("PATH", os.defpath)])
