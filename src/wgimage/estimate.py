@@ -148,7 +148,8 @@ class CouplingMatrix:
 @dataclass
 class SensingMatrix:
     """Receiver-by-mode matrix B_kj = phi_j(z_k) e^{-i beta_j x_k} with
-    its thin SVD B = U diag(s) V^dag."""
+    its thin SVD B = U diag(s) V^dag. B is always complex; U and V are
+    real when every receiver sits at x = 0, where B has no imaginary part."""
 
     B: np.ndarray
     U: np.ndarray
@@ -281,13 +282,16 @@ def estimate_amplitudes(b, cm, reg):
 
 
 def sensing_matrix(ms, points):
-    """B_kj = phi_j(z_k) e^{-i beta_j x_k} with thin SVD, M >= N required."""
+    """B_kj = phi_j(z_k) e^{-i beta_j x_k} with thin SVD, M >= N required.
+
+    With every receiver at x = 0 the traces are real, so the SVD runs on
+    B.real and U, V come out real; B itself stays complex."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < ms.n_modes:
         raise TooFewReceivers(
             f"{points.shape[0]} receivers for {ms.n_modes} guided modes")
     B = mode_traces(ms, points)
-    U, s, Vh = np.linalg.svd(B, full_matrices=False)
+    U, s, Vh = np.linalg.svd(B if B.imag.any() else B.real, full_matrices=False)
     V, c = _fix_phases(Vh.conj().T)
     # B = sum_j s_j u_j v_j^dag is invariant under (u_j, v_j) -> (c u_j, c v_j)
     U = U * c[None, :]

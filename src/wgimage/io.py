@@ -5,16 +5,20 @@ version, a hash of the effective configuration, and the seed, so any
 output can be traced back to its inputs. Then come the column names and
 one line per row. Each column keeps one format, fixed by its value in
 the first row: integers are written exactly, floats with %.12g (enough
-digits to round-trip the physics, short enough to diff). Rows stream to
-the file one at a time; the image writer, whose grids reach 10^5 pixels,
-never builds its rows in memory. Image rows are x-major: z varies
-fastest.
+digits to round-trip the physics, short enough to diff). Rows are
+formatted in blocks of BLOCK_ROWS, one `%` per block, and the writer
+holds one block at a time; the image writer, whose grids reach 10^5
+pixels, hands it a generator and never builds all its rows in memory.
+Image rows are x-major: z varies fastest.
 """
 
 import hashlib
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
+
+#: rows formatted by one `%`; an image block is about 140 kB of text
+BLOCK_ROWS = 4096
 
 
 def config_digest(text):
@@ -45,18 +49,26 @@ def _conversion(v):
 def write_csv(path, columns, rows, meta=None):
     """Write rows under a column-name line, after the comment header.
 
-    `rows` is any iterable of tuples; it is consumed once. The first row
-    fixes each column's format: a str is written as is, an int or numpy
-    integer exactly, anything else with %.12g. Deterministic bytes for
-    identical inputs."""
+    `rows` is any iterable of tuples; it is consumed once, BLOCK_ROWS
+    rows at a time. The first row fixes each column's format: a str is
+    written as is, an int or numpy integer exactly, anything else with
+    %.12g. A row of another length raises TypeError. Deterministic bytes
+    for identical inputs."""
     rows = iter(rows)
     first = next(rows, None)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(_header_lines(meta) + [",".join(columns)]) + "\n")
-        if first is not None:
-            fmt = ",".join(map(_conversion, first)) + "\n"
-            fh.write(fmt % first)
-            fh.writelines(map(fmt.__mod__, rows))
+        if first is None:
+            return
+        fmt = ",".join(map(_conversion, first)) + "\n"
+        width = len(first)
+        rows = chain((first,), rows)
+        while block := list(islice(rows, BLOCK_ROWS)):
+            # in one flat tuple a short row and a long row would balance out
+            lengths = set(map(len, block))
+            if lengths != {width}:
+                raise TypeError(f"CSV rows of {sorted(lengths)} values for {width} columns")
+            fh.write((fmt * len(block)) % tuple(chain.from_iterable(block)))
 
 
 def write_spectrum_csv(path, spectrum, meta=None):

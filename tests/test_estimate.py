@@ -165,6 +165,43 @@ def test_reg_policy_picks_regularizer(ms_dd20, src_ref, vertical_points):
                                    wg.svd_estimate(p, sm, reg), rtol=1e-12)
 
 
+@pytest.mark.parametrize("ms_name, points", [
+    ("ms_dd20", wg.vertical_line(20)),  # cond(B) ~ 6e9
+    ("ms_dd20", np.column_stack([np.zeros(40), np.linspace(0.5, 19.5, 40)])),
+    ("ms_parab10", np.column_stack([np.zeros(30), np.linspace(-6.0, 6.0, 30)])),
+])
+def test_receivers_at_x0_get_real_factors(request, src_ref, ms_name, points):
+    # every trace is real at x = 0, so the SVD runs in real arithmetic
+    ms = request.getfixturevalue(ms_name)
+    sm = wg.sensing_matrix(ms, points)
+    assert np.iscomplexobj(sm.B) and not sm.B.imag.any()
+    assert np.isrealobj(sm.U) and np.isrealobj(sm.V)
+    lead = sm.V[np.abs(sm.V).argmax(axis=0), np.arange(sm.s.size)]
+    assert np.all(lead > 0)
+    assert np.abs((sm.U * sm.s) @ sm.V.T - sm.B).max() < 1e-13 * sm.s[0]
+    # the factors of the complex SVD of the same B are the reference
+    U, s, Vh = np.linalg.svd(sm.B, full_matrices=False)
+    ref = wg.SensingMatrix(B=sm.B, U=U, s=s, V=Vh.conj().T, points=sm.points)
+    assert np.abs(sm.s - s).max() <= 1e-13 * s[0]
+    tol = 1e-13 * s[0] / s[-1]
+    a_o = wg.source_amplitudes(ms, src_ref)
+    p = sm.B @ a_o
+    p = p + 1e-6 * np.abs(p).max() * np.random.default_rng(2).standard_normal(p.size)
+    for reg in (None, wg.Tikhonov(heuristic_eps(1e-6, a_o)), wg.HardThreshold(1e-3 * s[0])):
+        a, a_ref = wg.svd_estimate(p, sm, reg), wg.svd_estimate(p, ref, reg)
+        assert np.linalg.norm(a - a_ref) <= tol * np.linalg.norm(a_ref)
+        G, G_ref = wg.estimator_matrix(sm, reg), wg.estimator_matrix(ref, reg)
+        assert np.isrealobj(G)
+        assert np.linalg.norm(G - G_ref) <= tol * np.linalg.norm(G_ref)
+
+
+def test_planar_receivers_keep_complex_factors(ms_dd20):
+    sm = wg.sensing_matrix(ms_dd20, wg.lhs_design(20, (0.0, 11.0), 0.125, seed=10))
+    assert sm.B.imag.any()
+    assert sm.U.imag.any() and sm.V.imag.any()
+    assert np.abs((sm.U * sm.s) @ sm.V.conj().T - sm.B).max() < 1e-13 * sm.s[0]
+
+
 def test_too_few_receivers(ms_dd20):
     with pytest.raises(wg.TooFewReceivers):
         wg.sensing_matrix(ms_dd20, np.zeros((5, 2)))

@@ -1,4 +1,4 @@
-"""The streamed CSV writers give the bytes of the per-cell writer they
+"""The block CSV writers give the bytes of the per-cell writer they
 replaced. The reference below is that writer: every cell formatted on
 its own, with the int/float rule, and the rows joined in memory."""
 
@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,11 +74,25 @@ def test_numpy_scalars_and_wide_ints(tmp_path):
 
 
 def test_rows_may_be_a_generator(tmp_path):
-    rows = [(1, 0.5), (2, 0.25)]
-    _same_csv(tmp_path, ("index", "value"), rows)
-    ref = (tmp_path / "new.csv").read_bytes()
-    io.write_csv(tmp_path / "gen.csv", ("index", "value"), iter(rows), META)
-    assert (tmp_path / "gen.csv").read_bytes() == ref
+    # the second list spans two full blocks and one row of a third
+    for rows in ([(1, 0.5), (2, 0.25)],
+                 [(i, 1.0 / (i + 1)) for i in range(2 * io.BLOCK_ROWS + 1)]):
+        _same_csv(tmp_path, ("index", "value"), rows)
+        ref = (tmp_path / "new.csv").read_bytes()
+        io.write_csv(tmp_path / "gen.csv", ("index", "value"), iter(rows), META)
+        assert (tmp_path / "gen.csv").read_bytes() == ref
+
+
+@pytest.mark.parametrize("rows", [
+    [(1, 0.5), (2,)],
+    [(1, 0.5), (2, 0.1, 9)],
+    # flattened, the short and the long row would fill a block's slots exactly
+    [(1, 0.5), (2,), (3, 0.1, 9)],
+    [(1, 0.5)] * (io.BLOCK_ROWS + 3) + [(2,), (3, 0.1, 9)],
+])
+def test_row_of_another_length_raises(tmp_path, rows):
+    with pytest.raises(TypeError):
+        io.write_csv(tmp_path / "bad.csv", ("index", "value"), iter(rows), META)
 
 
 def test_no_rows_gives_header_and_column_line(tmp_path):
@@ -99,14 +114,27 @@ def test_image_single_row_and_column(tmp_path):
 
 
 def test_image_unnormalized_complex_is_x_major(tmp_path):
-    grid = SearchGrid(50 + 1 / 7, 52.0, -1.0, 1.0, 0.7, 1 / 3)
     rng = np.random.default_rng(5)
-    shape = (grid.x.size, grid.z.size)
-    im = ImageMap(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid)
-    text = _same_image(tmp_path, im)
-    body = text.splitlines()[len(io._header_lines(META)) + 1:]
-    assert [ln.split(",")[0] for ln in body[:grid.z.size]] == ["%.12g" % grid.x[0]] * grid.z.size
-    assert max(float(ln.split(",")[2]) for ln in body) == 1.0
+    small = SearchGrid(50 + 1 / 7, 52.0, -1.0, 1.0, 0.7, 1 / 3)
+    shape = (small.x.size, small.z.size)
+    images = [ImageMap(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), small)]
+    # more than two blocks of pixels, with exact zeros, values below 1e-4
+    # (the exponent form of %.12g) and negative z
+    large = SearchGrid(50.0, 69.0, -3.0, 3.0, 0.5, 1 / 71)
+    shape = (large.x.size, large.z.size)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 1, shape)
+    values[rng.random(shape) < 0.1] = 0.0
+    images.append(ImageMap(values, large))
+    assert large.x.size * large.z.size > 2 * io.BLOCK_ROWS + 1
+    for im in images:
+        grid = im.grid
+        text = _same_image(tmp_path, im)
+        body = text.splitlines()[len(io._header_lines(META)) + 1:]
+        assert [ln.split(",")[0] for ln in body[:grid.z.size]] == ["%.12g" % grid.x[0]] * grid.z.size
+        assert max(float(ln.split(",")[2]) for ln in body) == 1.0
+    z_col, value_col = zip(*(ln.split(",")[1:] for ln in body))
+    assert "-3" in z_col and "0" in value_col
+    assert any("e-" in v for v in value_col)
 
 
 _cells = {"int": st.integers(min_value=-2**130, max_value=2**130),
