@@ -25,8 +25,7 @@ _EXPORTS = {
     "image": ("ImageMap", "SearchGrid", "default_grid", "locate_peak",
               "localization_success", "migrate", "reverse_time"),
     "modes": ("HomogeneousDD", "HomogeneousDN", "ModeSet", "Parabolic", "solve_modes"),
-    "rank": ("AbsoluteThreshold", "MomentFamily", "PlateauHalf", "SpectrumReport",
-             "dense_rank_prediction", "effective_rank", "moment_family",
+    "rank": ("MomentFamily", "dense_rank_prediction", "effective_rank", "moment_family",
              "span_rank_collapse", "taylor_rank_prediction"),
     "synth": ("Dense", "Discrete", "FieldSamples", "PointSource", "array_samples",
               "horizontal_line", "lhs_design", "sample_field", "source_amplitudes",

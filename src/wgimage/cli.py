@@ -1,10 +1,10 @@
 """Command-line experiment runner.
 
 Subcommands: modes, spectrum, image, mc-rate, rank-scan. Each reads a
-key=value config file (see config.py), applies any command-line
-overrides, runs the experiment, writes CSV into --out, and prints a
-short summary. Exit codes: 0 success, 2 configuration error, 1 runtime
-failure.
+key=value config file (see config.py) and applies any command-line
+overrides (--sigma lands in noise.sigmas); then its runner in
+experiments.py writes the CSV into --out and prints a short summary.
+Exit codes: 0 success, 2 configuration error, 1 runtime failure.
 
 BLAS runs on one thread: before numpy first loads, this module defaults
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1. The
@@ -24,9 +24,9 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 from .config import build_experiment, load_config  # noqa: E402
 from .errors import ConfigError  # noqa: E402
 from .experiments import (  # noqa: E402
-    mode_table,
     run_image,
     run_mc_rate,
+    run_modes,
     run_rank_scan,
     run_spectrum,
 )
@@ -71,76 +71,24 @@ def _load(args):
     return build_experiment(cfg)
 
 
-def _cmd_modes(args):
-    ecfg = _load(args)
-    ms = ecfg.ms
-    print(f"model {type(ms.spec).__name__} L={ms.spec.L:g} omega={ms.omega:g} "
-          f"k_o={ms.k_o:g} lambda_o={ms.lambda_o:.6g}")
-    print(f"{ms.n_modes} guided modes")
-    print("j,alpha,beta")
-    for j, al, be in mode_table(ms):
-        print(f"{j},{al:.6g},{be:.6g}")
-    return 0
-
-
-def _cmd_spectrum(args):
-    ecfg = _load(args)
-    os.makedirs(args.out, exist_ok=True)
-    report = run_spectrum(ecfg, args.out)
-    for i, v in enumerate(report.spectrum):
-        print(f"{i + 1},{v:.6g}")
-    print(f"effective rank (eps={report.threshold:g}): {report.effective_rank}")
-    print(f"wrote {args.out}/spectrum.csv")
-    return 0
-
-
-def _cmd_image(args):
-    ecfg = _load(args)
-    sigma = args.sigma
-    if sigma is None:
-        sigma = ecfg.sigmas[0] if ecfg.sigmas else 0.0
-    os.makedirs(args.out, exist_ok=True)
-    _, peak, success = run_image(ecfg, sigma, args.out)
-    print(f"sigma={sigma:g} peak x={peak[0]:.6g} z={peak[1]:.6g} "
-          f"value={peak[2]:.6g} success={'true' if success else 'false'}")
-    print(f"wrote {args.out}/image.csv")
-    return 0
-
-
-def _cmd_mc_rate(args):
-    ecfg = _load(args)
-    os.makedirs(args.out, exist_ok=True)
-    sigmas, rates = run_mc_rate(ecfg, args.out)
-    for s, r in zip(sigmas, rates):
-        print(f"sigma={s:.6g} error_rate={r:.6g}")
-    print(f"wrote {args.out}/rates.csv")
-    return 0
-
-
-def _cmd_rank_scan(args):
-    ecfg = _load(args)
-    os.makedirs(args.out, exist_ok=True)
-    out = run_rank_scan(ecfg, args.out)
-    for kind, rows in out.items():
-        for r, pred, meas in rows:
-            print(f"{kind} a/L={r:g} predicted={pred:.6g} measured={meas}")
-        print(f"wrote {args.out}/rank_scan_{kind}.csv")
-    return 0
-
-
-_COMMANDS = {
-    "modes": _cmd_modes,
-    "spectrum": _cmd_spectrum,
-    "image": _cmd_image,
-    "mc-rate": _cmd_mc_rate,
-    "rank-scan": _cmd_rank_scan,
+#: Subcommand -> its runner in experiments.py
+RUNNERS = {
+    "modes": run_modes,
+    "spectrum": run_spectrum,
+    "image": run_image,
+    "mc-rate": run_mc_rate,
+    "rank-scan": run_rank_scan,
 }
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        ecfg = _load(args)
+        if args.command != "modes":  # modes only prints
+            os.makedirs(args.out, exist_ok=True)
+        RUNNERS[args.command](ecfg, args.out)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -108,13 +108,21 @@ class RegPolicy:
         return self.kind(heuristic_eps(sigma_meas, a_o) if self.eps is None else self.eps)
 
 
+def _psi(d, reg):
+    """psi(d) of regularizer reg; reg=None is plain inversion 1/d, refused
+    on a singular spectrum."""
+    if reg is None:
+        if np.min(d) < 1e-14 * np.max(d):
+            raise SingularUnregularized("spectrum spans more than 14 decades: plain "
+                                        "inversion (reg.kind = none) needs a regularizer")
+        return 1.0 / d
+    return reg.filter(d)
+
+
 def _filtered(V, d, reg, X):
     """V psi(D) X, associated as (V psi) X: the one place a filter is
-    applied. reg=None is plain inversion, refused on a singular spectrum."""
-    if reg is None and np.min(d) < 1e-14 * np.max(d):
-        raise SingularUnregularized("spectrum spans more than 14 decades: plain "
-                                    "inversion (reg.kind = none) needs a regularizer")
-    return (V * (1.0 / d if reg is None else reg.filter(d))) @ X
+    applied to data."""
+    return (V * _psi(d, reg)) @ X
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +331,10 @@ class EstimationReport:
 
 
 def mse_decomposition(op, a_o, sigma, eps):
-    """Analytic mean-square estimation error E||a_eps - a_o||^2.
+    """Analytic mean-square estimation error E||a_eps - a_o||^2 of the
+    regularizer eps: a number (Tikhonov(eps)), a Tikhonov/HardThreshold,
+    or None (plain inversion: psi = 1/d, zero bias, refused on a singular
+    spectrum as in estimation).
 
     bias^2 = sum_j (1 - d_j psi(d_j))^2 |(V^dag a_o)_j|^2 in both routes.
     The variance depends on where the noise enters:
@@ -333,15 +344,15 @@ def mse_decomposition(op, a_o, sigma, eps):
         sigma^2 sum_j d_j psi(d_j)^2.  For M discrete receivers with
         per-sample std sigma_s this sigma equals sigma_s/sqrt(M).
     """
-    reg = eps if hasattr(eps, "filter") else Tikhonov(float(eps))
+    reg = eps if eps is None or hasattr(eps, "filter") else Tikhonov(float(eps))
     if isinstance(op, SensingMatrix):
         d, V = op.s, op.V
-        var_weights = reg.filter(d) ** 2
+        var_weights = _psi(d, reg) ** 2
     else:
         d, V = op.d, op.V
-        var_weights = d * reg.filter(d) ** 2
+        var_weights = d * _psi(d, reg) ** 2
     coeff = np.abs(V.conj().T @ np.asarray(a_o)) ** 2
-    bias_sq = float(np.sum(reg.residual(d) ** 2 * coeff))
+    bias_sq = 0.0 if reg is None else float(np.sum(reg.residual(d) ** 2 * coeff))
     variance = float(sigma * sigma * np.sum(var_weights))
     return EstimationReport(bias_sq=bias_sq, variance=variance,
                             mse=bias_sq + variance, spectrum=np.array(d))

@@ -1,8 +1,9 @@
 """Experiment runners: spectra, images, localization error rates, rank scans.
 
-These are the work units behind the command line. Each runner takes a
-built ExperimentConfig, computes with the library modules, and writes
-deterministic CSV.
+These are the command line's subcommands, one runner each:
+run_<command>(ecfg, outdir) takes a built ExperimentConfig, computes
+with the library modules, writes the command's deterministic CSV into
+outdir and prints its summary on stdout.
 
 Measurement noise is additive circular complex Gaussian, scaled relative
 to the peak data amplitude, and follows one convention. Trial t draws its
@@ -30,7 +31,7 @@ from .estimate import (
     svd_estimate,
 )
 from .image import default_grid, locate_peak, localization_success, migrate
-from .rank import AbsoluteThreshold, PlateauHalf, dense_rank_prediction, effective_rank, spectrum_report
+from .rank import dense_rank_prediction, effective_rank
 from .synth import Discrete, source_amplitudes
 
 
@@ -146,90 +147,115 @@ def threshold_sigma(sigmas, rates, level=0.5):
 # ---------------------------------------------------------------------------
 # runners
 
+def run_modes(ecfg, outdir):
+    """Print the guided-mode table; writes no file."""
+    ms = ecfg.ms
+    print(f"model {type(ms.spec).__name__} L={ms.spec.L:g} omega={ms.omega:g} "
+          f"k_o={ms.k_o:g} lambda_o={ms.lambda_o:.6g}")
+    print(f"{ms.n_modes} guided modes")
+    print("j,alpha,beta")
+    for j, al, be in mode_table(ms):
+        print(f"{j},{al:.6g},{be:.6g}")
+
+
 def run_spectrum(ecfg, outdir):
     """Spectrum of the array operator: singular values of B for receiver
     sets, eigenvalues of A for dense apertures. Writes spectrum.csv and
-    returns the SpectrumReport."""
+    prints the spectrum with its effective rank at rank.eps."""
     if ecfg.geometry is None:
         raise ConfigError("spectrum experiment needs array.* keys")
     if isinstance(ecfg.geometry, Discrete):
         spectrum = sensing_matrix(ecfg.ms, ecfg.geometry.points).s
     else:
         spectrum = coupling_matrix(ecfg.ms, ecfg.geometry).d
-    report = spectrum_report(spectrum, AbsoluteThreshold(ecfg.rank_eps))
+    rank = effective_rank(spectrum, ecfg.rank_eps)
     io.write_spectrum_csv(f"{outdir}/spectrum.csv", spectrum, _meta(ecfg))
-    return report
+    for i, v in enumerate(spectrum):
+        print(f"{i + 1},{v:.6g}")
+    print(f"effective rank (eps={ecfg.rank_eps:g}): {rank}")
+    print(f"wrote {outdir}/spectrum.csv")
 
 
-def run_image(ecfg, sigma, outdir):
-    """Single noisy-data imaging pass at relative noise level sigma.
+def _receiver_points(ecfg, command):
+    """Receiver points of a config that has a receiver set and a source."""
+    if ecfg.geometry is None or ecfg.source is None:
+        raise ConfigError(f"{command} experiment needs array.* and source.* keys")
+    if not isinstance(ecfg.geometry, Discrete):
+        raise ConfigError(f"{command} experiment runs on receiver-set geometries")
+    return ecfg.geometry.points
+
+
+def run_image(ecfg, outdir):
+    """Single noisy-data imaging pass at the first configured relative
+    noise level (0 when noise.sigmas is empty).
 
     Records data on the receivers, adds the trial-0 noise draw, builds
-    the regularized estimate, migrates it, and reports the peak with its
-    half-wavelength success flag. Writes image.csv."""
-    if ecfg.geometry is None or ecfg.source is None:
-        raise ConfigError("image experiment needs array.* and source.* keys")
-    if not isinstance(ecfg.geometry, Discrete):
-        raise ConfigError("image experiment runs on receiver-set geometries")
+    the regularized estimate, migrates it, and locates the peak. Writes
+    image.csv and prints the peak with its half-wavelength success flag."""
+    points = _receiver_points(ecfg, "image")
     ms, src = ecfg.ms, ecfg.source
-    sm = sensing_matrix(ms, ecfg.geometry.points)
+    sigma = ecfg.sigmas[0] if ecfg.sigmas else 0.0
+    sm = sensing_matrix(ms, points)
     a_o = source_amplitudes(ms, src)
     p = sm.B @ a_o
     s_meas = noise_scale(sigma, p)
     w = s_meas / np.sqrt(2.0) * _trial_noise(p.size, ecfg.seed, 0)
     a = svd_estimate(p + w, sm, ecfg.reg.regularizer(s_meas, a_o))
     im = migrate(a, ms, ecfg.grid)
-    peak = locate_peak(im)
-    success = localization_success(peak, src, ms.lambda_o)
+    x, z, value = locate_peak(im)
+    success = localization_success((x, z), src, ms.lambda_o)
     io.write_image_csv(f"{outdir}/image.csv", im, _meta(ecfg, sigma=sigma))
-    return im, peak, success
+    print(f"sigma={sigma:g} peak x={x:.6g} z={z:.6g} "
+          f"value={value:.6g} success={'true' if success else 'false'}")
+    print(f"wrote {outdir}/image.csv")
 
 
 def run_mc_rate(ecfg, outdir):
-    """Error-rate curve over the configured sigma list; writes rates.csv."""
-    if ecfg.geometry is None or ecfg.source is None:
-        raise ConfigError("mc-rate experiment needs array.* and source.* keys")
-    if not isinstance(ecfg.geometry, Discrete):
-        raise ConfigError("mc-rate experiment runs on receiver-set geometries")
+    """Error-rate curve over the configured sigma list; writes rates.csv
+    and prints one line per sigma."""
+    points = _receiver_points(ecfg, "mc-rate")
     if not ecfg.sigmas:
         raise ConfigError("mc-rate experiment needs noise.sigmas")
     rates = localization_error_rates(
-        ecfg.ms, ecfg.source, ecfg.geometry.points, ecfg.sigmas,
+        ecfg.ms, ecfg.source, points, ecfg.sigmas,
         ecfg.trials, ecfg.seed, grid=ecfg.grid, reg=ecfg.reg)
     meta = _meta(ecfg, noise="philox key=seed counter=(0,0,trial,0)")
     io.write_rates_csv(f"{outdir}/rates.csv", ecfg.sigmas, rates, ecfg.trials, ecfg.seed, meta)
-    return np.asarray(ecfg.sigmas, dtype=float), rates
+    for s, r in zip(ecfg.sigmas, rates):
+        print(f"sigma={s:.6g} error_rate={r:.6g}")
+    print(f"wrote {outdir}/rates.csv")
+
+
+#: Rank-scan count level, relative to the top eigenvalue, per kind. Vertical
+#: spectra plateau at their top value, so the half-maximum count is the
+#: natural measure. Horizontal spectra have no plateau: they decay smoothly
+#: to a sharp drop at the predicted rank, so the significant set is counted
+#: at 1e-2 of the top eigenvalue.
+RANK_LEVEL = {"vertical": 0.5, "horizontal": 1e-2}
 
 
 def rank_scan_rows(ms, kind, apertures):
     """(a/L, predicted, measured) rows for the (a/L, Dense) apertures of
-    one kind that config.build_experiment builds.
-
-    Vertical spectra plateau at their top value, so the half-maximum
-    count is the natural measure. Horizontal spectra have no plateau:
-    they decay smoothly to a sharp drop at the predicted rank, so the
-    significant set is counted at 1e-2 of the top eigenvalue.
-    """
+    one kind that config.build_experiment builds; measured counts the
+    eigenvalues at or above RANK_LEVEL[kind] times the top one."""
     rows = []
     for r, aperture in apertures:
-        cm = coupling_matrix(ms, aperture)
-        if kind == "vertical":
-            segments, measured = aperture.mu_z, effective_rank(cm.d, PlateauHalf())
-        elif kind == "horizontal":
-            segments = aperture.mu_x
-            measured = effective_rank(cm.d, AbsoluteThreshold(1e-2 * cm.d[0]))
-        else:
-            raise ConfigError(f"rank kind must be vertical or horizontal, got {kind!r}")
+        d = coupling_matrix(ms, aperture).d
+        segments = aperture.mu_z if kind == "vertical" else aperture.mu_x
         predicted = dense_rank_prediction(kind, segments, ms.lambda_o, ms.n_modes)
-        rows.append((r, predicted, measured))
+        rows.append((r, predicted, effective_rank(d, RANK_LEVEL[kind] * d[0])))
     return rows
 
 
 def run_rank_scan(ecfg, outdir):
-    """Predicted vs measured effective rank over a/L, one CSV per kind."""
-    out = {}
+    """Predicted vs measured effective rank over a/L: writes one CSV per
+    kind, then prints every row."""
+    scans = []
     for kind in ecfg.rank_kinds:
         rows = rank_scan_rows(ecfg.ms, kind, ecfg.rank_apertures[kind])
         io.write_rank_scan_csv(f"{outdir}/rank_scan_{kind}.csv", rows, _meta(ecfg))
-        out[kind] = rows
-    return out
+        scans.append((kind, rows))
+    for kind, rows in scans:
+        for r, pred, meas in rows:
+            print(f"{kind} a/L={r:g} predicted={pred:.6g} measured={meas}")
+        print(f"wrote {outdir}/rank_scan_{kind}.csv")

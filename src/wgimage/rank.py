@@ -1,6 +1,8 @@
 """Information content of receiver arrays.
 
-Effective-rank measurements of coupling/sensing spectra, the dense-array
+The effective rank of a coupling/sensing spectrum, which counts the
+entries at or above a plain number (a fixed eps for receiver sets, a
+fraction of the top entry for dense apertures), the dense-array
 asymptotic rank predictions for vertical and horizontal apertures, the
 Taylor-moment rank predictions for arrays much smaller than a
 wavelength, and the dispersion-relation collapse of the moment span.
@@ -18,50 +20,14 @@ from .modes import ModeSet
 # ---------------------------------------------------------------------------
 # effective rank
 
-@dataclass(frozen=True)
-class AbsoluteThreshold:
-    """Count spectrum entries >= eps (inclusive)."""
-
-    eps: float
-
-
-@dataclass(frozen=True)
-class PlateauHalf:
-    """Count spectrum entries >= half the top entry; the natural measure
-    for dense-aperture spectra, which plateau then fall off."""
-
-
-def effective_rank(spectrum, mode):
+def effective_rank(spectrum, threshold):
+    """Number of spectrum entries >= threshold (inclusive). Receiver sets
+    count above a fixed eps; a dense vertical aperture, whose spectrum
+    plateaus then falls off, above half its top entry."""
     spectrum = np.asarray(spectrum, dtype=float)
     if spectrum.size == 0:
         raise EmptySpectrum("cannot rank an empty spectrum")
-    if isinstance(mode, PlateauHalf):
-        thr = 0.5 * spectrum[0]
-    else:
-        thr = mode.eps
-    return int(np.count_nonzero(spectrum >= thr))
-
-
-@dataclass
-class SpectrumReport:
-    """A descending spectrum with the rank measurement applied to it."""
-
-    spectrum: np.ndarray
-    effective_rank: int
-    threshold: float
-    plateau: float = None
-
-
-def spectrum_report(spectrum, mode):
-    spectrum = np.asarray(spectrum, dtype=float)
-    r = effective_rank(spectrum, mode)
-    if isinstance(mode, PlateauHalf):
-        thr = 0.5 * spectrum[0]
-        plateau = float(np.median(spectrum[:r])) if r else None
-    else:
-        thr, plateau = mode.eps, None
-    return SpectrumReport(spectrum=spectrum, effective_rank=r,
-                          threshold=float(thr), plateau=plateau)
+    return int(np.count_nonzero(spectrum >= threshold))
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,18 @@ def test_readme_lists_every_key():
     assert rows == [key.name for key in KEYS]
 
 
+def test_readme_library_example(capsys):
+    # run the "Library in one minute" block; its last comment line gives
+    # the printed x, z and success flag, the floats to two decimals
+    block = (ROOT / "README.md").read_text().split("## Library in one minute")[1]
+    code = block.split("```python\n")[1].split("```")[0]
+    exec(compile(code, "README.md", "exec"), {})
+    x, z, ok = capsys.readouterr().out.split()
+    shown = code.rstrip().splitlines()[-1].lstrip("# ").split(":")[0]
+    assert shown == "99.95 7.85 True"
+    assert f"{float(x):.2f} {float(z):.2f} {ok}" == shown
+
+
 def test_vertical_config_contents():
     ecfg = build_experiment(load_config(VERTICAL))
     assert isinstance(ecfg.geometry, wg.Discrete)
@@ -470,11 +482,15 @@ def test_error_rate_zero_at_zero_noise(ms_dd20, src_ref, vertical_points):
     assert rates.tolist() == [0.0]
 
 
-def test_image_runner_noiseless_success(tmp_path):
-    ecfg = build_experiment(load_config(VERTICAL))
-    im, peak, success = run_image(ecfg, 0.0, str(tmp_path))
-    assert success
-    assert abs(peak[0] - ecfg.source.x_o) < 0.5 * ecfg.ms.lambda_o
+def test_image_runner_noiseless_success(tmp_path, capsys):
+    cfg = load_config(VERTICAL)
+    cfg.override("noise.sigmas", "0")
+    ecfg = build_experiment(cfg)
+    run_image(ecfg, str(tmp_path))
+    out = capsys.readouterr().out
+    assert "success=true" in out
+    x = float(out.split("peak x=")[1].split()[0])
+    assert abs(x - ecfg.source.x_o) < 0.5 * ecfg.ms.lambda_o
 
 
 def test_spectrum_runner_full_aperture_flat(tmp_path):
@@ -508,6 +524,15 @@ def test_cli_modes(capsys):
     out = capsys.readouterr().out
     assert "6 guided modes" in out
     assert out.count("\n") == 9  # banner + count + header + 6 rows
+    assert out == ("model HomogeneousDD L=20 omega=1 k_o=1 lambda_o=6.28319\n"
+                   "6 guided modes\n"
+                   "j,alpha,beta\n"
+                   "1,0.15708,0.987586\n"
+                   "2,0.314159,0.94937\n"
+                   "3,0.471239,0.882006\n"
+                   "4,0.628319,0.777956\n"
+                   "5,0.785398,0.618991\n"
+                   "6,0.942478,0.334269\n")
 
 
 def test_cli_spectrum_csv(tmp_path, capsys):
@@ -519,14 +544,22 @@ def test_cli_spectrum_csv(tmp_path, capsys):
     assert lines[3] == "index,value"
     top = float(lines[4].split(",")[1])
     assert top == pytest.approx(2.59285760, rel=1e-6)
-    assert "effective rank (eps=1e-07): 5" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "effective rank (eps=1e-07): 5" in out
+    assert out == ("1,2.59286\n2,0.101368\n3,0.00186468\n4,1.50007e-05\n"
+                   "5,1.10879e-07\n6,4.07422e-10\n"
+                   "effective rank (eps=1e-07): 5\n"
+                   f"wrote {tmp_path}/spectrum.csv\n")
 
 
-def test_cli_image_deterministic_bytes(tmp_path):
+def test_cli_image_deterministic_bytes(tmp_path, capsys):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):
         assert main(["image", "--config", VERTICAL, "--out", str(d),
                      "--sigma", "1e-6"]) == 0
+        assert capsys.readouterr().out == (
+            "sigma=1e-06 peak x=91.469 z=2.19911 value=0.239376 success=false\n"
+            f"wrote {d}/image.csv\n")
     b1 = (d1 / "image.csv").read_bytes()
     assert b1 == (d2 / "image.csv").read_bytes()
     header = b1.decode().splitlines()
@@ -536,9 +569,14 @@ def test_cli_image_deterministic_bytes(tmp_path):
     assert len(header) == 5 + 319 * 65
 
 
-def test_cli_mc_rate(tmp_path):
+def test_cli_mc_rate(tmp_path, capsys):
     assert main(["mc-rate", "--config", VERTICAL, "--out", str(tmp_path),
                  "--trials", "40"]) == 0
+    assert capsys.readouterr().out == ("sigma=1e-08 error_rate=0\n"
+                                       "sigma=1e-07 error_rate=0.275\n"
+                                       "sigma=1e-06 error_rate=0.95\n"
+                                       "sigma=1e-05 error_rate=1\n"
+                                       f"wrote {tmp_path}/rates.csv\n")
     lines = (tmp_path / "rates.csv").read_text().splitlines()
     assert lines[3] == "# noise philox key=seed counter=(0,0,trial,0)"
     assert lines[4] == "sigma,error_rate,trials,seed"
@@ -554,11 +592,13 @@ def test_cli_seed_override(tmp_path):
     assert "# seed 99" in (tmp_path / "rates.csv").read_text()
 
 
-def test_cli_rank_scan_caps_at_mode_count(tmp_path):
+def test_cli_rank_scan_caps_at_mode_count(tmp_path, capsys):
     cfg = tmp_path / "scan.cfg"
     cfg.write_text("waveguide.L = 100\nomega = 1\n"
                    "rank.kinds = vertical\nrank.ratios = 0.5\n")
     assert main(["rank-scan", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == ("vertical a/L=0.5 predicted=31 measured=31\n"
+                                       f"wrote {tmp_path}/rank_scan_vertical.csv\n")
     lines = (tmp_path / "rank_scan_vertical.csv").read_text().splitlines()
     assert lines[3] == "a_over_L,predicted,measured"
     ratio, pred, meas = lines[4].split(",")
@@ -578,7 +618,7 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     def boom(*a, **k):
         raise RuntimeError("disk full")
 
-    monkeypatch.setattr(cli_mod, "run_image", boom)
+    monkeypatch.setitem(cli_mod.RUNNERS, "image", boom)
     assert main(["image", "--config", VERTICAL, "--sigma", "0",
                  "--out", str(tmp_path)]) == 1
     assert "disk full" in capsys.readouterr().err

@@ -232,6 +232,22 @@ def test_mse_limits(ms_dd20, src_ref, vertical_points):
     assert rep.mse == rep.bias_sq + rep.variance
 
 
+def test_mse_plain_inversion_matches_tikhonov_zero(
+        ms_dd20, src_ref, spread_points, vertical_points):
+    # reg.kind = none hands mse_decomposition the regularizer None
+    a_o = wg.source_amplitudes(ms_dd20, src_ref)
+    for op in (wg.sensing_matrix(ms_dd20, spread_points),
+               wg.coupling_matrix(ms_dd20, wg.Discrete(spread_points))):
+        plain = mse_decomposition(op, a_o, 1e-3, None)
+        ref = mse_decomposition(op, a_o, 1e-3, wg.Tikhonov(0.0))
+        assert plain.bias_sq == ref.bias_sq == 0.0
+        assert plain.variance == ref.variance > 0.0
+    # narrow vertical aperture: coupling eigenvalues span ~20 decades
+    cm = wg.coupling_matrix(ms_dd20, wg.Discrete(vertical_points))
+    with pytest.raises(wg.SingularUnregularized):
+        mse_decomposition(cm, a_o, 1e-3, None)
+
+
 def test_coupling_projection_noise_covariance(ms_dd20, vertical_points):
     # Cov(b) = (sigma_s^2 / M) D for per-receiver noise of std sigma_s
     cm = wg.coupling_matrix(ms_dd20, wg.Discrete(vertical_points))

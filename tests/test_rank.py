@@ -8,7 +8,6 @@ from wgimage.rank import (
     dense_rank_prediction,
     moment_family,
     span_rank_collapse,
-    spectrum_report,
     taylor_rank_prediction,
 )
 
@@ -16,29 +15,22 @@ from wgimage.rank import (
 def test_effective_rank_absolute_threshold_is_inclusive():
     # reference planar spectrum: the fifth entry sits exactly on 1e-4
     spec = np.array([2.4, 0.12, 0.03, 2e-3, 1e-4, 5e-6])
-    assert wg.effective_rank(spec, wg.AbsoluteThreshold(1e-4)) == 5
+    assert wg.effective_rank(spec, 1e-4) == 5
 
 
 def test_effective_rank_plateau_half():
-    assert wg.effective_rank(np.ones(7), wg.PlateauHalf()) == 7
-    assert wg.effective_rank(np.array([1.0, 0.51, 0.49]), wg.PlateauHalf()) == 2
+    for spec, rank in ((np.ones(7), 7), (np.array([1.0, 0.51, 0.49]), 2)):
+        assert wg.effective_rank(spec, 0.5 * spec[0]) == rank
 
 
 def test_effective_rank_empty_raises():
     with pytest.raises(wg.EmptySpectrum):
-        wg.effective_rank(np.array([]), wg.PlateauHalf())
-
-
-def test_spectrum_report_fields():
-    rep = spectrum_report(np.array([4.0, 3.0, 1.0]), wg.PlateauHalf())
-    assert rep.effective_rank == 2 and rep.threshold == 2.0 and rep.plateau == 3.5
-    rep2 = spectrum_report(np.array([4.0, 3.0, 1.0]), wg.AbsoluteThreshold(0.5))
-    assert rep2.effective_rank == 3 and rep2.plateau is None
+        wg.effective_rank(np.array([]), 0.0)
 
 
 def test_narrow_vertical_rank(ms_dd20, vertical_points):
     sm = wg.sensing_matrix(ms_dd20, vertical_points)
-    assert wg.effective_rank(sm.s, wg.AbsoluteThreshold(1e-7)) == 5
+    assert wg.effective_rank(sm.s, 1e-7) == 5
 
 
 def test_dense_rank_prediction_formulas():
@@ -138,5 +130,5 @@ def test_vertical_rank_position_independent(ms_dd20):
     ranks = []
     for b in (5.0, 10.0, 15.0):
         cm = wg.coupling_matrix(ms_dd20, wg.Dense(0.0, ((b, 5.0),)))
-        ranks.append(wg.effective_rank(cm.d, wg.PlateauHalf()))
+        ranks.append(wg.effective_rank(cm.d, 0.5 * cm.d[0]))
     assert max(ranks) - min(ranks) <= 2
