@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": ("ConfigError", "EmptySpectrum", "GeometryMismatch", "NoGuidedModes",
-               "QuadratureNotConverged", "SingularUnregularized", "TooFewReceivers"),
+               "SingularUnregularized", "TooFewReceivers"),
     "estimate": ("CouplingMatrix", "EstimationReport", "HardThreshold", "RegPolicy",
                  "SensingMatrix", "Tikhonov", "coupling_matrix", "estimate_amplitudes",
                  "estimator_matrix", "mse_decomposition", "optimal_epsilon",

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class QuadratureNotConverged(Exception):
-    """Raised when adaptive refinement of an array integral fails its tolerance."""
-
-
 class EmptySpectrum(Exception):
     """Raised when an effective-rank query receives no spectral values."""
 

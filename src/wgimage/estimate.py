@@ -16,33 +16,29 @@ elementwise product A = X (.) Z of a range factor
 X_jl = int e^{i(beta_j - beta_l) x} dmu_x (a phase for a range point
 mass, a sum of sincs over range segments, for every model) and a depth
 factor Z_jl = int phi_j phi_l dmu_z (outer(phi(z_0), phi(z_0)) for a
-depth point mass z_0, closed form over depth segments for the
-homogeneous models). The parabolic depth factor over segments is the
-only part of a Gram computed by quadrature.
+depth point mass z_0, and closed form over depth segments for every
+model: sincs for the homogeneous ones, exact Hermite-function segment
+integrals for the parabolic one). So every Gram is closed form, with no
+quadrature and no tolerance.
 
 Spectral conventions, fixed for reproducibility: eigenvalues and
 singular values in descending order, and each eigen/singular vector
 phased so its largest-modulus entry is real positive.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GeometryMismatch,
-    QuadratureNotConverged,
-    SingularUnregularized,
-    TooFewReceivers,
-)
+from .errors import GeometryMismatch, SingularUnregularized, TooFewReceivers
 from .modes import HomogeneousDD, HomogeneousDN
-from .synth import (
-    Discrete,
-    FieldSamples,
-    _segment_nodes,
-    geometry_equal,
-    mode_traces,
-)
+from .synth import Discrete, FieldSamples, geometry_equal, mode_traces
+
+# Taylor terms (derivative orders 0..14) of a short parabolic segment. With
+# |phi^(q)| ~ k_o^q |phi| and k_o h <= 1/2, the largest dropped term,
+# (k_o h)^16 / 15!, is below 2e-17 of the leading one
+SERIES_TERMS = 15
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +201,19 @@ def _depth_factor(ms, mu_z):
     """Z_jl = int phi_j phi_l dmu_z.
 
     A point mass at z_0 gives outer(phi(z_0), phi(z_0)). Over segments
-    the homogeneous bases have a closed form: for each segment (b, h),
-    (1/(2h)) int_{b-h}^{b+h} phi_j phi_l dz
+    every basis has a closed form. For the homogeneous ones, for each
+    segment (b, h), (1/(2h)) int_{b-h}^{b+h} phi_j phi_l dz
     = (1/L)[cos(da b) sinc(da h) -+ cos(sa b) sinc(sa h)]
     with da = a_j - a_l, sa = a_j + a_l, and the sign - for the sin
     (Dirichlet-Dirichlet) basis, + for the cos (Neumann-Dirichlet) one.
-    The parabolic model is integrated numerically.
+    The parabolic one is `_hermite_segment`.
     """
     if np.isscalar(mu_z):
         phi = ms.profile_matrix(mu_z)[0]
         return np.outer(phi, phi)
     spec = ms.spec
     if not isinstance(spec, (HomogeneousDD, HomogeneousDN)):
-        return _depth_quadrature(ms, mu_z)
+        return _segment_sum(mu_z, lambda b, h: _hermite_segment(ms, b, h))
     sign = -1.0 if isinstance(spec, HomogeneousDD) else 1.0
     al = ms.alpha
     dm = al[:, None] - al[None, :]
@@ -226,23 +222,41 @@ def _depth_factor(ms, mu_z):
                         + sign * (np.cos(dp * b) * _sinc(dp * h))) / spec.L
 
 
-def _depth_quadrature(ms, segments):
-    """Z by composite Gauss-Legendre over the depth segments, accepted
-    once doubling the nodes moves it by less than 1e-10 relative."""
-    def gram(refine):
-        z, w = _segment_nodes(segments, ms.lambda_o / refine)
-        P = ms.profile_matrix(z)
-        return P.T @ (w[:, None] * P)
+def _hermite_segment(ms, b, h):
+    """(1/(2h)) int_{b-h}^{b+h} phi_j phi_l dz for the parabolic basis
+    phi_j(z) = gam^(1/2) f_j(gam z), gam^2 = k_o/L, exactly (DLMF 18.9).
 
-    prev = gram(1)
-    for refine in (2, 4):
-        cur = gram(refine)
-        scale = max(np.linalg.norm(cur), 1e-300)
-        if np.linalg.norm(cur - prev) <= 1e-10 * scale:
-            return cur
-        prev = cur
-    raise QuadratureNotConverged(
-        f"depth factor of the array Gram matrix not converged over {segments}")
+    A long segment (k_o h > 1/2) takes the end values J = [.]_{b-h}^{b+h}.
+    Off the diagonal, phi'' = (gam^4 z^2 - alpha^2) phi gives the
+    Sturm-Liouville identity (alpha_l^2 - alpha_j^2) J_jl
+    = [phi_j' phi_l - phi_j phi_l']. On it, with s = gam z,
+    int f_0^2 ds = (erf(s_b) - erf(s_a))/2 and the raising operator gives
+    int f_{n+1}^2 = int f_n^2 + [f_n (f_n' - s f_n)]/(2(n+1)).
+    On a short segment the end brackets cancel, so it takes the Taylor
+    series about b: P^T W P with P_qj = phi_j^(q)(b) and
+    W_qr = h^(q+r) / ((q+r+1) q! r!) for even q+r, else 0.
+    """
+    if ms.k_o * h <= 0.5:
+        P = np.vstack([ms.profile_matrix(b, q) for q in range(SERIES_TERMS)])
+        n = np.add.outer(np.arange(SERIES_TERMS), np.arange(SERIES_TERMS))
+        fact = np.array([math.factorial(q) for q in range(SERIES_TERMS)], dtype=float)
+        W = np.where(n % 2 == 0, float(h) ** n / ((n + 1) * np.outer(fact, fact)), 0.0)
+        return P.T @ W @ P
+    z = np.array([b - h, b + h])
+    P, D = ms.profile_matrix(z), ms.profile_matrix(z, 1)
+    a2 = ms.alpha ** 2
+    den = a2[None, :] - a2[:, None]
+    np.fill_diagonal(den, 1.0)
+    J = (np.outer(D[1], P[1]) - np.outer(D[0], P[0])
+         - np.outer(P[1], D[1]) + np.outer(P[0], D[0])) / den
+    gam2 = ms.k_o / ms.spec.L
+    s = np.sqrt(gam2) * z
+    # f_n (f_n' - s f_n) in z units: phi_n (phi_n' / gam^2 - z phi_n)
+    raised = P * (D / gam2 - z[:, None] * P)
+    steps = (raised[1] - raised[0])[:-1] / (2.0 * np.arange(1, ms.n_modes))
+    np.fill_diagonal(J, 0.5 * (math.erf(s[1]) - math.erf(s[0]))
+                     + np.concatenate(([0.0], np.cumsum(steps))))
+    return J / (2.0 * h)
 
 
 def coupling_matrix(ms, geom):
@@ -251,9 +265,8 @@ def coupling_matrix(ms, geom):
     A Discrete receiver set uses the exact Gram (1/M) B^dag B. A Dense
     aperture's Gram is the elementwise product A = X (.) Z of the range
     factor X over geom.mu_x (closed form for every model) and the depth
-    factor Z over geom.mu_z (closed form at a point mass and for the
-    homogeneous models, converged 1-D quadrature over parabolic depth
-    segments).
+    factor Z over geom.mu_z (closed form at a point mass and over
+    segments, for every model).
     """
     if isinstance(geom, Discrete):
         B = mode_traces(ms, geom.points)

@@ -85,10 +85,6 @@ class ModeSet:
     def n_modes(self):
         return self.beta.size
 
-    def eval(self, j, z, q=0):
-        """phi_j^{(q)}(z) for the 0-based mode position j; vectorized in z."""
-        return self.profile_matrix(z, q)[:, j]
-
     def profile_matrix(self, z, q=0):
         """Matrix of phi_j^{(q)}(z) values, shape (len(z), n_modes)."""
         z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -108,25 +104,6 @@ class ModeSet:
             df[1:] += np.sqrt(m1[:-1] / 2.0) * f[:-2]
             f = df
         return gam ** (0.5 + q) * np.ascontiguousarray(f.T)
-
-    def transverse_quadrature(self):
-        """Gauss-Legendre nodes and weights resolving all mode products.
-
-        Homogeneous models integrate over [0, L]; the parabolic model
-        over a symmetric window that extends past the last turning point
-        until the Gaussian envelope has decayed below 1e-12.
-        """
-        spec = self.spec
-        if isinstance(spec, (HomogeneousDD, HomogeneousDN)):
-            n = max(64, 8 * self.n_modes)
-            x, w = np.polynomial.legendre.leggauss(n)
-            return 0.5 * spec.L * (x + 1.0), 0.5 * spec.L * w
-        gam = np.sqrt(self.k_o / spec.L)
-        # exp(-s^2/2) < 1e-12 for s past sqrt(2 n + 1) + 8
-        s_cut = np.sqrt(2.0 * self.n_modes + 1.0) + 8.0
-        n = max(128, 16 * self.n_modes)
-        x, w = np.polynomial.legendre.leggauss(n)
-        return s_cut / gam * x, s_cut / gam * w
 
 
 def solve_modes(spec, omega):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,25 +34,60 @@ def test_closed_forms_match_quadrature(ms_dd20, geom):
     assert np.abs(closed - quad).max() < 1e-10 * np.abs(closed).max()
 
 
-@pytest.mark.parametrize("spec, z_c", [
-    (wg.HomogeneousDD(L=20.0), 11.0),
-    (wg.HomogeneousDN(L=20.0), 11.0),
-    (wg.Parabolic(L=10.0), 1.0),
-], ids=["dd", "dn", "parabolic"])
-@pytest.mark.parametrize("kind", ["vertical", "two_interval", "horizontal", "planar",
-                                  "vertical_off_x0"])
-def test_separable_gram_matches_quadrature(spec, z_c, kind):
-    ms = wg.solve_modes(spec, 1.0)
-    geom = {
+def _kind_geometry(kind, z_c):
+    return {
         "vertical": wg.Dense(0.0, ((z_c, 0.5),)),
         "two_interval": wg.Dense(0.0, ((z_c - 2.0, 1.0), (z_c + 2.0, 1.5))),
         "horizontal": wg.Dense(((1.5, 1.5),), z_c),
         "planar": wg.Dense(((0.0, 0.5),), ((z_c, 0.5),)),
         "vertical_off_x0": wg.Dense(3.0, ((z_c, 0.5),)),
     }[kind]
+
+
+_PARABOLIC = wg.Parabolic(L=10.0)
+_SEPARABLE_CASES = [
+    pytest.param(spec, _kind_geometry(kind, z_c), id=f"{kind}-{name}")
+    for kind in ("vertical", "two_interval", "horizontal", "planar", "vertical_off_x0")
+    for spec, z_c, name in ((wg.HomogeneousDD(L=20.0), 11.0, "dd"),
+                            (wg.HomogeneousDN(L=20.0), 11.0, "dn"),
+                            (_PARABOLIC, 1.0, "parabolic"))
+] + [
+    # parabolic depth segments at k_o = 1: the Taylor series (h <= 1/2)
+    # where the Wronskian end brackets cancel, both sides of the switch,
+    # one segment of each kind, a segment across the last turning point
+    # (s = 3 at z = 9.49), and 500 modes
+    pytest.param(_PARABOLIC, wg.Dense(0.0, ((1.0, 1e-6),)), id="h1e-6-parabolic"),
+    pytest.param(_PARABOLIC, wg.Dense(0.0, ((1.0, 1e-3),)), id="h1e-3-parabolic"),
+    pytest.param(_PARABOLIC, wg.Dense(0.0, ((1.0, 0.4999),)), id="below_switch-parabolic"),
+    pytest.param(_PARABOLIC, wg.Dense(0.0, ((1.0, 0.5001),)), id="above_switch-parabolic"),
+    pytest.param(_PARABOLIC, wg.Dense(0.0, ((-1.0, 0.3), (3.0, 1.5))),
+                 id="short_and_long-parabolic"),
+    pytest.param(_PARABOLIC, wg.Dense(0.0, ((9.0, 2.0),)), id="turning_point-parabolic"),
+    pytest.param(wg.Parabolic(L=1000.0), wg.Dense(0.0, ((100.0, 40.0),)),
+                 id="L1000_h40-parabolic"),
+]
+
+
+@pytest.mark.parametrize("spec, geom", _SEPARABLE_CASES)
+def test_separable_gram_matches_quadrature(spec, geom):
+    ms = wg.solve_modes(spec, 1.0)
     sep = wg.coupling_matrix(ms, geom).A
     quad = _quadrature_gram(ms, geom)
     assert np.abs(sep - quad).max() < 1e-10 * np.abs(sep).max()
+
+
+def test_parabolic_gram_memory_flat_in_aperture_length():
+    # the closed form reads the modes at the segment ends only; a sampled
+    # depth factor over [-500, 500] would hold node-by-mode matrices
+    ms = wg.solve_modes(wg.Parabolic(L=200.0), 1.0)
+    geom = wg.Dense(0.0, ((0.0, 500.0),))
+    tracemalloc.start()
+    try:
+        wg.coupling_matrix(ms, geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_large_planar_gram_trace():

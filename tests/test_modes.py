@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import wgimage as wg
 from wgimage.modes import hermite_functions
+from wgimage.synth import array_samples
 
 
 def test_mode_count_homogeneous_dd(ms_dd20):
@@ -25,12 +26,12 @@ def test_below_cutoff_raises():
 
 def test_eval_mode_antinode(ms_dd20):
     # phi_1(L/2) = sqrt(2/L) sin(pi/2)
-    assert ms_dd20.eval(0, 10.0) == pytest.approx(np.sqrt(0.1), rel=1e-14)
+    assert ms_dd20.profile_matrix(10.0)[:, 0] == pytest.approx(np.sqrt(0.1), rel=1e-14)
 
 
 def test_parabolic_profile_at_origin(ms_parab10):
     want = (ms_parab10.k_o / 10.0) ** 0.25 * np.pi ** -0.25
-    assert ms_parab10.eval(0, 0.0) == pytest.approx(want, rel=1e-13)
+    assert ms_parab10.profile_matrix(0.0)[:, 0] == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("spec", [
@@ -39,10 +40,18 @@ def test_parabolic_profile_at_origin(ms_parab10):
     wg.Parabolic(L=10.0),
 ])
 def test_orthonormality(spec):
+    # Gauss-Legendre nodes of a full-support aperture: [0, L], or for the
+    # parabolic model a window past the last turning point where the
+    # Gaussian envelope exp(-s^2/2) has decayed below 1e-12
     ms = wg.solve_modes(spec, 1.0)
-    z, w = ms.transverse_quadrature()
-    P = ms.profile_matrix(z)
-    gram = P.T @ (w[:, None] * P)
+    if isinstance(spec, wg.Parabolic):
+        half = (np.sqrt(2.0 * ms.n_modes + 1.0) + 8.0) / np.sqrt(ms.k_o / spec.L)
+        seg = (0.0, half)
+    else:
+        seg = (spec.L / 2, spec.L / 2)
+    pts, w = array_samples(wg.Dense(0.0, (seg,)), ms.lambda_o)
+    P = ms.profile_matrix(pts[:, 1])
+    gram = 2.0 * seg[1] * P.T @ (w[:, None] * P)
     tol = 1e-10 if isinstance(spec, (wg.HomogeneousDD, wg.HomogeneousDN)) else 1e-8
     assert np.abs(gram - np.eye(ms.n_modes)).max() < tol
 
