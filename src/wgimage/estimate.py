@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryMismatch, SingularUnregularized, TooFewReceivers
-from .modes import HomogeneousDD, HomogeneousDN
+from .modes import HomogeneousDD, HomogeneousDN, hermite_derivative, hermite_functions
 from .synth import Discrete, FieldSamples, geometry_equal, mode_traces
 
 # Taylor terms (derivative orders 0..14) of a short parabolic segment. With
@@ -222,6 +222,22 @@ def _depth_factor(ms, mu_z):
                         + sign * (np.cos(dp * b) * _sinc(dp * h))) / spec.L
 
 
+def _derivative_stack(ms, b):
+    """Rows phi^(q)(b), q = 0..SERIES_TERMS-1, of the parabolic basis: the
+    stack of profile_matrix(b, q), bit for bit, from one Hermite
+    recurrence to order N-1+SERIES_TERMS-1 and the ladder step, keeping
+    the first N rows of each order."""
+    n = ms.n_modes
+    gam = np.sqrt(ms.k_o / ms.spec.L)
+    f = hermite_functions(n - 1 + SERIES_TERMS - 1, gam * np.atleast_1d(float(b)))
+    P = np.empty((SERIES_TERMS, n))
+    for q in range(SERIES_TERMS):
+        if q:
+            f = hermite_derivative(f)
+        P[q] = gam ** (0.5 + q) * f[:n, 0]
+    return P
+
+
 def _hermite_segment(ms, b, h):
     """(1/(2h)) int_{b-h}^{b+h} phi_j phi_l dz for the parabolic basis
     phi_j(z) = gam^(1/2) f_j(gam z), gam^2 = k_o/L, exactly (DLMF 18.9).
@@ -237,7 +253,7 @@ def _hermite_segment(ms, b, h):
     W_qr = h^(q+r) / ((q+r+1) q! r!) for even q+r, else 0.
     """
     if ms.k_o * h <= 0.5:
-        P = np.vstack([ms.profile_matrix(b, q) for q in range(SERIES_TERMS)])
+        P = _derivative_stack(ms, b)
         n = np.add.outer(np.arange(SERIES_TERMS), np.arange(SERIES_TERMS))
         fact = np.array([math.factorial(q) for q in range(SERIES_TERMS)], dtype=float)
         W = np.where(n % 2 == 0, float(h) ** n / ((n + 1) * np.outer(fact, fact)), 0.0)

@@ -62,6 +62,19 @@ def hermite_functions(mmax, s):
     return out
 
 
+def hermite_derivative(f):
+    """d/ds of rows f_0..f_mmax of `hermite_functions` (or of one order
+    of their derivatives), by the ladder
+    f_m' = sqrt(m/2) f_{m-1} - sqrt((m+1)/2) f_{m+1}. The step drops the
+    top row, which would need f_{mmax+1}: returns rows 0..mmax-1. Each
+    row depends only on its two neighbours, so a taller f gives the same
+    bits in the rows they share."""
+    m1 = np.arange(1.0, f.shape[0])[:, None]  # m + 1
+    df = -np.sqrt(m1 / 2.0) * f[1:]
+    df[1:] += np.sqrt(m1[:-1] / 2.0) * f[:-2]
+    return df
+
+
 class ModeSet:
     """Guided-mode basis of a waveguide at a fixed frequency.
 
@@ -97,12 +110,7 @@ class ModeSet:
         gam = np.sqrt(self.k_o / spec.L)
         f = hermite_functions(self.n_modes - 1 + q, gam * z)
         for _ in range(q):
-            # ladder f_m' = sqrt(m/2) f_{m-1} - sqrt((m+1)/2) f_{m+1}; each
-            # step drops the top row, which would need f_{mmax+1}
-            m1 = np.arange(1.0, f.shape[0])[:, None]  # m + 1
-            df = -np.sqrt(m1 / 2.0) * f[1:]
-            df[1:] += np.sqrt(m1[:-1] / 2.0) * f[:-2]
-            f = df
+            f = hermite_derivative(f)
         return gam ** (0.5 + q) * np.ascontiguousarray(f.T)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wgimage as wg
+from wgimage import estimate
 from wgimage.estimate import heuristic_eps, mse_decomposition, optimal_epsilon
 from wgimage.synth import array_samples, mode_traces
 
@@ -88,6 +89,27 @@ def test_parabolic_gram_memory_flat_in_aperture_length():
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+def _per_order_stack(ms, b):
+    # one profile_matrix call, so one recurrence, per derivative order
+    return np.vstack([ms.profile_matrix(b, q) for q in range(estimate.SERIES_TERMS)])
+
+
+@pytest.mark.parametrize("L, b", [(10.0, 1.0), (10.0, -9.0), (1000.0, 900.0)])
+def test_derivative_stack_is_the_per_order_stack(L, b):
+    ms = wg.solve_modes(wg.Parabolic(L=L), 1.0)
+    assert np.array_equal(estimate._derivative_stack(ms, b), _per_order_stack(ms, b))
+
+
+def test_short_segment_gram_keeps_its_bits(monkeypatch):
+    ms = wg.solve_modes(wg.Parabolic(L=1000.0), 1.0)
+    geom = wg.Dense(0.0, ((900.0, 0.4),))
+    assert ms.n_modes == 500 and ms.k_o * 0.4 <= 0.5  # the Taylor branch
+    cm = wg.coupling_matrix(ms, geom)
+    monkeypatch.setattr(estimate, "_derivative_stack", _per_order_stack)
+    ref = wg.coupling_matrix(ms, geom)
+    assert np.array_equal(cm.A, ref.A) and np.array_equal(cm.d, ref.d)
 
 
 def test_large_planar_gram_trace():

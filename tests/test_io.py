@@ -43,7 +43,7 @@ META = {"config": "0123456789ab", "seed": 2024, "sigma": 1e-6}
 
 def _same_csv(tmp_path, columns, rows, meta=META):
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-    io.write_csv(new, columns, rows, meta)
+    io.write_csv(new, columns, io.format_rows(rows), meta)
     reference_csv(ref, columns, rows, meta)
     assert new.read_bytes() == ref.read_bytes()
     return new.read_text()
@@ -79,7 +79,7 @@ def test_rows_may_be_a_generator(tmp_path):
                  [(i, 1.0 / (i + 1)) for i in range(2 * io.BLOCK_ROWS + 1)]):
         _same_csv(tmp_path, ("index", "value"), rows)
         ref = (tmp_path / "new.csv").read_bytes()
-        io.write_csv(tmp_path / "gen.csv", ("index", "value"), iter(rows), META)
+        io.write_csv(tmp_path / "gen.csv", ("index", "value"), io.format_rows(iter(rows)), META)
         assert (tmp_path / "gen.csv").read_bytes() == ref
 
 
@@ -92,13 +92,13 @@ def test_rows_may_be_a_generator(tmp_path):
 ])
 def test_row_of_another_length_raises(tmp_path, rows):
     with pytest.raises(TypeError):
-        io.write_csv(tmp_path / "bad.csv", ("index", "value"), iter(rows), META)
+        io.write_csv(tmp_path / "bad.csv", ("index", "value"), io.format_rows(iter(rows)), META)
 
 
 def test_no_rows_gives_header_and_column_line(tmp_path):
     text = _same_csv(tmp_path, ("a", "b"), [])
     assert text.splitlines() == io._header_lines(META) + ["a,b"]
-    io.write_csv(tmp_path / "gen.csv", ("a", "b"), iter([]), META)
+    io.write_csv(tmp_path / "gen.csv", ("a", "b"), io.format_rows(iter([])), META)
     assert (tmp_path / "gen.csv").read_text() == text
 
 
@@ -154,3 +154,30 @@ def test_column_uniform_rows_match_reference(case):
     kinds, rows = case
     with tempfile.TemporaryDirectory() as tmp:
         _same_csv(Path(tmp), tuple(f"{k}{i}" for i, k in enumerate(kinds)), rows)
+
+
+_axis_start = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+_axis_step = st.floats(min_value=1e-3, max_value=10.0)
+# exact zeros, the exponent form of %.12g below 1e-4, plain values, exact ones
+_pixel = st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e-4),
+                   st.floats(min_value=-1e3, max_value=1e3), st.just(1.0))
+
+
+@st.composite
+def _images(draw):
+    (x0, dx, nx), (z0, dz, nz) = (
+        (draw(_axis_start), draw(_axis_step), draw(st.integers(1, 20))) for _ in range(2))
+    grid = SearchGrid(x0, x0 + (nx - 1) * dx, z0, z0 + (nz - 1) * dz, dx, dz)
+    shape = (grid.x.size, grid.z.size)
+    cells = st.lists(_pixel, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+    values = np.array(draw(cells)).reshape(shape)
+    if draw(st.booleans()):
+        values = values + 1j * np.array(draw(cells)).reshape(shape)
+    return ImageMap(values, grid)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_images())
+def test_image_writer_matches_per_cell_reference(im):
+    with tempfile.TemporaryDirectory() as tmp:
+        _same_image(Path(tmp), im)
