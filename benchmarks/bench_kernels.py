@@ -4,7 +4,8 @@ Builds the inputs of the vertical-array localization experiment at
 relative noise 1e-6 the way `localization_error_rates` builds them: the
 Tikhonov estimator matrix at the heuristic eps, the separable grid
 factors with the real profile matrix, one unit noise draw per trial
-scaled to the noise level, and blocks of TRIAL_BLOCK trials. It then
+scaled to the noise level, and the blocks of trial_block(M) trials that
+`mc-rate` runs (all of up to 6400 trials in one block at M = 20). It then
 times `_kernels.peak_search` over all blocks. Run:
 
     python3 benchmarks/bench_kernels.py [--trials N] [--repeats R]
@@ -17,7 +18,7 @@ import numpy as np
 
 import wgimage as wg
 from wgimage import _kernels
-from wgimage.experiments import TRIAL_BLOCK, _trial_noise
+from wgimage.experiments import _trial_noise, trial_block
 
 
 def build_workload(trials, sigma=1e-6, seed=2024):
@@ -32,8 +33,8 @@ def build_workload(trials, sigma=1e-6, seed=2024):
     E = np.exp(1j * np.outer(grid.x, ms.beta))
     PT = np.ascontiguousarray(ms.profile_matrix(grid.z).T)
     Z = np.array([_trial_noise(p.size, seed, t) for t in range(trials)])
-    blocks = [s_meas / np.sqrt(2.0) * Z[t0:t0 + TRIAL_BLOCK]
-              for t0 in range(0, trials, TRIAL_BLOCK)]
+    block = trial_block(p.size)
+    blocks = [s_meas / np.sqrt(2.0) * Z[t0:t0 + block] for t0 in range(0, trials, block)]
     return G, p, blocks, ms.beta, E, PT
 
 
@@ -49,7 +50,7 @@ def main():
 
     work = build_workload(args.trials)
     G, _, _, _, E, PT = work
-    print(f"workload: {args.trials} trials in blocks of {TRIAL_BLOCK}, "
+    print(f"workload: {args.trials} trials in blocks of {trial_block(G.shape[1])}, "
           f"{E.shape[0]}x{PT.shape[1]} grid, {G.shape[1]} receivers, {G.shape[0]} modes")
     best = np.inf
     for _ in range(args.repeats):

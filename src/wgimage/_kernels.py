@@ -9,13 +9,40 @@ rows of each draw's image, all draws still searching batched together.
 
 Row bound. Depth row z of the image is I(x, z) = sum_j E[x, j] c_j phi_j(z),
 so |I(x, z)| <= sum_j |c_j| |phi_j(z)| max_x |E[x, j]|. The square of that
-sum, times 1 + ROW_BOUND_SLACK to cover rounding, bounds every computed
-|I|^2 of the row. One (T, N) @ (N, nz) product gives the bounds of all
-draws and rows.
+sum, times 1 + ROW_BOUND_SLACK to cover rounding, is the bound U(z) of
+every computed |I|^2 of the row. One (T, N) @ (N, nz) product gives the
+bounds of all draws and rows.
 
 Stopping rule. A draw visits its rows in decreasing bound and evaluates
 each exactly. It stops once the bound of its next row is below the best
 value found. A row whose bound equals the best value is still visited.
+
+Row lift. A visited row is one row of a real GEMM, (Q[t] * P[z]) @ F,
+whose factors depend on the mode count N:
+
+- quadratic (N <= QUADRATIC_MAX_MODES): with V = c * phi(z),
+  |I|^2 = sum_j |E_xj|^2 |V_j|^2 + 2 Re sum_{j<k} E_xj conj(E_xk) V_j conj(V_k),
+  a form in N^2 products of mode amplitudes that gives |I|^2 directly,
+  about 2 N^2 nx flops per row;
+- linear (larger N): [Re V | Im V] @ [[Re E^T, Im E^T], [-Im E^T, Re E^T]]
+  = [Re I | Im I], then Re^2 + Im^2, about 8 N nx flops per row. The
+  quadratic factors have N^2 columns: at N = 500, F alone would hold
+  0.64 GB on a 319-column grid, so the linear lift is what large guides
+  run.
+
+In 64-row chunks on one BLAS thread (2-core Xeon VM, nx = 319), a
+visited row costs, in us, linear -> quadratic: 1.21 -> 0.40 at N = 4,
+1.16 -> 0.60 at N = 6, 1.27 -> 1.20 at N = 8, 1.37 -> 1.68 at N = 10 and
+1.51 -> 2.80 at N = 12. The crossover lies between 8 and 10.
+
+Rounding. The moduli of the quadratic form's terms sum to at most
+(sum_j |E_xj| |c_j| |phi_j(z)|)^2 <= U(z). The GEMM adds N^2 of
+them, each a product of a few rounded factors, so a computed |I|^2 errs
+by about N^2 eps U(z) in absolute terms: 64 eps, about 1.4e-14 U(z), at
+N = 8. The linear lift errs by about 4N eps U(z). ROW_BOUND_SLACK, about
+4.5e6 eps, is some 7e4 times the quadratic error at N = 8 and more below,
+so no computed value exceeds its row's bound and the stopping rule stays
+exact.
 
 Tie rule. Ties resolve to the smallest flat index (row-major), as an
 argmax over the whole image would: within a row the smallest x, across
@@ -27,23 +54,52 @@ On the shipped configs at 1000 trials a draw visits 1 to 33 of its 46 to
 
 import numpy as np
 
-#: relative widening of the row bound; the row GEMM's rounding is about
-#: 4N ulps, so this covers any mode count below 10^6
+#: relative widening of the row bound, about 4.5e6 eps: far above either
+#: row lift's rounding (N^2 eps at N <= 8, 4N eps above)
 ROW_BOUND_SLACK = 1e-9
 
-#: rows per real GEMM: (32, 2N) @ (2N, 2nx) stays under OpenBLAS's
-#: single-thread size on the shipped configs (N <= 6, nx <= 319)
-ROW_CHUNK = 32
+#: largest mode count scored by the quadratic lift (see the module text)
+QUADRATIC_MAX_MODES = 8
+
+#: rows per real GEMM, which runs on one BLAS thread (the CLI pins one):
+#: a chunk, the factor F and the output, about 0.3 MB at N = 6 and
+#: nx = 319, stay in L2; 64 timed as fast as any of 16 to 256 rows on
+#: mc-rate inputs
+ROW_CHUNK = 64
+
+
+def _quadratic_lift(C, E, PT):
+    """Factors (Q, P, F) with |I(x, z)|^2 of trial t = ((Q[t] * P[z]) @ F)[x]:
+    columns |c_j|^2, Re and Im of c_j conj(c_k) (j < k) in Q; phi_j^2 and
+    phi_j phi_k twice in P; rows |E_:j|^2, 2 Re and -2 Im of
+    E_:j conj(E_:k) in F."""
+    j, k = np.triu_indices(C.shape[1], 1)
+    cc = C[:, j] * np.conj(C[:, k])
+    ee = 2.0 * E[:, j] * np.conj(E[:, k])
+    phi = PT.T
+    pp = phi[:, j] * phi[:, k]
+    Q = np.concatenate([C.real ** 2 + C.imag ** 2, cc.real, cc.imag], axis=1)
+    P = np.concatenate([phi ** 2, pp, pp], axis=1)
+    F = np.concatenate([(E.real ** 2 + E.imag ** 2).T, ee.real.T, -ee.imag.T])
+    return Q, P, F
+
+
+def _linear_lift(C, E, PT):
+    """Factors (Q, P, F) with [Re I | Im I] of trial t, row z =
+    (Q[t] * P[z]) @ F."""
+    Q = np.concatenate([C.real, C.imag], axis=1)
+    P = np.concatenate([PT.T, PT.T], axis=1)
+    F = np.block([[E.real.T, E.imag.T], [-E.imag.T, E.real.T]])
+    return Q, P, F
 
 
 def peak_search(G, p, W, beta, E, PT):
     """Per-trial image peak indices.
 
     For each noise row w of W: a = G (p + w), then the image
-    I = (E * (2i beta conj(a))) PT is searched for its maximal modulus.
-    The profiles are real, so depth row z, with V = c * PT[:, z], is the
-    real product [Re V | Im V] @ [[Re E^T, Im E^T], [-Im E^T, Re E^T]] =
-    [Re I | Im I], and the peak is the argmax of Re(I)^2 + Im(I)^2.
+    I = (E * (2i beta conj(a))) PT is searched for its maximal modulus,
+    one depth row at a time, by the quadratic lift for at most
+    QUADRATIC_MAX_MODES modes and the linear one above.
     Ties resolve to the smallest flat index (row-major), i.e. smallest
     x index then smallest z index.
 
@@ -53,16 +109,15 @@ def peak_search(G, p, W, beta, E, PT):
     returns (T, 2) int64 grid indices
     """
     C = 2j * beta * np.conj((p + W) @ G.T)
-    T = C.shape[0]
+    T, N = C.shape
     nx, nz = E.shape[0], PT.shape[1]
     # (T, nz) row bounds; a visited row's entry is set to -inf
     bound = np.square((np.abs(C) * np.abs(E).max(axis=0)) @ np.abs(PT)) * (1.0 + ROW_BOUND_SLACK)
-    # [Re V | Im V] of trial t, row z is CC[t] * P2[z]
-    CC = np.concatenate([C.real, C.imag], axis=1)
-    P2 = np.concatenate([PT.T, PT.T], axis=1)
-    EB = np.block([[E.real.T, E.imag.T], [-E.imag.T, E.real.T]])
-    Y = np.empty((ROW_CHUNK, 2 * nx))
+    quadratic = N <= QUADRATIC_MAX_MODES
+    Q, P, F = (_quadratic_lift if quadratic else _linear_lift)(C, E, PT)
+    Y = np.empty((ROW_CHUNK, F.shape[1]))
     mag = np.empty((ROW_CHUNK, nx))
+    offset = np.arange(ROW_CHUNK) * nx  # flat offsets of the rows of a chunk's |I|^2
     best = np.full(T, -np.inf)
     flat = np.zeros(T, dtype=np.int64)
     val = np.empty(T)
@@ -76,14 +131,15 @@ def peak_search(G, p, W, beta, E, PT):
             break
         bound[active, z] = -np.inf
         n = active.size
-        X = CC[active] * P2[z]
+        X = Q[active] * P[z]
         for s in range(0, n, ROW_CHUNK):
             e = min(s + ROW_CHUNK, n)
-            y = np.matmul(X[s:e], EB, out=Y[:e - s])
-            np.square(y, out=y)
-            m = np.add(y[:, :nx], y[:, nx:], out=mag[:e - s])
+            m = np.matmul(X[s:e], F, out=Y[:e - s])
+            if not quadratic:
+                np.square(m, out=m)
+                m = np.add(m[:, :nx], m[:, nx:], out=mag[:e - s])
             m.argmax(axis=1, out=ix[s:e])
-            m.max(axis=1, out=val[s:e])
+            m.ravel().take(ix[s:e] + offset[:e - s], out=val[s:e])
         v, f, b = val[:n], ix[:n] * nz + z, best[active]
         win = (v > b) | ((v == b) & (f < flat[active]))
         best[active[win]] = v[win]

@@ -13,7 +13,8 @@ the Philox stream keyed on the pair (seed, t): key = seed, counter =
 s_meas / sqrt(2) * Z_t, with s_meas = sigma * max|p| (`noise_scale`).
 A single imaging pass uses trial 0. Trials are order-independent, and
 any slice of them can be recomputed in isolation. The Monte Carlo loop
-runs over blocks of TRIAL_BLOCK trials and draws each Z_t once, for
+runs over blocks of trial_block(M) trials, at most BLOCK_VALUES noise
+values each (one trial if M is larger), and draws each Z_t once, for
 every sigma.
 """
 
@@ -92,9 +93,17 @@ def _trial_noise(m, seed, t):
 # ---------------------------------------------------------------------------
 # localization error rates
 
-#: Trials per block of the Monte Carlo loop: it bounds the noise arrays at
-#: TRIAL_BLOCK x M values, while each amplitude GEMM still covers many trials.
-TRIAL_BLOCK = 128
+#: Noise values per block of the Monte Carlo loop, which runs
+#: trial_block(M) trials per block: it bounds the noise arrays at about
+#: BLOCK_VALUES values (128 trials at M = 1000), while few receivers let
+#: one block, and one best-first search per sigma, cover many trials.
+BLOCK_VALUES = 128_000
+
+
+def trial_block(m):
+    """Trials per Monte Carlo block at m receivers: BLOCK_VALUES // m, at
+    least one."""
+    return max(1, BLOCK_VALUES // m)
 
 
 def localization_error_rates(ms, src, points, sigmas, trials, seed,
@@ -104,10 +113,11 @@ def localization_error_rates(ms, src, points, sigmas, trials, seed,
 
     The estimator matrix G = V psi(D) U^dag of each sigma and the
     separable grid factors are built once. Trials then run in blocks of
-    TRIAL_BLOCK: each trial's unit noise Z_t is drawn once, and every
+    trial_block(M): each trial's unit noise Z_t is drawn once, and every
     sigma's peak search in the block reuses it, rescaled. So a run makes
     one draw per trial, and the noise held at once never exceeds
-    TRIAL_BLOCK x M values per array.
+    max(BLOCK_VALUES, M) values per array; at M = 20 up to 6400 trials
+    share one block.
     """
     if grid is None:
         grid = default_grid(ms)
@@ -121,9 +131,10 @@ def localization_error_rates(ms, src, points, sigmas, trials, seed,
     s_meas = noise_scale(sigmas, p)
     Gs = [estimator_matrix(sm, reg.regularizer(s, a_o)) for s in s_meas]
     misses = np.zeros(len(Gs), dtype=np.int64)
-    for t0 in range(0, trials, TRIAL_BLOCK):
+    block = trial_block(p.size)
+    for t0 in range(0, trials, block):
         Z = np.array([_trial_noise(p.size, seed, t)
-                      for t in range(t0, min(t0 + TRIAL_BLOCK, trials))])
+                      for t in range(t0, min(t0 + block, trials))])
         for k, (s, G) in enumerate(zip(s_meas, Gs)):
             peaks = _kernels.peak_search(G, p, s / np.sqrt(2.0) * Z, ms.beta, E, PT)
             d2 = (xs[peaks[:, 0]] - src.x_o) ** 2 + (zs[peaks[:, 1]] - src.z_o) ** 2

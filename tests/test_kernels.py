@@ -6,13 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wgimage import _kernels
 from wgimage.config import build_experiment, load_config
 from wgimage.estimate import HardThreshold, sensing_matrix
-from wgimage.experiments import TRIAL_BLOCK, _trial_noise, localization_error_rates, noise_scale
+from wgimage.experiments import _trial_noise, localization_error_rates, noise_scale, trial_block
 from wgimage.synth import source_amplitudes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,21 +54,36 @@ def test_tie_breaks_to_first_flat_index():
     assert tuple(out[0]) == (0, 0)
 
 
-def test_planted_ties_resolve_to_first_flat_index():
+def _planted_ties(extra_modes):
+    """Peaks of the planted-tie image below, padded with modes whose
+    profiles vanish on the grid: 3 + extra_modes modes in all."""
     # c = 2i conj(a) = 1 in every mode, so every image value is exact.
     # Row z=0 has the larger bound (25 against 16) and is visited first;
     # its max 16 sits at x=1 (flat index 2). Row z=1 ties it at x=0 and
     # x=1, so the later row wins on flat index 1, within it at x=0.
-    a = np.full(3, 0.5j)
-    E = np.array([[1, 0, 0], [1, 1, 0], [0, 0, 1]], dtype=complex)
-    PT = np.array([[2.0, 4.0], [2.0, 0.0], [1.0, 0.0]])
-    out = _kernels.peak_search(np.eye(3, dtype=complex), a, np.zeros((2, 3), complex),
-                               np.ones(3), E, PT)
-    assert out.tolist() == [[0, 1], [0, 1]]
+    N = 3 + extra_modes
+    a = np.full(N, 0.5j)
+    E = np.zeros((3, N), dtype=complex)
+    E[:, :3] = [[1, 0, 0], [1, 1, 0], [0, 0, 1]]
+    E[:, 3:] = 1.0
+    PT = np.zeros((N, 2))
+    PT[:3] = [[2.0, 4.0], [2.0, 0.0], [1.0, 0.0]]
+    out = _kernels.peak_search(np.eye(N, dtype=complex), a, np.zeros((2, N), complex),
+                               np.ones(N), E, PT)
     # the same image with the rows swapped: the tie now falls in the first row
-    out = _kernels.peak_search(np.eye(3, dtype=complex), a, np.zeros((1, 3), complex),
-                               np.ones(3), E, PT[:, ::-1].copy())
-    assert out.tolist() == [[0, 0]]
+    swapped = _kernels.peak_search(np.eye(N, dtype=complex), a, np.zeros((1, N), complex),
+                                   np.ones(N), E, PT[:, ::-1].copy())
+    return out.tolist(), swapped.tolist()
+
+
+def test_planted_ties_resolve_to_first_flat_index():
+    assert _planted_ties(0) == ([[0, 1], [0, 1]], [[0, 0]])
+
+
+def test_planted_ties_on_linear_lift():
+    # 9 modes: above QUADRATIC_MAX_MODES, so the rows go through the linear lift
+    assert 3 + 6 > _kernels.QUADRATIC_MAX_MODES
+    assert _planted_ties(6) == ([[0, 1], [0, 1]], [[0, 0]])
 
 
 def test_all_zero_image_peaks_at_origin(workload):
@@ -79,12 +94,17 @@ def test_all_zero_image_peaks_at_origin(workload):
 
 
 @settings(max_examples=80, deadline=None)
-@given(N=st.integers(1, 8), nx=st.integers(1, 12), nz=st.integers(1, 12),
+@given(N=st.integers(1, 12), nx=st.integers(1, 12), nz=st.integers(1, 12),
        T=st.integers(1, 2 * _kernels.ROW_CHUNK + 5),
-       scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1))
-def test_peak_search_equals_full_image_argmax(N, nx, nz, T, scale, seed):
-    # arbitrary complex range factors, not just unit phases: the row bound
-    # carries max_x |E[x, j]|
+       scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]), unit=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_peak_search_equals_full_image_argmax(N, nx, nz, T, scale, unit, seed):
+    # N crosses QUADRATIC_MAX_MODES, so both row lifts run. Range factors
+    # are either the unit phases e^{i beta x} that mc-rate passes or
+    # arbitrary complex ones: the row bound carries max_x |E[x, j]|. One
+    # unit-phase mode gives an image constant in x, whose ties only
+    # rounding breaks, so unit draws have two modes or more.
+    assume(N > 1 or not unit)
     rng = np.random.default_rng(seed)
 
     def cplx(*shape):
@@ -92,7 +112,8 @@ def test_peak_search_equals_full_image_argmax(N, nx, nz, T, scale, seed):
 
     M = N + 2
     G, p, W = cplx(N, M), cplx(M), scale * cplx(T, M)
-    beta, E, PT = rng.uniform(0.1, 1.0, N), cplx(nx, N), rng.standard_normal((N, nz))
+    beta, PT = rng.uniform(0.1, 1.0, N), rng.standard_normal((N, nz))
+    E = np.exp(1j * np.outer(np.linspace(50.0, 150.0, nx), beta)) if unit else cplx(nx, N)
     out = _kernels.peak_search(G, p, W, beta, E, PT)
     C = 2j * beta * np.conj((p + W) @ G.T)
     ref = [divmod(int(np.argmax(np.abs((E * c) @ PT))), nz) for c in C]
@@ -187,21 +208,26 @@ def _reference_error_rates(ecfg, trials):
     return np.array(rates)
 
 
-@pytest.mark.parametrize("name, entries", [
-    pytest.param("vertical", {}, id="vertical"),
-    pytest.param("parabolic", {}, id="parabolic"),
-    pytest.param("horizontal", {}, id="horizontal"),
-    pytest.param("planar_lhs_w07", {}, id="planar_lhs_w07"),
-    pytest.param("vertical", {"reg.kind": "hard"}, id="vertical-hard"),
-    pytest.param("vertical", {"reg.eps": "1e-9"}, id="vertical-eps1e-9"),
+@pytest.mark.parametrize("name, entries, blocks, rest", [
+    pytest.param("vertical", {}, 0, 131, id="vertical"),
+    pytest.param("parabolic", {}, 0, 131, id="parabolic"),
+    pytest.param("horizontal", {}, 0, 131, id="horizontal"),
+    pytest.param("planar_lhs_w07", {}, 1, 3, id="planar_lhs_w07"),
+    pytest.param("planar_lhs_1000", {}, 1, 1, id="planar_lhs_1000"),
+    pytest.param("vertical", {"reg.kind": "hard"}, 0, 131, id="vertical-hard"),
+    pytest.param("vertical", {"reg.eps": "1e-9"}, 0, 131, id="vertical-eps1e-9"),
 ])
-def test_error_rates_match_per_sigma_reference(name, entries):
-    # a partial last block, and (parabolic) a sigma-0 level in the list
-    trials = TRIAL_BLOCK + 3
+def test_error_rates_match_per_sigma_reference(name, entries, blocks, rest):
+    # blocks full trial blocks of the config's receiver count, then rest
+    # trials: one partial block (M = 20, 131 trials), two blocks with a
+    # partial last one (M = 20, 6403 trials), and a last block of one trial
+    # (M = 1000, 129 trials), whose amplitude product is a GEMV. parabolic
+    # has a sigma-0 level in its list.
     cfg = load_config(CFG_DIR / f"{name}.cfg")
     for key, value in entries.items():
         cfg.override(key, value)
     ecfg = build_experiment(cfg)
+    trials = blocks * trial_block(len(ecfg.geometry.points)) + rest
     rates = localization_error_rates(
         ecfg.ms, ecfg.source, ecfg.geometry.points, ecfg.sigmas, trials,
         ecfg.seed, grid=ecfg.grid, reg=ecfg.reg)
