@@ -19,9 +19,9 @@ _EXPORTS = {
     "errors": ("ConfigError", "EmptySpectrum", "GeometryMismatch", "NoGuidedModes",
                "SingularUnregularized", "TooFewReceivers"),
     "estimate": ("CouplingMatrix", "EstimationReport", "HardThreshold", "RegPolicy",
-                 "SensingMatrix", "Tikhonov", "coupling_matrix", "estimate_amplitudes",
-                 "estimator_matrix", "mse_decomposition", "optimal_epsilon",
-                 "project_reduced", "sensing_matrix", "svd_estimate"),
+                 "SensingMatrix", "Tikhonov", "coupling_matrix", "coupling_spectrum",
+                 "estimate_amplitudes", "estimator_matrix", "mse_decomposition",
+                 "optimal_epsilon", "project_reduced", "sensing_matrix", "svd_estimate"),
     "image": ("ImageMap", "SearchGrid", "default_grid", "locate_peak",
               "localization_success", "migrate", "reverse_time"),
     "modes": ("HomogeneousDD", "HomogeneousDN", "ModeSet", "Parabolic", "solve_modes"),

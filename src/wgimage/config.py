@@ -23,12 +23,12 @@ typed values through that table alone; `build_experiment` builds from them.
 """
 
 import math
-from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _record
 from .errors import ConfigError
 from .estimate import HardThreshold, RegPolicy, Tikhonov
 from .image import SearchGrid, default_grid
@@ -286,8 +286,7 @@ def _depth_in_guide(name, mu_z, L, walls):
         _in_guide(name, np.ravel([(b - h, b + h) for b, h in mu_z]), L, (), "the aperture")
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """Everything a runner needs, built and validated."""
 
     values: dict  # typed value of every key read (read_keys), for provenance
@@ -302,6 +301,7 @@ class ExperimentConfig:
     rank_eps: float
     rank_kinds: list
     rank_apertures: dict  # rank kind -> [(a/L, Dense)], see experiments.rank_scan_rows
+    __eq__, __ne__ = _record.eq, _record.ne
 
 
 def build_experiment(cfg):
@@ -335,8 +335,8 @@ def build_experiment(cfg):
         for k, apertures in rank_apertures.items():
             for _, aperture in apertures:
                 _depth_in_guide(depth_keys[k], aperture.mu_z, L, walls)
-    grid = replace(default_grid(ms, v["grid.x_min"], v["grid.x_max"], v["grid.step_fraction"]),
-                   **{k: v[f"grid.{k}"] for k in ("z_min", "z_max") if v[f"grid.{k}"] is not None})
+    grid = default_grid(ms, v["grid.x_min"], v["grid.x_max"], v["grid.step_fraction"])._replace(
+        **{k: v[f"grid.{k}"] for k in ("z_min", "z_max") if v[f"grid.{k}"] is not None})
     for lo, hi in (("x_min", "x_max"), ("z_min", "z_max")):
         if not getattr(grid, lo) < getattr(grid, hi):
             raise ConfigError(f"grid.{lo} must be < grid.{hi}, "

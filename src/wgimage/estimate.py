@@ -21,16 +21,25 @@ model: sincs for the homogeneous ones, exact Hermite-function segment
 integrals for the parabolic one). So every Gram is closed form, with no
 quadrature and no tolerance.
 
+One Gram, `_gram`, feeds two paths. Estimation uses `coupling_matrix`,
+its full eigendecomposition. The printed spectra of dense apertures
+(`spectrum`, `rank-scan`) use `coupling_spectrum`, eigenvalues alone,
+which LAPACK computes by another algorithm at a fraction of the cost:
+the two lists agree to round-off, about N eps d_0, not bit for bit. A
+receiver set's printed spectrum is the singular values of
+`sensing_matrix`.
+
 Spectral conventions, fixed for reproducibility: eigenvalues and
 singular values in descending order, and each eigen/singular vector
 phased so its largest-modulus entry is real positive.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import _record
 from .errors import GeometryMismatch, SingularUnregularized, TooFewReceivers
 from .modes import HomogeneousDD, HomogeneousDN, hermite_derivative, hermite_functions
 from .synth import Discrete, FieldSamples, geometry_equal, mode_traces
@@ -44,11 +53,15 @@ SERIES_TERMS = 15
 # ---------------------------------------------------------------------------
 # regularizers
 
-@dataclass(frozen=True)
-class Tikhonov:
+class _Regularizer(NamedTuple):
+    eps: float
+    __eq__, __ne__ = _record.eq, _record.ne
+
+
+class Tikhonov(_Regularizer):
     """psi_eps(d) = d / (d^2 + eps^2)."""
 
-    eps: float
+    __slots__ = ()
 
     def filter(self, d):
         d = np.asarray(d, dtype=float)
@@ -64,12 +77,11 @@ class Tikhonov:
         return e2 / (d * d + e2)
 
 
-@dataclass(frozen=True)
-class HardThreshold:
+class HardThreshold(_Regularizer):
     """psi_eps(d) = (1/d) 1{d > eps}; eps = 0 gives the Moore-Penrose
     convention (zero weight on nonpositive spectrum)."""
 
-    eps: float
+    __slots__ = ()
 
     def filter(self, d):
         d = np.asarray(d, dtype=float)
@@ -89,13 +101,13 @@ def heuristic_eps(sigma_meas, a_o):
     return sigma_meas * np.sqrt(a_o.size) / np.linalg.norm(a_o)
 
 
-@dataclass(frozen=True)
-class RegPolicy:
+class RegPolicy(NamedTuple):
     """Regularizer choice at any noise level: kind is Tikhonov,
     HardThreshold or None (plain inversion); eps=None means heuristic_eps."""
 
     kind: type = Tikhonov
     eps: float = None
+    __eq__, __ne__ = _record.eq, _record.ne
 
     def regularizer(self, sigma_meas, a_o):
         """kind(eps) for measurement noise sigma_meas, or None."""
@@ -138,8 +150,7 @@ def _fix_phases(V):
     return V * c[None, :], c
 
 
-@dataclass
-class CouplingMatrix:
+class CouplingMatrix(NamedTuple):
     """Hermitian PSD matrix A_jl = integral over the array of the mode
     trace products, with its eigendecomposition A = V diag(d) V^dag."""
 
@@ -147,10 +158,10 @@ class CouplingMatrix:
     V: np.ndarray
     d: np.ndarray
     geometry: object
+    __eq__, __ne__ = _record.eq, _record.ne
 
 
-@dataclass
-class SensingMatrix:
+class SensingMatrix(NamedTuple):
     """Receiver-by-mode matrix B_kj = phi_j(z_k) e^{-i beta_j x_k} with
     its thin SVD B = U diag(s) V^dag. B is always complex; U and V are
     real when every receiver sits at x = 0, where B has no imaginary part."""
@@ -160,14 +171,7 @@ class SensingMatrix:
     s: np.ndarray
     V: np.ndarray
     points: np.ndarray
-
-
-def _eigh_descending(A):
-    A = 0.5 * (A + A.conj().T)
-    d, V = np.linalg.eigh(A)
-    d, V = d[::-1], V[:, ::-1]
-    V, _ = _fix_phases(V)
-    return A, V, d
+    __eq__, __ne__ = _record.eq, _record.ne
 
 
 def _sinc(x):
@@ -275,8 +279,9 @@ def _hermite_segment(ms, b, h):
     return J / (2.0 * h)
 
 
-def coupling_matrix(ms, geom):
-    """Build A for an array geometry.
+def _gram(ms, geom):
+    """The coupling matrix A of an array geometry, symmetrized to
+    (A + A^dag)/2.
 
     A Discrete receiver set uses the exact Gram (1/M) B^dag B. A Dense
     aperture's Gram is the elementwise product A = X (.) Z of the range
@@ -289,8 +294,22 @@ def coupling_matrix(ms, geom):
         A = B.conj().T @ B / geom.points.shape[0]
     else:
         A = _depth_factor(ms, geom.mu_z) * _range_factor(ms, geom.mu_x)
-    A, V, d = _eigh_descending(A)
-    return CouplingMatrix(A=A, V=V, d=d, geometry=geom)
+    return 0.5 * (A + A.conj().T)
+
+
+def coupling_matrix(ms, geom):
+    """A for an array geometry (see `_gram`) with its eigendecomposition,
+    for estimation."""
+    A = _gram(ms, geom)
+    d, V = np.linalg.eigh(A)
+    V, _ = _fix_phases(V[:, ::-1])
+    return CouplingMatrix(A=A, V=V, d=d[::-1], geometry=geom)
+
+
+def coupling_spectrum(ms, geom):
+    """Eigenvalues of A for an array geometry, descending: the same
+    symmetrized Gram as `coupling_matrix`, without eigenvectors."""
+    return np.linalg.eigvalsh(_gram(ms, geom))[::-1]
 
 
 def _backproject(fs, cm, ms):
@@ -351,12 +370,12 @@ def estimator_matrix(sm, reg):
 # ---------------------------------------------------------------------------
 # error analysis
 
-@dataclass
-class EstimationReport:
+class EstimationReport(NamedTuple):
     bias_sq: float
     variance: float
     mse: float
     spectrum: np.ndarray
+    __eq__, __ne__ = _record.eq, _record.ne
 
 
 def mse_decomposition(op, a_o, sigma, eps):

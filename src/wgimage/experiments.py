@@ -26,7 +26,7 @@ from . import _kernels, io
 from .errors import ConfigError
 from .estimate import (
     RegPolicy,
-    coupling_matrix,
+    coupling_spectrum,
     estimator_matrix,
     sensing_matrix,
     svd_estimate,
@@ -178,7 +178,7 @@ def run_spectrum(ecfg, outdir):
     if isinstance(ecfg.geometry, Discrete):
         spectrum = sensing_matrix(ecfg.ms, ecfg.geometry.points).s
     else:
-        spectrum = coupling_matrix(ecfg.ms, ecfg.geometry).d
+        spectrum = coupling_spectrum(ecfg.ms, ecfg.geometry)
     rank = effective_rank(spectrum, ecfg.rank_eps)
     io.write_spectrum_csv(f"{outdir}/spectrum.csv", spectrum, _meta(ecfg))
     for i, v in enumerate(spectrum):
@@ -251,7 +251,7 @@ def rank_scan_rows(ms, kind, apertures):
     eigenvalues at or above RANK_LEVEL[kind] times the top one."""
     rows = []
     for r, aperture in apertures:
-        d = coupling_matrix(ms, aperture).d
+        d = coupling_spectrum(ms, aperture)
         segments = aperture.mu_z if kind == "vertical" else aperture.mu_x
         predicted = dense_rank_prediction(kind, segments, ms.lambda_o, ms.n_modes)
         rows.append((r, predicted, effective_rank(d, RANK_LEVEL[kind] * d[0])))

@@ -6,10 +6,11 @@ at the source position with a spot width at the resolution limit of
 half a wavelength.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import _record
 from .errors import GeometryMismatch
 from .estimate import _backproject
 from .modes import Parabolic
@@ -22,24 +23,35 @@ def _axis(lo, hi, step):
     return lo + step * np.arange(n)
 
 
-@dataclass(frozen=True)
-class SearchGrid:
-    """Rectangular grid x_min..x_max by z_min..z_max with steps dx, dz.
-
-    The x range must sit beyond the array aperture so the migrated field
-    is purely outgoing over the region.
-    """
-
+class _Box(NamedTuple):
     x_min: float
     x_max: float
     z_min: float
     z_max: float
     dx: float
     dz: float
+    __eq__, __ne__ = _record.eq, _record.ne
 
-    def __post_init__(self):
-        if self.dx <= 0 or self.dz <= 0:
+
+class SearchGrid(_Box):
+    """Rectangular grid x_min..x_max by z_min..z_max with steps dx, dz.
+
+    The x range must sit beyond the array aperture so the migrated field
+    is purely outgoing over the region. Steps must be positive, also in
+    a grid made by `_replace`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x_min, x_max, z_min, z_max, dx, dz):
+        if dx <= 0 or dz <= 0:
             raise ValueError("grid steps must be positive")
+        return super().__new__(cls, x_min, x_max, z_min, z_max, dx, dz)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds its result here; a plain namedtuple skips __new__
+        return cls(*iterable)
 
     @property
     def x(self):
@@ -62,12 +74,12 @@ def default_grid(ms, x_min=50.0, x_max=150.0, step_fraction=20.0):
     return SearchGrid(x_min, x_max, z_min, z_max, h, h)
 
 
-@dataclass
-class ImageMap:
+class ImageMap(NamedTuple):
     """Complex image values indexed [ix, iz] on a SearchGrid."""
 
     values: np.ndarray
     grid: SearchGrid
+    __eq__, __ne__ = _record.eq, _record.ne
 
     def normalize(self):
         """Modulus divided by its maximum, as plotted in the figures; a

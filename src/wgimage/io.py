@@ -14,7 +14,6 @@ line is built once per grid, so only the value column is substituted.
 at a time, never all rows. Image rows are x-major: z varies fastest.
 """
 
-import hashlib
 from itertools import chain, islice
 
 import numpy as np
@@ -25,6 +24,12 @@ BLOCK_ROWS = 4096
 
 def config_digest(text):
     """12-hex-character digest identifying a configuration text."""
+    # imported here, not at module level: hashlib loads OpenSSL, a few ms
+    # that only a CSV header needs, so `modes` and a bare `import
+    # wgimage.cli` skip it. mc-rate loads it anyway, through the hmac
+    # module that numpy.random imports.
+    import hashlib
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 

@@ -8,23 +8,29 @@ line. Mode profiles, transverse and axial wavenumbers are exact closed
 forms; no numerical eigensolver is involved.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import _record
 from .errors import NoGuidedModes
 
 
-@dataclass(frozen=True)
-class HomogeneousDD:
-    """Constant speed c_o on [0, L], Dirichlet at z=0 and z=L."""
+class _Guide(NamedTuple):
+    """Scale L and reference sound speed c_o of a waveguide model."""
 
     L: float
     c_o: float = 1.0
+    __eq__, __ne__ = _record.eq, _record.ne
 
 
-@dataclass(frozen=True)
-class HomogeneousDN:
+class HomogeneousDD(_Guide):
+    """Constant speed c_o on [0, L], Dirichlet at z=0 and z=L."""
+
+    __slots__ = ()
+
+
+class HomogeneousDN(_Guide):
     """Constant speed c_o on [0, L], Neumann at z=0, Dirichlet at z=L.
 
     The cos((j-1/2)pi z/L) basis is a standard choice for this pair of
@@ -32,16 +38,13 @@ class HomogeneousDN:
     reference solution.
     """
 
-    L: float
-    c_o: float = 1.0
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Parabolic:
+class Parabolic(_Guide):
     """Parabolic index profile with scale L: 1/c^2(z) = (1/c_o^2)(1 - z^2/L^2)."""
 
-    L: float
-    c_o: float = 1.0
+    __slots__ = ()
 
 
 def hermite_functions(mmax, s):

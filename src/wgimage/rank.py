@@ -9,10 +9,11 @@ wavelength, and the dispersion-relation collapse of the moment span.
 """
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from . import _record
 from .errors import EmptySpectrum
 from .modes import ModeSet
 
@@ -51,11 +52,11 @@ def dense_rank_prediction(kind, intervals, lambda_o, N):
 # ---------------------------------------------------------------------------
 # small-array Taylor predictions
 
-@dataclass(frozen=True)
-class TaylorRank:
+class TaylorRank(NamedTuple):
     Q: int
     linear: int
     planar: int
+    __eq__, __ne__ = _record.eq, _record.ne
 
 
 def taylor_rank_prediction(k_o_a, eps, n_cap=None):
@@ -88,17 +89,22 @@ def taylor_rank_prediction(k_o_a, eps, n_cap=None):
 # ---------------------------------------------------------------------------
 # moment family and span collapse
 
-@dataclass
 class MomentFamily:
     """Taylor moments of the sensing matrix about (0, z_a):
     u_{q,q'} = (beta_j^q phi_j^(q')(z_a))_j over modes and
     v_{q,q'} = (i^q/(q! q'!)) (x_k^q (z_k - z_a)^{q'})_k over receivers,
-    for q + q' <= Q - 1, so that B ~ sum conj(v_{q,q'}) u_{q,q'}^T."""
+    for q + q' <= Q - 1, so that B ~ sum conj(v_{q,q'}) u_{q,q'}^T.
+    u and v default to new empty dicts, keyed by (q, q')."""
 
-    Q: int
-    z_a: float
-    u: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    __slots__ = ("Q", "z_a", "u", "v")
+
+    def __init__(self, Q, z_a, u=None, v=None):
+        self.Q, self.z_a = Q, z_a
+        self.u = {} if u is None else u
+        self.v = {} if v is None else v
+
+    def __repr__(self):
+        return f"MomentFamily(Q={self.Q!r}, z_a={self.z_a!r}, u={self.u!r}, v={self.v!r})"
 
     def reconstruct(self):
         """Rank-(#terms) approximation sum_{q+q'<=Q-1} conj(v) u^T of B."""
@@ -126,12 +132,12 @@ def moment_family(ms: ModeSet, z_a, points, Q):
     return mf
 
 
-@dataclass
-class SpanRank:
+class SpanRank(NamedTuple):
     rank: int
     expected: int
     gap: float
     spectrum: np.ndarray
+    __eq__, __ne__ = _record.eq, _record.ne
 
 
 def span_rank_collapse(mf: MomentFamily):

@@ -8,43 +8,54 @@ integrals of data are plain weighted sums. Field synthesis is the
 guided-mode sum.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from . import _record
 
 # Gauss-Legendre nodes per quarter-wavelength panel: 64 per wavelength
 PANEL_NODES = 16
 PANEL_WAVELENGTHS = 0.25
 
 
-@dataclass(frozen=True)
-class PointSource:
+class PointSource(NamedTuple):
     x_o: float
     z_o: float
+    __eq__, __ne__ = _record.eq, _record.ne
 
 
-@dataclass(frozen=True, eq=False)
 class Discrete:
-    """Finite receiver set; mu puts weight 1/M on each point."""
+    """Finite receiver set; mu puts weight 1/M on each point. Frozen, and
+    equal only to itself (`geometry_equal` compares points)."""
 
-    points: np.ndarray  # (M, 2) columns x, z
+    __slots__ = ("points",)  # (M, 2) columns x, z
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", np.atleast_2d(np.asarray(self.points, dtype=float)))
+    def __init__(self, points):
+        object.__setattr__(self, "points", np.atleast_2d(np.asarray(points, dtype=float)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen Discrete")
+
+    def __repr__(self):
+        return f"Discrete(points={self.points!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as __setattr__ refuses
+        return Discrete, (self.points,)
 
 
-@dataclass(frozen=True)
-class Dense:
+class Dense(NamedTuple):
     """Dense aperture with product measure mu_x (x) mu_z. Each factor is a
     tuple of segments (b, h), uniform on [b - h, b + h] with mass
     proportional to h, or a number: a unit point mass at that coordinate."""
 
     mu_x: object
     mu_z: object
+    __eq__, __ne__ = _record.eq, _record.ne
 
 
-@dataclass
-class FieldSamples:
+class FieldSamples(NamedTuple):
     """Complex field values on an array's sample points.
 
     For Discrete geometries the samples are the receivers themselves;
@@ -56,6 +67,7 @@ class FieldSamples:
     points: np.ndarray   # (K, 2)
     weights: np.ndarray  # (K,)
     values: np.ndarray   # (K,) complex
+    __eq__, __ne__ = _record.eq, _record.ne
 
 
 def geometry_equal(g1, g2):

@@ -85,6 +85,14 @@ def test_package_import_loads_no_numpy_and_keeps_environment():
     assert run([sys.executable, "-c", code], child_env()).split() == ["False", "True"]
 
 
+def test_cli_import_generates_no_record_code():
+    # the records are NamedTuples or slotted classes: nothing imports
+    # dataclasses (numpy does not either), whose decorator writes and
+    # compiles methods for every class at import
+    code = "import sys, wgimage.cli\nprint('dataclasses' in sys.modules)\n"
+    assert run([sys.executable, "-c", code], child_env()).split() == ["False"]
+
+
 def test_lazy_exports_resolve():
     # in a fresh interpreter, so each name goes through the module __getattr__
     code = ("import wgimage\n"

@@ -16,8 +16,10 @@ from wgimage import io
 from wgimage.cli import main
 from wgimage.config import KEYS, build_experiment, load_config, parse_config_text, read_keys
 from wgimage.experiments import (
+    RANK_LEVEL,
     localization_error_rates,
     mode_table,
+    rank_scan_rows,
     run_image,
     threshold_sigma,
 )
@@ -606,6 +608,43 @@ def test_cli_rank_scan_caps_at_mode_count(tmp_path, capsys):
     assert float(pred) == ms.n_modes  # 4 (a/L) N > N gets capped
     # a/L = 1/2 is the full depth aperture: flat spectrum, every mode counts
     assert int(meas) == ms.n_modes
+
+
+def _no_eigh(*args, **kwargs):
+    raise AssertionError("printed spectra need no eigenvectors")
+
+
+def test_dense_spectrum_takes_eigenvalues_only(tmp_path, monkeypatch, capsys):
+    # L = 1000 horizontal aperture, 318 modes: the eigenvalue-only path
+    # agrees with the eigendecomposition to round-off, n eps d_0
+    cfg = tmp_path / "dense.cfg"
+    cfg.write_text("waveguide.L = 1000\nomega = 1\narray.kind = dense_horizontal\n"
+                   "array.a = 100\narray.z_a = 432.1\n")
+    ecfg = build_experiment(load_config(str(cfg)))
+    d = wg.coupling_matrix(ecfg.ms, ecfg.geometry).d
+    assert d.size == 318
+    floor = d.size * np.finfo(float).eps * d[0]
+    monkeypatch.setattr(np.linalg, "eigh", _no_eigh)
+    spectrum = wg.coupling_spectrum(ecfg.ms, ecfg.geometry)
+    assert np.all(np.diff(spectrum) <= 0)
+    assert np.abs(spectrum - d).max() <= floor
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert lines[4:] == [f"{i},{v:.12g}" for i, v in enumerate(spectrum, start=1)]
+    assert capsys.readouterr().out.splitlines()[:318] == [
+        f"{i},{v:.6g}" for i, v in enumerate(spectrum, start=1)]
+
+
+def test_rank_scan_counts_equal_eigh_counts(monkeypatch):
+    ecfg = build_experiment(load_config(f"{CFG_DIR}/rank_scan.cfg"))
+    expected = {}
+    for kind in ecfg.rank_kinds:
+        ds = [wg.coupling_matrix(ecfg.ms, aperture).d for _, aperture in ecfg.rank_apertures[kind]]
+        expected[kind] = [wg.effective_rank(d, RANK_LEVEL[kind] * d[0]) for d in ds]
+    monkeypatch.setattr(np.linalg, "eigh", _no_eigh)
+    for kind in ecfg.rank_kinds:
+        rows = rank_scan_rows(ecfg.ms, kind, ecfg.rank_apertures[kind])
+        assert [measured for _, _, measured in rows] == expected[kind]
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):

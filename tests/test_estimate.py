@@ -212,9 +212,11 @@ def test_unregularized_inversion_refuses_singular_spectrum(
 def test_reg_policy_picks_regularizer(ms_dd20, src_ref, vertical_points):
     a_o = wg.source_amplitudes(ms_dd20, src_ref)
     heur = heuristic_eps(1e-3, a_o)
-    assert wg.RegPolicy().regularizer(1e-3, a_o) == wg.Tikhonov(heur)
-    assert wg.RegPolicy(wg.HardThreshold).regularizer(1e-3, a_o) == wg.HardThreshold(heur)
-    assert wg.RegPolicy(wg.Tikhonov, 0.5).regularizer(1e-3, a_o) == wg.Tikhonov(0.5)
+    for policy, expected in ((wg.RegPolicy(), wg.Tikhonov(heur)),
+                             (wg.RegPolicy(wg.HardThreshold), wg.HardThreshold(heur)),
+                             (wg.RegPolicy(wg.Tikhonov, 0.5), wg.Tikhonov(0.5))):
+        reg = policy.regularizer(1e-3, a_o)
+        assert type(reg) is type(expected) and reg == expected
     assert wg.RegPolicy(None, 0.5).regularizer(1e-3, a_o) is None
     # G p is the same estimate as svd_estimate
     sm = wg.sensing_matrix(ms_dd20, vertical_points)
