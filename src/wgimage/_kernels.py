@@ -93,6 +93,17 @@ def _linear_lift(C, E, PT):
     return Q, P, F
 
 
+def amplitudes(G, p, W):
+    """(p + W) @ G.T, one row per noise row of W, with at least two rows
+    in the product: OpenBLAS runs a one-row product as a GEMV, whose sums
+    round otherwise, and the GEMM gives every row the same bits in any
+    block, so any slice of trials recomputes its amplitudes exactly."""
+    X = p + W
+    if X.shape[0] == 1:
+        return (np.concatenate((X, X)) @ G.T)[:1]
+    return X @ G.T
+
+
 def peak_search(G, p, W, beta, E, PT):
     """Per-trial image peak indices.
 
@@ -108,7 +119,7 @@ def peak_search(G, p, W, beta, E, PT):
     E: (nx, N) range phases e^{i beta x}; PT: (N, nz) real profile transpose
     returns (T, 2) int64 grid indices
     """
-    C = 2j * beta * np.conj((p + W) @ G.T)
+    C = 2j * beta * np.conj(amplitudes(G, p, W))
     T, N = C.shape
     nx, nz = E.shape[0], PT.shape[1]
     # (T, nz) row bounds; a visited row's entry is set to -inf

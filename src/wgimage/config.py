@@ -37,6 +37,7 @@ from .synth import (
     Dense,
     Discrete,
     PointSource,
+    array_x_max,
     horizontal_line,
     lhs_design,
     vertical_line,
@@ -321,6 +322,12 @@ def build_experiment(cfg):
               "horizontal": lambda a: Dense(((a, a),), rank_z_a)}
     rank_apertures = {k: [(r, shapes[k](r * L)) for r in v[ratio_keys[k]]]
                       for k in v["rank.kinds"]}
+    # the data model is the field of a source beyond the array, at larger x
+    if source is not None and geometry is not None:
+        reach = array_x_max(geometry)
+        if not source.x_o > reach:
+            raise ConfigError(f"source.x = {source.x_o:g} must lie beyond the array, "
+                              f"which reaches x = {reach:g}")
     if not isinstance(spec, Parabolic):  # the graded guide is unbounded in depth
         walls = (L,) if isinstance(spec, HomogeneousDN) else (0.0, L)
         if source is not None:

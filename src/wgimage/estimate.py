@@ -19,15 +19,20 @@ factor Z_jl = int phi_j phi_l dmu_z (outer(phi(z_0), phi(z_0)) for a
 depth point mass z_0, and closed form over depth segments for every
 model: sincs for the homogeneous ones, exact Hermite-function segment
 integrals for the parabolic one). So every Gram is closed form, with no
-quadrature and no tolerance.
+quadrature and no tolerance. The homogeneous alpha are evenly spaced, so
+alpha_j -+ alpha_l take only 2N - 1 values each, and their depth factor
+is a Toeplitz plus a Hankel matrix gathered from cos and sinc at those
+values alone.
 
 One Gram, `_gram`, feeds two paths. Estimation uses `coupling_matrix`,
-its full eigendecomposition. The printed spectra of dense apertures
-(`spectrum`, `rank-scan`) use `coupling_spectrum`, eigenvalues alone,
-which LAPACK computes by another algorithm at a fraction of the cost:
-the two lists agree to round-off, about N eps d_0, not bit for bit. A
-receiver set's printed spectrum is the singular values of
-`sensing_matrix`.
+its full eigendecomposition, at the aperture's true position. The
+printed spectra of dense apertures (`spectrum`, `rank-scan`) use
+`coupling_spectrum`, eigenvalues alone, which LAPACK computes by another
+algorithm at a fraction of the cost. It first moves a point-mass or
+one-segment range measure to x = 0, a unitary similarity that keeps the
+eigenvalues and makes the Gram real. The two lists agree to round-off,
+about N eps d_0, not bit for bit. A receiver set's printed spectrum is
+the singular values of `sensing_matrix`.
 
 Spectral conventions, fixed for reproducibility: eigenvalues and
 singular values in descending order, and each eigen/singular vector
@@ -38,6 +43,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _record
 from .errors import GeometryMismatch, SingularUnregularized, TooFewReceivers
@@ -191,14 +197,15 @@ def _segment_sum(segments, term):
 def _range_factor(ms, mu_x):
     """X_jl = int e^{i(beta_j - beta_l) x} dmu_x with db = beta_j - beta_l:
     e^{i db x0} for a point mass at x0, and over each segment (b, h) the
-    average e^{i db b} sinc(db h). At x0 = 0 X is the scalar 1, which
-    keeps a Gram at x = 0 real."""
+    average e^{i db b} sinc(db h). Centred at x = 0, X is real: the
+    scalar 1 for a point mass, sinc(db h) for a segment."""
     if np.isscalar(mu_x) and mu_x == 0:
         return 1.0
     db = ms.beta[:, None] - ms.beta[None, :]
     if np.isscalar(mu_x):
         return np.exp(1j * db * mu_x)
-    return _segment_sum(mu_x, lambda b, h: np.exp(1j * db * b) * _sinc(db * h))
+    return _segment_sum(mu_x, lambda b, h: _sinc(db * h) if b == 0
+                        else np.exp(1j * db * b) * _sinc(db * h))
 
 
 def _depth_factor(ms, mu_z):
@@ -207,10 +214,13 @@ def _depth_factor(ms, mu_z):
     A point mass at z_0 gives outer(phi(z_0), phi(z_0)). Over segments
     every basis has a closed form. For the homogeneous ones, for each
     segment (b, h), (1/(2h)) int_{b-h}^{b+h} phi_j phi_l dz
-    = (1/L)[cos(da b) sinc(da h) -+ cos(sa b) sinc(sa h)]
-    with da = a_j - a_l, sa = a_j + a_l, and the sign - for the sin
-    (Dirichlet-Dirichlet) basis, + for the cos (Neumann-Dirichlet) one.
-    The parabolic one is `_hermite_segment`.
+    = (1/L)[f(a_j - a_l) -+ f(a_j + a_l)], f(x) = cos(x b) sinc(x h),
+    with the sign - for the sin (Dirichlet-Dirichlet) basis, + for the
+    cos (Neumann-Dirichlet) one. The alpha are evenly spaced, so the
+    differences take the N values a_k - a_0 at k = |j - l| and the sums
+    the 2N - 1 values a_0 + a_k, a_{N-1} + a_k at k = j + l: f is
+    evaluated on those alone, and Z is a Toeplitz plus a Hankel matrix.
+    The parabolic basis is `_hermite_segment`.
     """
     if np.isscalar(mu_z):
         phi = ms.profile_matrix(mu_z)[0]
@@ -218,12 +228,16 @@ def _depth_factor(ms, mu_z):
     spec = ms.spec
     if not isinstance(spec, (HomogeneousDD, HomogeneousDN)):
         return _segment_sum(mu_z, lambda b, h: _hermite_segment(ms, b, h))
-    sign = -1.0 if isinstance(spec, HomogeneousDD) else 1.0
     al = ms.alpha
-    dm = al[:, None] - al[None, :]
-    dp = al[:, None] + al[None, :]
-    return _segment_sum(mu_z, lambda b, h: np.cos(dm * b) * _sinc(dm * h)
-                        + sign * (np.cos(dp * b) * _sinc(dp * h))) / spec.L
+    n = al.size
+    x = np.concatenate((al - al[0], al[0] + al, al[-1] + al[1:]))
+    f = _segment_sum(mu_z, lambda b, h: np.cos(x * b) * _sinc(x * h)) / spec.L
+    diff, total = f[:n], f[n:]
+    if isinstance(spec, HomogeneousDD):
+        total = -total
+    # [j, l] -> diff[|j - l|] and total[j + l], as strided views
+    toeplitz = sliding_window_view(np.concatenate((diff[:0:-1], diff)), n)[::-1]
+    return toeplitz + sliding_window_view(total, n)
 
 
 def _derivative_stack(ms, b):
@@ -306,9 +320,24 @@ def coupling_matrix(ms, geom):
     return CouplingMatrix(A=A, V=V, d=d[::-1], geometry=geom)
 
 
+def _centred(mu_x):
+    """A point mass or one-segment range measure moved to x = 0; any
+    other measure as it is."""
+    if np.isscalar(mu_x):
+        return 0.0
+    if len(mu_x) == 1:
+        return ((0.0, mu_x[0][1]),)
+    return mu_x
+
+
 def coupling_spectrum(ms, geom):
-    """Eigenvalues of A for an array geometry, descending: the same
-    symmetrized Gram as `coupling_matrix`, without eigenvectors."""
+    """Eigenvalues of A for an array geometry, descending, without
+    eigenvectors. A dense aperture's range measure is first centred
+    (`_centred`): a translation by c is the unitary similarity
+    A -> D A D^dag, D = diag(e^{-i beta_j c}), which keeps the eigenvalues
+    and makes the range factor, and so the Gram, real."""
+    if not isinstance(geom, Discrete):
+        geom = geom._replace(mu_x=_centred(geom.mu_x))
     return np.linalg.eigvalsh(_gram(ms, geom))[::-1]
 
 

@@ -11,11 +11,12 @@ unit complex noise Z_t (real and imaginary parts standard normal) from
 the Philox stream keyed on the pair (seed, t): key = seed, counter =
 (0, 0, t, 0). At relative level sigma the noise on data p is
 s_meas / sqrt(2) * Z_t, with s_meas = sigma * max|p| (`noise_scale`).
-A single imaging pass uses trial 0. Trials are order-independent, and
-any slice of them can be recomputed in isolation. The Monte Carlo loop
-runs over blocks of trial_block(M) trials, at most BLOCK_VALUES noise
-values each (one trial if M is larger), and draws each Z_t once, for
-every sigma.
+A single imaging pass uses trial 0, and draws nothing at sigma 0.
+Trials are order-independent, and any slice of them, a single trial
+included, recomputes the same amplitudes (`_kernels.amplitudes`). The
+Monte Carlo loop runs over blocks of trial_block(M) trials, at most
+BLOCK_VALUES noise values each (one trial if M is larger), and draws
+each Z_t once, for every sigma.
 """
 
 import functools
@@ -33,7 +34,7 @@ from .estimate import (
 )
 from .image import default_grid, locate_peak, localization_success, migrate
 from .rank import dense_rank_prediction, effective_rank
-from .synth import Discrete, source_amplitudes
+from .synth import Discrete, array_x_max, source_amplitudes
 
 
 def mode_table(ms):
@@ -188,11 +189,22 @@ def run_spectrum(ecfg, outdir):
 
 
 def _receiver_points(ecfg, command):
-    """Receiver points of a config that has a receiver set and a source."""
+    """Receiver points of a config that has a receiver set, and a search
+    grid beyond it that holds the source."""
     if ecfg.geometry is None or ecfg.source is None:
         raise ConfigError(f"{command} experiment needs array.* and source.* keys")
     if not isinstance(ecfg.geometry, Discrete):
         raise ConfigError(f"{command} experiment runs on receiver-set geometries")
+    grid, src = ecfg.grid, ecfg.source
+    reach = array_x_max(ecfg.geometry)
+    if not grid.x_min > reach:
+        raise ConfigError(f"grid.x_min = {grid.x_min:g} must lie beyond the array, "
+                          f"which reaches x = {reach:g}")
+    for axis, at in (("x", src.x_o), ("z", src.z_o)):
+        lo, hi = getattr(grid, f"{axis}_min"), getattr(grid, f"{axis}_max")
+        if not lo <= at <= hi:
+            raise ConfigError(f"source.{axis} = {at:g} lies outside the search grid, "
+                              f"{axis} in [{lo:g}, {hi:g}] (grid.{axis}_min, grid.{axis}_max)")
     return ecfg.geometry.points
 
 
@@ -200,9 +212,10 @@ def run_image(ecfg, outdir):
     """Single noisy-data imaging pass at the first configured relative
     noise level (0 when noise.sigmas is empty).
 
-    Records data on the receivers, adds the trial-0 noise draw, builds
-    the regularized estimate, migrates it, and locates the peak. Writes
-    image.csv and prints the peak with its half-wavelength success flag."""
+    Records data on the receivers, adds the trial-0 noise draw (none at
+    sigma 0), builds the regularized estimate, migrates it, and locates
+    the peak. Writes image.csv and prints the peak with its
+    half-wavelength success flag."""
     points = _receiver_points(ecfg, "image")
     ms, src = ecfg.ms, ecfg.source
     sigma = ecfg.sigmas[0] if ecfg.sigmas else 0.0
@@ -210,7 +223,8 @@ def run_image(ecfg, outdir):
     a_o = source_amplitudes(ms, src)
     p = sm.B @ a_o
     s_meas = noise_scale(sigma, p)
-    w = s_meas / np.sqrt(2.0) * _trial_noise(p.size, ecfg.seed, 0)
+    # noiseless data skip the draw, and numpy.random stays unloaded
+    w = s_meas / np.sqrt(2.0) * _trial_noise(p.size, ecfg.seed, 0) if s_meas else 0.0
     a = svd_estimate(p + w, sm, ecfg.reg.regularizer(s_meas, a_o))
     im = migrate(a, ms, ecfg.grid)
     x, z, value = locate_peak(im)

@@ -78,6 +78,15 @@ def geometry_equal(g1, g2):
     return g1 == g2
 
 
+def array_x_max(geometry):
+    """Largest range x of an array: of its receivers, or of a dense
+    aperture's range factor."""
+    if isinstance(geometry, Discrete):
+        return float(geometry.points[:, 0].max())
+    mu_x = geometry.mu_x
+    return float(mu_x) if np.isscalar(mu_x) else max(b + h for b, h in mu_x)
+
+
 def _segment_nodes(segments, lambda_o):
     """Composite Gauss-Legendre nodes/weights over a union of segments,
     normalized to total mass 1 (weights proportional to segment length).

@@ -1,5 +1,7 @@
 """The CLI runs BLAS on one thread unless the environment says otherwise,
 and `import wgimage` alone loads no numpy and leaves the environment be.
+A process that runs the CLI freezes its import heap; an explicit argv
+leaves the collector alone. A noiseless image loads no numpy.random.
 
 The checks run in child interpreters, each with an explicit environment
 that drops the three BLAS variables unless the test sets them: importing
@@ -17,6 +19,7 @@ import wgimage
 
 ROOT = Path(__file__).resolve().parent.parent
 PLANAR_LHS = str(ROOT / "configs" / "planar_lhs.cfg")
+VERTICAL = str(ROOT / "configs" / "vertical.cfg")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # prints the thread count of the OpenBLAS this process has loaded (None
@@ -120,3 +123,36 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
         outputs.append((stdout, csvs))
     assert sorted(outputs[0][1]) == ["image.csv", "spectrum.csv"]
     assert outputs[0] == outputs[1]
+
+
+def test_cli_process_freezes_its_import_heap(tmp_path, console_script):
+    # main() without argv, as `python -m wgimage.cli` and the script call it
+    tail = ("main()\n"
+            "import gc\n"
+            "print(gc.get_freeze_count() > 0)\n")
+    bindir = console_script(tail)
+    env = child_env()
+    env["PATH"] = os.pathsep.join([str(bindir), env.get("PATH", os.defpath)])
+    out = run(["wgimage", "modes", "--config", VERTICAL], env, cwd=tmp_path)
+    assert out.split()[-1] == "True"
+
+
+@pytest.mark.parametrize("prelude", ["", "gc.disable()"], ids=["enabled", "disabled"])
+def test_explicit_argv_leaves_the_collector_alone(prelude):
+    code = ("import gc\n"
+            f"{prelude}\n"
+            "enabled = gc.isenabled()\n"
+            "import wgimage.cli\n"
+            "imported = gc.get_freeze_count()\n"
+            f"wgimage.cli.main(['modes', '--config', {VERTICAL!r}])\n"
+            "print(imported, gc.get_freeze_count(), gc.isenabled() == enabled)\n")
+    assert run([sys.executable, "-c", code], child_env()).split()[-3:] == ["0", "0", "True"]
+
+
+@pytest.mark.parametrize("sigma, loaded", [("0", "False"), ("1e-6", "True")])
+def test_noiseless_image_loads_no_random(tmp_path, sigma, loaded):
+    code = ("import sys\n"
+            "from wgimage.cli import main\n"
+            f"main(['image', '--config', {VERTICAL!r}, '--sigma', {sigma!r}, '--out', 'out'])\n"
+            "print('numpy.random' in sys.modules)\n")
+    assert run([sys.executable, "-c", code], child_env(), cwd=tmp_path).split()[-1] == loaded

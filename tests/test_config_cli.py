@@ -193,6 +193,23 @@ def test_scale_and_grid_keys_rejected(tmp_path, capsys, key, entries):
     assert not (tmp_path / "image.csv").exists()
 
 
+@pytest.mark.parametrize("key, entries", [
+    ("grid.x_min", {"grid.x_min": "0"}),  # the receivers' own range
+    ("grid.x_min", {"grid.x_min": "-20", "grid.x_max": "20"}),  # across the array
+    ("source.x", {"grid.x_max": "90"}),
+    ("source.z", {"grid.z_min": "8", "grid.z_max": "12"}),
+])
+def test_search_grid_beyond_the_array_around_the_source(tmp_path, capsys, key, entries):
+    # image and mc-rate search the grid; spectrum reads none of it
+    cfg = _vertical_with(tmp_path, entries)
+    build_experiment(load_config(cfg))
+    for cmd in (["image"], ["mc-rate", "--trials", "2"]):
+        assert main([*cmd, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
 def test_too_few_receivers_exits_2(tmp_path, capsys):
     cfg = _vertical_with(tmp_path, {"array.M": "3"})
     assert main(["image", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -324,6 +341,10 @@ _DENSE = {"array.kind": "dense_vertical", "array.a": "2"}
                    "array.a": "1"}),
     ("array.z_a", {"waveguide.model": "homogeneous_dn", "array.kind": "dense_horizontal",
                    "array.a": "1"}),
+    # the data model is the field of a source beyond the array
+    ("source.x", {"source.x": "-5"}),
+    ("source.x", {"source.x": "0"}),  # the receivers' own range
+    ("source.x", {"array.kind": "dense_horizontal", "array.z_a": "7", "array.a": "60"}),
 ])
 def test_invalid_keys_exit_2_before_any_output(tmp_path, capsys, key, entries):
     cfg = _vertical_with(tmp_path, entries)

@@ -125,6 +125,72 @@ def test_large_planar_gram_trace():
     assert abs(cm.d.sum() - avg.sum()) < 1e-10 * avg.sum()
 
 
+def _direct_depth_factor(ms, mu_z):
+    # the N^2 formula: cos and sinc on every a_j - a_l and a_j + a_l
+    al = ms.alpha
+    dm, dp = al[:, None] - al[None, :], al[:, None] + al[None, :]
+    sign = -1.0 if isinstance(ms.spec, wg.HomogeneousDD) else 1.0
+    total = sum(h for _, h in mu_z)
+    return sum((h / total) * (np.cos(dm * b) * np.sinc(dm * h / np.pi)
+                              + sign * np.cos(dp * b) * np.sinc(dp * h / np.pi))
+               for b, h in mu_z) / ms.spec.L
+
+
+@pytest.mark.parametrize("segments", [((0.43, 0.1),), ((0.2, 0.05), (0.6, 0.15), (0.9, 0.02))],
+                         ids=["one_segment", "three_segments"])
+@pytest.mark.parametrize("spec, n", [
+    (wg.HomogeneousDD(L=4.0), 1), (wg.HomogeneousDN(L=4.0), 1),
+    (wg.HomogeneousDD(L=7.0), 2), (wg.HomogeneousDN(L=7.0), 2),
+    (wg.HomogeneousDD(L=202.0), 64), (wg.HomogeneousDN(L=200.0), 64),
+    (wg.HomogeneousDD(L=1000.0), 318), (wg.HomogeneousDN(L=1000.0), 318),
+], ids=lambda v: type(v).__name__[-2:] if isinstance(v, tuple) else f"N{v}")
+def test_structured_depth_factor_matches_direct_formula(spec, n, segments):
+    ms = wg.solve_modes(spec, 1.0)
+    assert ms.n_modes == n
+    mu_z = tuple((b * spec.L, h * spec.L) for b, h in segments)
+    Z = estimate._depth_factor(ms, mu_z)
+    ref = _direct_depth_factor(ms, mu_z)
+    assert Z.shape == (n, n) and Z.dtype == np.float64
+    assert np.abs(Z - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("geom", [
+    wg.Dense(((0.0, 40.0),), 71.3),
+    wg.Dense(((40.0, 40.0),), 71.3),
+    wg.Dense(((-25.0, 10.0),), 133.0),
+    wg.Dense(((1000.0, 60.0),), 71.3),
+    wg.Dense(((0.0, 10.0),), ((100.0, 10.0),)),
+    wg.Dense(((12.5, 10.0),), ((100.0, 10.0),)),
+    wg.Dense(35.0, ((100.0, 40.0),)),
+], ids=["horizontal_at_0", "horizontal_at_40", "horizontal_at_-25", "horizontal_at_1000",
+        "planar_at_0", "planar_at_12.5", "vertical_at_35"])
+def test_centred_spectrum_matches_true_position_eigenvalues(monkeypatch, geom):
+    # a range translation is a unitary similarity: the eigenvalues of the
+    # true-position Gram, from a real Gram about x = 0
+    ms = wg.solve_modes(wg.HomogeneousDD(L=200.0), 1.0)
+    d = wg.coupling_matrix(ms, geom).d
+    eigvalsh, factored = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: factored.append(A.dtype) or eigvalsh(A))
+    spectrum = wg.coupling_spectrum(ms, geom)
+    assert factored == [np.dtype(np.float64)]
+    assert np.abs(spectrum - d).max() <= ms.n_modes * np.finfo(float).eps * d[0]
+
+
+@pytest.mark.parametrize("geom", [
+    wg.Discrete(wg.horizontal_line(20, 11.0, 3.0)),
+    wg.Dense(((1.5, 1.5), (10.0, 2.0)), 11.0),
+], ids=["discrete", "two_range_segments"])
+def test_spectrum_geometry_left_in_place(ms_dd20, monkeypatch, geom):
+    # a receiver set, or a range measure no one translation centres, is
+    # factored where it is
+    gram, seen = estimate._gram, []
+    monkeypatch.setattr(estimate, "_gram", lambda ms, g: seen.append(g) or gram(ms, g))
+    spectrum = wg.coupling_spectrum(ms_dd20, geom)
+    assert seen == [geom]  # a Discrete compares by identity
+    d = wg.coupling_matrix(ms_dd20, geom).d
+    assert np.abs(spectrum - d).max() <= ms_dd20.n_modes * np.finfo(float).eps * d[0]
+
+
 def test_discrete_coupling_spectrum_is_scaled_squared_svd(ms_dd20, vertical_points):
     cm = wg.coupling_matrix(ms_dd20, wg.Discrete(vertical_points))
     sm = wg.sensing_matrix(ms_dd20, vertical_points)

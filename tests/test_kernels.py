@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wgimage import _kernels
 from wgimage.config import build_experiment, load_config
-from wgimage.estimate import HardThreshold, sensing_matrix
+from wgimage.estimate import HardThreshold, estimator_matrix, sensing_matrix
 from wgimage.experiments import _trial_noise, localization_error_rates, noise_scale, trial_block
 from wgimage.synth import source_amplitudes
 
@@ -221,8 +221,7 @@ def test_error_rates_match_per_sigma_reference(name, entries, blocks, rest):
     # blocks full trial blocks of the config's receiver count, then rest
     # trials: one partial block (M = 20, 131 trials), two blocks with a
     # partial last one (M = 20, 6403 trials), and a last block of one trial
-    # (M = 1000, 129 trials), whose amplitude product is a GEMV. parabolic
-    # has a sigma-0 level in its list.
+    # (M = 1000, 129 trials). parabolic has a sigma-0 level in its list.
     cfg = load_config(CFG_DIR / f"{name}.cfg")
     for key, value in entries.items():
         cfg.override(key, value)
@@ -234,6 +233,23 @@ def test_error_rates_match_per_sigma_reference(name, entries, blocks, rest):
     ref = _reference_error_rates(ecfg, trials)
     assert rates.tobytes() == ref.tobytes()
     assert 0 < ref.sum() < len(ref)  # the curves are not trivially all 0 or 1
+
+
+@pytest.mark.parametrize("name", ["vertical", "planar_lhs_1000", "parabolic"])
+def test_amplitudes_of_every_trial_slice_keep_their_bits(name):
+    # any slice of trials, a single trial included, recomputes the
+    # amplitudes it has inside a block (at the config's last sigma)
+    ecfg = build_experiment(load_config(CFG_DIR / f"{name}.cfg"))
+    sm = sensing_matrix(ecfg.ms, ecfg.geometry.points)
+    a_o = source_amplitudes(ecfg.ms, ecfg.source)
+    p = sm.B @ a_o
+    s = noise_scale(ecfg.sigmas[-1], p)
+    G = estimator_matrix(sm, ecfg.reg.regularizer(s, a_o))
+    W = s / np.sqrt(2.0) * np.array([_trial_noise(p.size, 7, t) for t in range(8)])
+    block = _kernels.amplitudes(G, p, W)
+    for i in range(8):
+        for j in range(i + 1, 9):
+            assert _kernels.amplitudes(G, p, W[i:j]).tobytes() == block[i:j].tobytes(), (i, j)
 
 
 def test_bench_kernels_output_parses():
