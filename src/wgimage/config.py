@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _record
-from .errors import ConfigError
+from .errors import ConfigError, TooFewReceivers
 from .estimate import HardThreshold, RegPolicy, Tikhonov
 from .image import SearchGrid, default_grid
 from .modes import HomogeneousDD, HomogeneousDN, Parabolic, solve_modes
@@ -174,8 +174,9 @@ KEYS = (
     Key("grid.z_max", None, *_FINITE),
     Key("grid.step_fraction", "20", *_POSITIVE),
     Key("rank.eps", "1e-7", *_POSITIVE),
-    Key("rank.kinds", "vertical, horizontal", _list(str), _each(_LINES.__contains__),
-        "a comma list of vertical, horizontal"),
+    Key("rank.kinds", "vertical, horizontal", _list(str),
+        lambda kinds: bool(kinds) and _each(_LINES.__contains__)(kinds),
+        "a non-empty comma list of vertical, horizontal"),
     Key("rank.ratios", None, *_RATIOS),
     Key("rank.ratios_vertical", "0.1, 0.2, 0.3, 0.4", *_RATIOS),
     Key("rank.ratios_horizontal", "0.05, 0.1", *_RATIOS),
@@ -328,6 +329,11 @@ def build_experiment(cfg):
         if not source.x_o > reach:
             raise ConfigError(f"source.x = {source.x_o:g} must lie beyond the array, "
                               f"which reaches x = {reach:g}")
+    # a receiver set needs a row of the sensing matrix per mode
+    if isinstance(geometry, Discrete) and geometry.points.shape[0] < ms.n_modes:
+        key = "array.points" if kind == "points" else "array.M"
+        raise TooFewReceivers(f"{key} gives {geometry.points.shape[0]} receivers for "
+                              f"{ms.n_modes} guided modes")
     if not isinstance(spec, Parabolic):  # the graded guide is unbounded in depth
         walls = (L,) if isinstance(spec, HomogeneousDN) else (0.0, L)
         if source is not None:

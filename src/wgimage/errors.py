@@ -22,5 +22,7 @@ class SingularUnregularized(ConfigError):
 
 
 class TooFewReceivers(ConfigError):
-    """Raised when a sensing matrix would have fewer rows than modes: the
-    array (array.M) is too small for the configured guide and frequency."""
+    """Raised when a receiver set has fewer receivers than guided modes, so
+    its sensing matrix would have fewer rows than columns. A config is
+    refused when it is built, naming array.M (array.points for a points
+    set); `sensing_matrix` checks again for library callers."""

@@ -11,18 +11,14 @@ picks psi_eps at each noise level: Tikhonov, HardThreshold or None
 at a fixed eps or at the noise-matched `heuristic_eps`.
 
 A discrete receiver set has the exact Gram (1/M) B^dag B. A `Dense`
-aperture is its product measure mu_x (x) mu_z, so its Gram is the
-elementwise product A = X (.) Z of a range factor
+aperture is its product measure mu_x (x) mu_z, and this module composes
+its Gram as the elementwise product A = X (.) Z of a range factor
 X_jl = int e^{i(beta_j - beta_l) x} dmu_x (a phase for a range point
 mass, a sum of sincs over range segments, for every model) and a depth
 factor Z_jl = int phi_j phi_l dmu_z (outer(phi(z_0), phi(z_0)) for a
-depth point mass z_0, and closed form over depth segments for every
-model: sincs for the homogeneous ones, exact Hermite-function segment
-integrals for the parabolic one). So every Gram is closed form, with no
-quadrature and no tolerance. The homogeneous alpha are evenly spaced, so
-alpha_j -+ alpha_l take only 2N - 1 values each, and their depth factor
-is a Toeplitz plus a Hankel matrix gathered from cos and sinc at those
-values alone.
+depth point mass z_0, and `ModeSet.segment_gram` over depth segments,
+which holds each model's closed form). So every Gram is closed form,
+with no quadrature and no tolerance.
 
 One Gram, `_gram`, feeds two paths. Estimation uses `coupling_matrix`,
 its full eigendecomposition, at the aperture's true position. The
@@ -39,21 +35,14 @@ singular values in descending order, and each eigen/singular vector
 phased so its largest-modulus entry is real positive.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _record
 from .errors import GeometryMismatch, SingularUnregularized, TooFewReceivers
-from .modes import HomogeneousDD, HomogeneousDN, hermite_derivative, hermite_functions
+from .modes import _segment_sum, _sinc
 from .synth import Discrete, FieldSamples, geometry_equal, mode_traces
-
-# Taylor terms (derivative orders 0..14) of a short parabolic segment. With
-# |phi^(q)| ~ k_o^q |phi| and k_o h <= 1/2, the largest dropped term,
-# (k_o h)^16 / 15!, is below 2e-17 of the leading one
-SERIES_TERMS = 15
 
 
 # ---------------------------------------------------------------------------
@@ -180,20 +169,6 @@ class SensingMatrix(NamedTuple):
     __eq__, __ne__ = _record.eq, _record.ne
 
 
-def _sinc(x):
-    # unnormalized sinc sin(x)/x
-    return np.sinc(x / np.pi)
-
-
-def _segment_sum(segments, term):
-    """Length-weighted sum over segments (b, h) of term(b, h)."""
-    total = sum(h for _, h in segments)
-    acc = 0.0
-    for b, h in segments:
-        acc = acc + (h / total) * term(b, h)
-    return acc
-
-
 def _range_factor(ms, mu_x):
     """X_jl = int e^{i(beta_j - beta_l) x} dmu_x with db = beta_j - beta_l:
     e^{i db x0} for a point mass at x0, and over each segment (b, h) the
@@ -209,88 +184,12 @@ def _range_factor(ms, mu_x):
 
 
 def _depth_factor(ms, mu_z):
-    """Z_jl = int phi_j phi_l dmu_z.
-
-    A point mass at z_0 gives outer(phi(z_0), phi(z_0)). Over segments
-    every basis has a closed form. For the homogeneous ones, for each
-    segment (b, h), (1/(2h)) int_{b-h}^{b+h} phi_j phi_l dz
-    = (1/L)[f(a_j - a_l) -+ f(a_j + a_l)], f(x) = cos(x b) sinc(x h),
-    with the sign - for the sin (Dirichlet-Dirichlet) basis, + for the
-    cos (Neumann-Dirichlet) one. The alpha are evenly spaced, so the
-    differences take the N values a_k - a_0 at k = |j - l| and the sums
-    the 2N - 1 values a_0 + a_k, a_{N-1} + a_k at k = j + l: f is
-    evaluated on those alone, and Z is a Toeplitz plus a Hankel matrix.
-    The parabolic basis is `_hermite_segment`.
-    """
+    """Z_jl = int phi_j phi_l dmu_z: outer(phi(z_0), phi(z_0)) for a point
+    mass at z_0, and `ModeSet.segment_gram` over segments."""
     if np.isscalar(mu_z):
         phi = ms.profile_matrix(mu_z)[0]
         return np.outer(phi, phi)
-    spec = ms.spec
-    if not isinstance(spec, (HomogeneousDD, HomogeneousDN)):
-        return _segment_sum(mu_z, lambda b, h: _hermite_segment(ms, b, h))
-    al = ms.alpha
-    n = al.size
-    x = np.concatenate((al - al[0], al[0] + al, al[-1] + al[1:]))
-    f = _segment_sum(mu_z, lambda b, h: np.cos(x * b) * _sinc(x * h)) / spec.L
-    diff, total = f[:n], f[n:]
-    if isinstance(spec, HomogeneousDD):
-        total = -total
-    # [j, l] -> diff[|j - l|] and total[j + l], as strided views
-    toeplitz = sliding_window_view(np.concatenate((diff[:0:-1], diff)), n)[::-1]
-    return toeplitz + sliding_window_view(total, n)
-
-
-def _derivative_stack(ms, b):
-    """Rows phi^(q)(b), q = 0..SERIES_TERMS-1, of the parabolic basis: the
-    stack of profile_matrix(b, q), bit for bit, from one Hermite
-    recurrence to order N-1+SERIES_TERMS-1 and the ladder step, keeping
-    the first N rows of each order."""
-    n = ms.n_modes
-    gam = np.sqrt(ms.k_o / ms.spec.L)
-    f = hermite_functions(n - 1 + SERIES_TERMS - 1, gam * np.atleast_1d(float(b)))
-    P = np.empty((SERIES_TERMS, n))
-    for q in range(SERIES_TERMS):
-        if q:
-            f = hermite_derivative(f)
-        P[q] = gam ** (0.5 + q) * f[:n, 0]
-    return P
-
-
-def _hermite_segment(ms, b, h):
-    """(1/(2h)) int_{b-h}^{b+h} phi_j phi_l dz for the parabolic basis
-    phi_j(z) = gam^(1/2) f_j(gam z), gam^2 = k_o/L, exactly (DLMF 18.9).
-
-    A long segment (k_o h > 1/2) takes the end values J = [.]_{b-h}^{b+h}.
-    Off the diagonal, phi'' = (gam^4 z^2 - alpha^2) phi gives the
-    Sturm-Liouville identity (alpha_l^2 - alpha_j^2) J_jl
-    = [phi_j' phi_l - phi_j phi_l']. On it, with s = gam z,
-    int f_0^2 ds = (erf(s_b) - erf(s_a))/2 and the raising operator gives
-    int f_{n+1}^2 = int f_n^2 + [f_n (f_n' - s f_n)]/(2(n+1)).
-    On a short segment the end brackets cancel, so it takes the Taylor
-    series about b: P^T W P with P_qj = phi_j^(q)(b) and
-    W_qr = h^(q+r) / ((q+r+1) q! r!) for even q+r, else 0.
-    """
-    if ms.k_o * h <= 0.5:
-        P = _derivative_stack(ms, b)
-        n = np.add.outer(np.arange(SERIES_TERMS), np.arange(SERIES_TERMS))
-        fact = np.array([math.factorial(q) for q in range(SERIES_TERMS)], dtype=float)
-        W = np.where(n % 2 == 0, float(h) ** n / ((n + 1) * np.outer(fact, fact)), 0.0)
-        return P.T @ W @ P
-    z = np.array([b - h, b + h])
-    P, D = ms.profile_matrix(z), ms.profile_matrix(z, 1)
-    a2 = ms.alpha ** 2
-    den = a2[None, :] - a2[:, None]
-    np.fill_diagonal(den, 1.0)
-    J = (np.outer(D[1], P[1]) - np.outer(D[0], P[0])
-         - np.outer(P[1], D[1]) + np.outer(P[0], D[0])) / den
-    gam2 = ms.k_o / ms.spec.L
-    s = np.sqrt(gam2) * z
-    # f_n (f_n' - s f_n) in z units: phi_n (phi_n' / gam^2 - z phi_n)
-    raised = P * (D / gam2 - z[:, None] * P)
-    steps = (raised[1] - raised[0])[:-1] / (2.0 * np.arange(1, ms.n_modes))
-    np.fill_diagonal(J, 0.5 * (math.erf(s[1]) - math.erf(s[0]))
-                     + np.concatenate(([0.0], np.cumsum(steps))))
-    return J / (2.0 * h)
+    return ms.segment_gram(mu_z)
 
 
 def _gram(ms, geom):

@@ -110,7 +110,8 @@ def trial_block(m):
 def localization_error_rates(ms, src, points, sigmas, trials, seed,
                              grid=None, reg=RegPolicy()):
     """Fraction of noise draws whose image peak lands farther than half a
-    wavelength from the source, for each relative noise level sigma.
+    wavelength from the source (`localization_success` fails), for each
+    relative noise level sigma.
 
     The estimator matrix G = V psi(D) U^dag of each sigma and the
     separable grid factors are built once. Trials then run in blocks of
@@ -128,7 +129,6 @@ def localization_error_rates(ms, src, points, sigmas, trials, seed,
     xs, zs = grid.x, grid.z
     E = np.exp(1j * np.outer(xs, ms.beta))
     PT = np.ascontiguousarray(ms.profile_matrix(zs).T)
-    half2 = (0.5 * ms.lambda_o) ** 2
     s_meas = noise_scale(sigmas, p)
     Gs = [estimator_matrix(sm, reg.regularizer(s, a_o)) for s in s_meas]
     misses = np.zeros(len(Gs), dtype=np.int64)
@@ -138,8 +138,8 @@ def localization_error_rates(ms, src, points, sigmas, trials, seed,
                       for t in range(t0, min(t0 + block, trials))])
         for k, (s, G) in enumerate(zip(s_meas, Gs)):
             peaks = _kernels.peak_search(G, p, s / np.sqrt(2.0) * Z, ms.beta, E, PT)
-            d2 = (xs[peaks[:, 0]] - src.x_o) ** 2 + (zs[peaks[:, 1]] - src.z_o) ** 2
-            misses[k] += np.count_nonzero(d2 > half2)
+            found = localization_success((xs[peaks[:, 0]], zs[peaks[:, 1]]), src, ms.lambda_o)
+            misses[k] += np.count_nonzero(~found)
     return misses / trials
 
 

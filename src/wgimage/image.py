@@ -123,7 +123,8 @@ def locate_peak(im):
 
 def localization_success(peak, src, lambda_o):
     """True when the peak lies within half a wavelength of the source
-    (closed ball: exactly lambda_o/2 counts as success)."""
+    (closed ball: exactly lambda_o/2 counts as success). The peak's x and
+    z may be arrays of peaks, which give an array of flags."""
     dx = peak[0] - src.x_o
     dz = peak[1] - src.z_o
-    return bool(np.hypot(dx, dz) <= 0.5 * lambda_o)
+    return np.hypot(dx, dz) <= 0.5 * lambda_o

@@ -6,11 +6,20 @@ Neumann condition at z=0 and Dirichlet at z=L, and an ideal parabolic
 profile 1/c^2(z) = (1/c_o^2)(1 - z^2/L^2) on the unbounded transverse
 line. Mode profiles, transverse and axial wavenumbers are exact closed
 forms; no numerical eigensolver is involved.
+
+A `ModeSet` is the one place that evaluates the basis, so only this
+module knows each model's formulas: the profiles and their depth
+derivatives (`derivatives`, `profile_matrix`), and the depth Gram
+int phi_j phi_l over segments (`segment_gram`), in closed form for every
+model. The homogeneous segment Gram relies on `solve_modes` spacing
+alpha evenly.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _record
 from .errors import NoGuidedModes
@@ -45,6 +54,12 @@ class Parabolic(_Guide):
     """Parabolic index profile with scale L: 1/c^2(z) = (1/c_o^2)(1 - z^2/L^2)."""
 
     __slots__ = ()
+
+
+# Taylor terms (derivative orders 0..14) of a short parabolic segment. With
+# |phi^(q)| ~ k_o^q |phi| and k_o h <= 1/2, the largest dropped term,
+# (k_o h)^16 / 15!, is below 2e-17 of the leading one
+SERIES_TERMS = 15
 
 
 def hermite_functions(mmax, s):
@@ -101,20 +116,113 @@ class ModeSet:
     def n_modes(self):
         return self.beta.size
 
-    def profile_matrix(self, z, q=0):
-        """Matrix of phi_j^{(q)}(z) values, shape (len(z), n_modes)."""
+    def derivatives(self, z, order):
+        """[phi^(0)(z), ..., phi^(order)(z)], each of shape (len(z), n_modes).
+
+        The homogeneous orders are closed forms. The parabolic ones come
+        from one Hermite recurrence to degree N-1+order and the ladder
+        step, keeping the first N rows at each order; a ladder row
+        depends only on its neighbours, so phi^(q) has the same bits
+        whatever the order of the call."""
         z = np.atleast_1d(np.asarray(z, dtype=float))
         spec = self.spec
         if isinstance(spec, (HomogeneousDD, HomogeneousDN)):
             # d^q/dz^q sin(az) = a^q sin(az + q pi/2), same shift for cos
-            arg = np.outer(z, self.alpha) + q * np.pi / 2.0
-            trig = np.sin(arg) if isinstance(spec, HomogeneousDD) else np.cos(arg)
-            return np.sqrt(2.0 / spec.L) * self.alpha**q * trig
+            trig = np.sin if isinstance(spec, HomogeneousDD) else np.cos
+            arg = np.outer(z, self.alpha)
+            return [np.sqrt(2.0 / spec.L) * self.alpha**q * trig(arg + q * np.pi / 2.0)
+                    for q in range(order + 1)]
+        n = self.n_modes
         gam = np.sqrt(self.k_o / spec.L)
-        f = hermite_functions(self.n_modes - 1 + q, gam * z)
-        for _ in range(q):
-            f = hermite_derivative(f)
-        return gam ** (0.5 + q) * np.ascontiguousarray(f.T)
+        f = hermite_functions(n - 1 + order, gam * z)
+        out = []
+        for q in range(order + 1):
+            if q:
+                f = hermite_derivative(f)
+            out.append(gam ** (0.5 + q) * np.ascontiguousarray(f[:n].T))
+        return out
+
+    def profile_matrix(self, z, q=0):
+        """Matrix of phi_j^{(q)}(z) values, shape (len(z), n_modes)."""
+        return self.derivatives(z, q)[-1]
+
+    def segment_gram(self, segments):
+        """Z_jl = int phi_j phi_l dmu_z for the depth measure of segments
+        (b, h): the length-weighted sum of the averages over [b-h, b+h].
+
+        For the homogeneous bases, (1/(2h)) int_{b-h}^{b+h} phi_j phi_l dz
+        = (1/L)[f(a_j - a_l) -+ f(a_j + a_l)], f(x) = cos(x b) sinc(x h),
+        with the sign - for the sin (Dirichlet-Dirichlet) basis, + for the
+        cos (Neumann-Dirichlet) one. The alpha are evenly spaced, so the
+        differences take the N values a_k - a_0 at k = |j - l| and the sums
+        the 2N - 1 values a_0 + a_k, a_{N-1} + a_k at k = j + l: f is
+        summed over the segments on those alone, and Z is a Toeplitz plus
+        a Hankel matrix. The parabolic basis is `_hermite_segment`.
+        """
+        spec = self.spec
+        if not isinstance(spec, (HomogeneousDD, HomogeneousDN)):
+            return _segment_sum(segments, lambda b, h: _hermite_segment(self, b, h))
+        al = self.alpha
+        n = al.size
+        x = np.concatenate((al - al[0], al[0] + al, al[-1] + al[1:]))
+        f = _segment_sum(segments, lambda b, h: np.cos(x * b) * _sinc(x * h)) / spec.L
+        diff, total = f[:n], f[n:]
+        if isinstance(spec, HomogeneousDD):
+            total = -total
+        # [j, l] -> diff[|j - l|] and total[j + l], as strided views
+        toeplitz = sliding_window_view(np.concatenate((diff[:0:-1], diff)), n)[::-1]
+        return toeplitz + sliding_window_view(total, n)
+
+
+def _sinc(x):
+    # unnormalized sinc sin(x)/x
+    return np.sinc(x / np.pi)
+
+
+def _segment_sum(segments, term):
+    """Length-weighted sum over segments (b, h) of term(b, h)."""
+    total = sum(h for _, h in segments)
+    acc = 0.0
+    for b, h in segments:
+        acc = acc + (h / total) * term(b, h)
+    return acc
+
+
+def _hermite_segment(ms, b, h):
+    """(1/(2h)) int_{b-h}^{b+h} phi_j phi_l dz for the parabolic basis
+    phi_j(z) = gam^(1/2) f_j(gam z), gam^2 = k_o/L, exactly (DLMF 18.9).
+
+    A long segment (k_o h > 1/2) takes the end values J = [.]_{b-h}^{b+h}.
+    Off the diagonal, phi'' = (gam^4 z^2 - alpha^2) phi gives the
+    Sturm-Liouville identity (alpha_l^2 - alpha_j^2) J_jl
+    = [phi_j' phi_l - phi_j phi_l']. On it, with s = gam z,
+    int f_0^2 ds = (erf(s_b) - erf(s_a))/2 and the raising operator gives
+    int f_{n+1}^2 = int f_n^2 + [f_n (f_n' - s f_n)]/(2(n+1)).
+    On a short segment the end brackets cancel, so it takes the Taylor
+    series about b: P^T W P with P_qj = phi_j^(q)(b) and
+    W_qr = h^(q+r) / ((q+r+1) q! r!) for even q+r, else 0.
+    """
+    if ms.k_o * h <= 0.5:
+        P = np.vstack(ms.derivatives(b, SERIES_TERMS - 1))
+        n = np.add.outer(np.arange(SERIES_TERMS), np.arange(SERIES_TERMS))
+        fact = np.array([math.factorial(q) for q in range(SERIES_TERMS)], dtype=float)
+        W = np.where(n % 2 == 0, float(h) ** n / ((n + 1) * np.outer(fact, fact)), 0.0)
+        return P.T @ W @ P
+    z = np.array([b - h, b + h])
+    P, D = ms.derivatives(z, 1)
+    a2 = ms.alpha ** 2
+    den = a2[None, :] - a2[:, None]
+    np.fill_diagonal(den, 1.0)
+    J = (np.outer(D[1], P[1]) - np.outer(D[0], P[0])
+         - np.outer(P[1], D[1]) + np.outer(P[0], D[0])) / den
+    gam2 = ms.k_o / ms.spec.L
+    s = np.sqrt(gam2) * z
+    # f_n (f_n' - s f_n) in z units: phi_n (phi_n' / gam^2 - z phi_n)
+    raised = P * (D / gam2 - z[:, None] * P)
+    steps = (raised[1] - raised[0])[:-1] / (2.0 * np.arange(1, ms.n_modes))
+    np.fill_diagonal(J, 0.5 * (math.erf(s[1]) - math.erf(s[0]))
+                     + np.concatenate(([0.0], np.cumsum(steps))))
+    return J / (2.0 * h)
 
 
 def solve_modes(spec, omega):

@@ -122,11 +122,10 @@ def moment_family(ms: ModeSet, z_a, points, Q):
     x = points[:, 0]
     ztil = points[:, 1] - z_a
     mf = MomentFamily(Q=Q, z_a=z_a)
-    derivs = {qp: ms.profile_matrix(np.array([z_a]), q=qp)[0]
-              for qp in range(Q)}
+    derivs = ms.derivatives(np.array([z_a]), Q - 1)
     for q in range(Q):
         for qp in range(Q - q):
-            mf.u[(q, qp)] = ms.beta ** q * derivs[qp]
+            mf.u[(q, qp)] = ms.beta ** q * derivs[qp][0]
             mf.v[(q, qp)] = ((1j ** q) / (math.factorial(q) * math.factorial(qp))
                              * x ** q * ztil ** qp)
     return mf

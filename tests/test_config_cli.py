@@ -211,11 +211,22 @@ def test_search_grid_beyond_the_array_around_the_source(tmp_path, capsys, key, e
 
 
 def test_too_few_receivers_exits_2(tmp_path, capsys):
-    cfg = _vertical_with(tmp_path, {"array.M": "3"})
-    assert main(["image", "--config", cfg, "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error") and "3 receivers" in err
-    assert not (tmp_path / "image.csv").exists()
+    # refused where the config is built, for every command, naming the key
+    # that sets the receiver count; the DD L=20 guide has 6 modes
+    for key, m, entries in (
+            ("array.M", 3, {"array.M": "3"}),
+            ("array.M", 5, {"array.kind": "horizontal", "array.M": "5"}),
+            ("array.M", 4, {"array.kind": "planar_lhs", "array.M": "4"}),
+            ("array.points", 2, {"array.kind": "points", "array.points": "0,3; 0,7.5"})):
+        cfg = _vertical_with(tmp_path, entries)
+        with pytest.raises(wg.TooFewReceivers, match=key):
+            build_experiment(load_config(cfg))
+        for cmd in ("modes", "spectrum", "image", "mc-rate", "rank-scan"):
+            assert main([cmd, "--config", cfg, "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and key in err
+            assert f"{m} receivers for 6 guided modes" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("key, entries", [
@@ -345,6 +356,7 @@ _DENSE = {"array.kind": "dense_vertical", "array.a": "2"}
     ("source.x", {"source.x": "-5"}),
     ("source.x", {"source.x": "0"}),  # the receivers' own range
     ("source.x", {"array.kind": "dense_horizontal", "array.z_a": "7", "array.a": "60"}),
+    ("rank.kinds", {"rank.kinds": ""}),  # a scan of no kind writes nothing
 ])
 def test_invalid_keys_exit_2_before_any_output(tmp_path, capsys, key, entries):
     cfg = _vertical_with(tmp_path, entries)
@@ -467,10 +479,11 @@ def test_noise_overrides_rejected(tmp_path, capsys):
 def test_points_geometry_and_explicit_reg():
     cfg = parse_config_text(
         "waveguide.L = 20\nomega = 1\n"
-        "array.kind = points\narray.points = 0,3; 0,7.5\n"
+        "array.kind = points\narray.points = 0,3; 0,7.5; 1,9; 1,11; 2,13; 2,16\n"
         "reg.kind = hard\nreg.eps = 1e-3\n")
-    ecfg = build_experiment(cfg)
-    assert np.array_equal(ecfg.geometry.points, [[0.0, 3.0], [0.0, 7.5]])
+    ecfg = build_experiment(cfg)  # six receivers for the six modes
+    assert np.array_equal(ecfg.geometry.points,
+                          [[0, 3], [0, 7.5], [1, 9], [1, 11], [2, 13], [2, 16]])
     assert ecfg.reg == wg.RegPolicy(wg.HardThreshold, 1e-3)
 
 
@@ -503,6 +516,23 @@ def test_error_rate_zero_at_zero_noise(ms_dd20, src_ref, vertical_points):
     rates = localization_error_rates(
         ms_dd20, src_ref, vertical_points, [0.0], trials=10, seed=2024)
     assert rates.tolist() == [0.0]
+
+
+def test_error_rates_count_misses_by_the_one_ball_rule(monkeypatch, ms_dd20, src_ref,
+                                                      vertical_points):
+    # a miss is a peak that image.localization_success refuses, asked once
+    # per sigma over all the block's peaks
+    args = (ms_dd20, src_ref, vertical_points, [0.0, 1e-8], 10, 2024)
+    assert localization_error_rates(*args).tolist() == [0.0, 0.0]
+    shapes = []
+
+    def nowhere(peak, src, lambda_o):
+        shapes.append(np.shape(peak[0]))
+        return np.zeros(np.shape(peak[0]), dtype=bool)
+
+    monkeypatch.setattr("wgimage.experiments.localization_success", nowhere)
+    assert localization_error_rates(*args).tolist() == [1.0, 1.0]
+    assert shapes == [(10,), (10,)]
 
 
 def test_image_runner_noiseless_success(tmp_path, capsys):

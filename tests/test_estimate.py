@@ -91,27 +91,6 @@ def test_parabolic_gram_memory_flat_in_aperture_length():
     assert peak < 2e6
 
 
-def _per_order_stack(ms, b):
-    # one profile_matrix call, so one recurrence, per derivative order
-    return np.vstack([ms.profile_matrix(b, q) for q in range(estimate.SERIES_TERMS)])
-
-
-@pytest.mark.parametrize("L, b", [(10.0, 1.0), (10.0, -9.0), (1000.0, 900.0)])
-def test_derivative_stack_is_the_per_order_stack(L, b):
-    ms = wg.solve_modes(wg.Parabolic(L=L), 1.0)
-    assert np.array_equal(estimate._derivative_stack(ms, b), _per_order_stack(ms, b))
-
-
-def test_short_segment_gram_keeps_its_bits(monkeypatch):
-    ms = wg.solve_modes(wg.Parabolic(L=1000.0), 1.0)
-    geom = wg.Dense(0.0, ((900.0, 0.4),))
-    assert ms.n_modes == 500 and ms.k_o * 0.4 <= 0.5  # the Taylor branch
-    cm = wg.coupling_matrix(ms, geom)
-    monkeypatch.setattr(estimate, "_derivative_stack", _per_order_stack)
-    ref = wg.coupling_matrix(ms, geom)
-    assert np.array_equal(cm.A, ref.A) and np.array_equal(cm.d, ref.d)
-
-
 def test_large_planar_gram_trace():
     # trace A = sum_j Z_jj since X_jj = 1; the depth average of
     # sum_j (2/L) sin^2(alpha_j z) over [z_a - a, z_a + a] in closed form
@@ -148,7 +127,7 @@ def test_structured_depth_factor_matches_direct_formula(spec, n, segments):
     ms = wg.solve_modes(spec, 1.0)
     assert ms.n_modes == n
     mu_z = tuple((b * spec.L, h * spec.L) for b, h in segments)
-    Z = estimate._depth_factor(ms, mu_z)
+    Z = ms.segment_gram(mu_z)
     ref = _direct_depth_factor(ms, mu_z)
     assert Z.shape == (n, n) and Z.dtype == np.float64
     assert np.abs(Z - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -71,6 +71,9 @@ def test_localization_success_closed_ball(src_ref):
     assert wg.localization_success(at, src_ref, lam)
     assert wg.localization_success(on, src_ref, lam)
     assert not wg.localization_success(out, src_ref, lam)
+    # the same rule on arrays of peaks, as the Monte Carlo loop reads it
+    peaks = np.array([at[:2], on[:2], out[:2]]).T
+    assert wg.localization_success(peaks, src_ref, lam).tolist() == [True, True, False]
 
 
 def test_reverse_time_full_aperture(ms_dd20, src_ref, a_ref):

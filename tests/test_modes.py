@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wgimage as wg
-from wgimage.modes import hermite_functions
+from wgimage.modes import SERIES_TERMS, hermite_functions
 from wgimage.synth import array_samples
 
 
@@ -80,6 +80,27 @@ def test_first_derivative_matches_finite_differences(spec):
     d1 = ms.profile_matrix(z, q=1)
     fd = (ms.profile_matrix(z + h) - ms.profile_matrix(z - h)) / (2 * h)
     assert np.abs(d1 - fd).max() / np.abs(d1).max() < 1e-6
+
+
+@pytest.mark.parametrize("spec, b", [
+    (wg.Parabolic(L=10.0), 1.0),
+    (wg.Parabolic(L=10.0), -9.0),
+    (wg.Parabolic(L=1000.0), 900.0),
+    (wg.HomogeneousDD(L=20.0), 7.3),
+    (wg.HomogeneousDN(L=20.0), 7.3),
+], ids=["parabolic10-1", "parabolic10--9", "parabolic1000-900", "dd", "dn"])
+def test_each_derivative_order_keeps_its_bits(spec, b):
+    # a short parabolic segment's Taylor stack and the moment family read
+    # every order from one call; phi^(q) must not depend on the top order
+    ms = wg.solve_modes(spec, 1.0)
+    z = np.array([b, b + 0.25])
+    top = SERIES_TERMS - 1
+    table = ms.derivatives(z, top)
+    assert len(table) == top + 1
+    for q in range(top + 1):
+        assert table[q].shape == (2, ms.n_modes)
+        assert np.array_equal(table[q], ms.derivatives(z, q)[q])
+        assert np.array_equal(table[q], ms.profile_matrix(z, q))
 
 
 @pytest.mark.parametrize("spec", [

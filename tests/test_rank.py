@@ -76,6 +76,18 @@ def test_moment_family_values(ms_dd20, vertical_points):
     assert np.allclose(mf.v[(1, 0)], 1j * vertical_points[:, 0])
 
 
+@pytest.mark.parametrize("spec, z_a", [
+    (wg.HomogeneousDD(L=20.0), 11.0), (wg.HomogeneousDN(L=20.0), 11.0),
+    (wg.Parabolic(L=10.0), 2.0), (wg.Parabolic(L=1000.0), 2.0),
+], ids=["dd", "dn", "parabolic10", "parabolic1000"])
+def test_moment_family_reads_the_profile_derivatives(spec, z_a):
+    ms = wg.solve_modes(spec, 1.0)
+    mf = moment_family(ms, z_a, np.zeros((1, 2)), 5)
+    assert len(mf.u) == 15
+    for (q, qp), u in mf.u.items():
+        assert np.array_equal(u, ms.beta ** q * ms.profile_matrix(np.array([z_a]), qp)[0])
+
+
 def test_moment_reconstruction_converges(ms_dd20):
     # on a subwavelength planar patch the truncated outer-product sum
     # approaches B as Q grows, with error ~ (k_o a)^Q / Q!
