@@ -4,6 +4,8 @@ Subcommands: modes, spectrum, image, mc-rate, rank-scan. Each reads a
 key=value config file (see config.py) and applies any command-line
 overrides (--sigma lands in noise.sigmas); then its runner in
 experiments.py writes the CSV into --out and prints a short summary.
+--out is created when the first file is written into it, so a refused
+run, and `modes`, which only prints, leave no directory behind.
 Exit codes: 0 success, 2 configuration error, 1 runtime failure.
 
 BLAS runs on one thread: before numpy first loads, this module defaults
@@ -94,10 +96,7 @@ def main(argv=None):
         gc.freeze()
     args = build_parser().parse_args(argv)
     try:
-        ecfg = _load(args)
-        if args.command != "modes":  # modes only prints
-            os.makedirs(args.out, exist_ok=True)
-        RUNNERS[args.command](ecfg, args.out)
+        RUNNERS[args.command](_load(args), args.out)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

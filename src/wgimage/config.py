@@ -77,7 +77,7 @@ def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config_text(text)
 
@@ -334,6 +334,12 @@ def build_experiment(cfg):
         key = "array.points" if kind == "points" else "array.M"
         raise TooFewReceivers(f"{key} gives {geometry.points.shape[0]} receivers for "
                               f"{ms.n_modes} guided modes")
+    grid = default_grid(ms, v["grid.x_min"], v["grid.x_max"], v["grid.step_fraction"])._replace(
+        **{k: v[f"grid.{k}"] for k in ("z_min", "z_max") if v[f"grid.{k}"] is not None})
+    for lo, hi in (("x_min", "x_max"), ("z_min", "z_max")):
+        if not getattr(grid, lo) < getattr(grid, hi):
+            raise ConfigError(f"grid.{lo} must be < grid.{hi}, "
+                              f"got {getattr(grid, lo)!r} >= {getattr(grid, hi)!r}")
     if not isinstance(spec, Parabolic):  # the graded guide is unbounded in depth
         walls = (L,) if isinstance(spec, HomogeneousDN) else (0.0, L)
         if source is not None:
@@ -348,12 +354,9 @@ def build_experiment(cfg):
         for k, apertures in rank_apertures.items():
             for _, aperture in apertures:
                 _depth_in_guide(depth_keys[k], aperture.mu_z, L, walls)
-    grid = default_grid(ms, v["grid.x_min"], v["grid.x_max"], v["grid.step_fraction"])._replace(
-        **{k: v[f"grid.{k}"] for k in ("z_min", "z_max") if v[f"grid.{k}"] is not None})
-    for lo, hi in (("x_min", "x_max"), ("z_min", "z_max")):
-        if not getattr(grid, lo) < getattr(grid, hi):
-            raise ConfigError(f"grid.{lo} must be < grid.{hi}, "
-                              f"got {getattr(grid, lo)!r} >= {getattr(grid, hi)!r}")
+        # no walls: the default grid spans [0, L] exactly
+        _in_guide("grid.z_min/grid.z_max", np.array([grid.z_min, grid.z_max]), L, (),
+                  "the search grid")
     return ExperimentConfig(
         values=v, ms=ms, source=source, geometry=geometry, grid=grid,
         reg=RegPolicy(_REGULARIZERS[v["reg.kind"]], v["reg.eps"]),

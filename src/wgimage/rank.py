@@ -147,7 +147,7 @@ def span_rank_collapse(mf: MomentFamily):
     first discarded singular value (clean collapses show >= 1e3)."""
     rows = np.array([mf.u[k] for k in sorted(mf.u)])
     s = np.linalg.svd(rows, compute_uv=False)
-    rank = int(np.count_nonzero(s >= 1e-9 * s[0]))
+    rank = effective_rank(s, 1e-9 * s[0])
     if rank < s.size and s[rank] > 0:
         gap = float(s[rank - 1] / s[rank])
     else:

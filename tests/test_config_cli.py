@@ -183,6 +183,11 @@ def test_noise_keys_rejected(tmp_path, capsys, key, value):
     ("grid.x_max", {"grid.x_max": "nan"}),
     ("grid.z_min", {"grid.z_min": "nan"}),
     ("grid.z_max", {"grid.z_max": "inf"}),
+    # beyond [0, L] the mode sum is not the field
+    ("grid.z_min", {"grid.z_min": "-10", "grid.z_max": "30"}),
+    ("grid.z_min", {"grid.z_min": "-1"}),
+    ("grid.z_max", {"grid.z_max": "20.5"}),
+    ("grid.z_max", {"waveguide.model": "homogeneous_dn", "grid.z_max": "25"}),
 ])
 def test_scale_and_grid_keys_rejected(tmp_path, capsys, key, entries):
     cfg = _vertical_with(tmp_path, entries)
@@ -383,6 +388,9 @@ def test_invalid_keys_exit_2_before_any_output(tmp_path, capsys, key, entries):
     {"rank.ratios": ""},
     {"waveguide.model": "parabolic", "array.kind": "dense_vertical", "array.z_a": "-3",
      "array.a": "1"},
+    {"grid.z_min": "0", "grid.z_max": "20"},  # the default grid: both walls
+    {"waveguide.model": "parabolic", "array.kind": "dense_vertical", "array.z_a": "-3",
+     "array.a": "1", "grid.z_min": "-30", "grid.z_max": "30"},  # unbounded in depth
 ])
 def test_depths_off_the_dirichlet_walls_accepted(tmp_path, entries):
     build_experiment(load_config(_vertical_with(tmp_path, entries)))
@@ -703,6 +711,10 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("omega 1.0\n")
     assert main(["modes", "--config", str(bad)]) == 2
+    latin = tmp_path / "latin1.cfg"  # a Latin-1 e-acute in a comment
+    latin.write_bytes(b"# caf\xe9\nwaveguide.L = 20\nomega = 1\n")
+    assert main(["modes", "--config", str(latin)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
     import wgimage.cli as cli_mod
 
     def boom(*a, **k):
@@ -712,6 +724,23 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["image", "--config", VERTICAL, "--sigma", "0",
                  "--out", str(tmp_path)]) == 1
     assert "disk full" in capsys.readouterr().err
+
+
+def test_out_directory_made_by_the_first_file(tmp_path, capsys):
+    refused_at_build = _vertical_with(tmp_path, {"omega": "-1"})
+    no_array = f"{CFG_DIR}/rank_scan.cfg"  # refused by the spectrum, image and mc-rate runners
+    refused = [(c, refused_at_build) for c in ("spectrum", "image", "mc-rate", "rank-scan")]
+    refused += [(c, no_array) for c in ("spectrum", "image", "mc-rate")]
+    for cmd, cfg in refused:
+        out = tmp_path / "out"
+        assert main([cmd, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists(), (cmd, cfg)
+    capsys.readouterr()
+    assert main(["modes", "--config", VERTICAL, "--out", str(tmp_path / "out")]) == 0
+    assert not (tmp_path / "out").exists()
+    out = tmp_path / "a" / "b"
+    assert main(["spectrum", "--config", VERTICAL, "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["spectrum.csv"]
 
 
 def test_console_script_installed(tmp_path, console_script):

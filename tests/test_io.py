@@ -1,6 +1,7 @@
-"""The block CSV writers give the bytes of the per-cell writer they
-replaced. The reference below is that writer: every cell formatted on
-its own, with the int/float rule, and the rows joined in memory."""
+"""Each CSV table writer, and the image writer with its per-x-row
+template, gives the bytes of a per-cell writer. The reference below is
+that writer: every cell formatted on its own, integers exactly and
+everything else with %.12g, and the rows joined in memory."""
 
 import math
 import tempfile
@@ -41,10 +42,34 @@ def reference_image_csv(path, im, meta=None):
 META = {"config": "0123456789ab", "seed": 2024, "sigma": 1e-6}
 
 
-def _same_csv(tmp_path, columns, rows, meta=META):
+def _write_spectrum(path, rows):
+    io.write_spectrum_csv(path, np.array([v for _, v in rows]), META)
+
+
+def _write_rates(path, rows):
+    sigmas, rates, trials, seeds = zip(*rows) if rows else ((), (), (0,), (0,))
+    io.write_rates_csv(path, sigmas, rates, trials[0], seeds[0], META)
+
+
+def _write_rank_scan(path, rows):
+    io.write_rank_scan_csv(path, rows, META)
+
+
+#: table writer -> (its columns, a writer call from reference rows)
+WRITERS = {
+    "spectrum": (("index", "value"), _write_spectrum),
+    "rates": (("sigma", "error_rate", "trials", "seed"), _write_rates),
+    "rank_scan": (("a_over_L", "predicted", "measured"), _write_rank_scan),
+}
+
+
+def _same_table(tmp_path, kind, rows):
+    """Bytes of the `kind` table writer on `rows`, which must equal the
+    per-cell reference's; returns the text."""
+    columns, write = WRITERS[kind]
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-    io.write_csv(new, columns, io.format_rows(rows), meta)
-    reference_csv(ref, columns, rows, meta)
+    write(new, rows)
+    reference_csv(ref, columns, rows, META)
     assert new.read_bytes() == ref.read_bytes()
     return new.read_text()
 
@@ -57,49 +82,67 @@ def _same_image(tmp_path, im):
     return new.read_text()
 
 
+def _body(text):
+    return text.splitlines()[len(io._header_lines(META)) + 1:]
+
+
+EDGES = [-0.0, math.nan, math.inf, -math.inf, 1e-300, 0.1 + 0.2, 123456789012.5]
+EDGE_TEXT = ["-0", "nan", "inf", "-inf", "1e-300", "0.3", "123456789012"]
+
+
 def test_float_edge_values(tmp_path):
-    values = [-0.0, math.nan, math.inf, -math.inf, 1e-300, 0.1 + 0.2, 123456789012.5]
-    text = _same_csv(tmp_path, ("v", "w"), [(v, np.float64(v)) for v in values])
-    assert text.splitlines()[-len(values):] == [
-        "-0,-0", "nan,nan", "inf,inf", "-inf,-inf", "1e-300,1e-300",
-        "0.3,0.3", "123456789012,123456789012"]
+    text = _same_table(tmp_path, "spectrum", [(i + 1, v) for i, v in enumerate(EDGES)])
+    assert _body(text) == [f"{i + 1},{t}" for i, t in enumerate(EDGE_TEXT)]
+    text = _same_table(tmp_path, "rates", [(v, np.float64(v), 5, 7) for v in EDGES])
+    assert _body(text) == [f"{t},{t},5,7" for t in EDGE_TEXT]
+    text = _same_table(tmp_path, "rank_scan", [(v, np.float64(v), 3) for v in EDGES])
+    assert _body(text) == [f"{t},{t},3" for t in EDGE_TEXT]
 
 
 def test_numpy_scalars_and_wide_ints(tmp_path):
-    rows = [(np.float64(0.1), np.int64(-7), 2**128 - 1),
-            (np.float64(2.0), np.int64(2**62), 0)]
-    text = _same_csv(tmp_path, ("f", "i", "seed"), rows)
-    assert text.splitlines()[-2] == f"0.1,-7,{2**128 - 1}"
-    assert text.splitlines()[-1] == f"2,{2**62},0"
-
-
-def test_rows_may_be_a_generator(tmp_path):
-    # the second list spans two full blocks and one row of a third
-    for rows in ([(1, 0.5), (2, 0.25)],
-                 [(i, 1.0 / (i + 1)) for i in range(2 * io.BLOCK_ROWS + 1)]):
-        _same_csv(tmp_path, ("index", "value"), rows)
-        ref = (tmp_path / "new.csv").read_bytes()
-        io.write_csv(tmp_path / "gen.csv", ("index", "value"), io.format_rows(iter(rows)), META)
-        assert (tmp_path / "gen.csv").read_bytes() == ref
+    seed = 2**128 - 1
+    rows = [(np.float64(0.1), np.float32(0.5), np.int64(200), seed),
+            (np.float32(2.0), np.float64(1.0), np.int64(200), seed)]
+    text = _same_table(tmp_path, "rates", rows)
+    assert _body(text) == [f"0.1,0.5,200,{seed}", f"2,1,200,{seed}"]
+    rows = [(np.float64(0.1), np.float64(12.5), np.int64(-7)),
+            (np.float32(0.25), 318.0, np.int64(2**62))]
+    text = _same_table(tmp_path, "rank_scan", rows)
+    assert _body(text) == ["0.1,12.5,-7", f"0.25,318,{2**62}"]
+    text = _same_table(tmp_path, "spectrum", [(1, np.float32(0.1)), (2, 0.1)])
+    assert _body(text) == ["1,%.12g" % np.float32(0.1), "2,0.1"]
 
 
 @pytest.mark.parametrize("rows", [
-    [(1, 0.5), (2,)],
-    [(1, 0.5), (2, 0.1, 9)],
-    # flattened, the short and the long row would fill a block's slots exactly
-    [(1, 0.5), (2,), (3, 0.1, 9)],
-    [(1, 0.5)] * (io.BLOCK_ROWS + 3) + [(2,), (3, 0.1, 9)],
+    [(0.1, 0.5, 2), (0.2, 0.5)],
+    [(0.1, 0.5, 2), (0.2, 0.5, 3, 9)],
+    # flattened, the short and the long row would give the right count
+    [(0.1, 0.5, 2), (0.2,), (0.3, 0.5, 3, 9)],
+    # the bad row comes last, after many good ones
+    [(0.1, 0.5, 2)] * 500 + [(0.2, 0.5)],
 ])
 def test_row_of_another_length_raises(tmp_path, rows):
     with pytest.raises(TypeError):
-        io.write_csv(tmp_path / "bad.csv", ("index", "value"), io.format_rows(iter(rows)), META)
+        io.write_rank_scan_csv(tmp_path / "bad.csv", rows, META)
+    # the rows are formatted before the file is opened
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_no_rows_gives_header_and_column_line(tmp_path):
-    text = _same_csv(tmp_path, ("a", "b"), [])
-    assert text.splitlines() == io._header_lines(META) + ["a,b"]
-    io.write_csv(tmp_path / "gen.csv", ("a", "b"), io.format_rows(iter([])), META)
-    assert (tmp_path / "gen.csv").read_text() == text
+    for kind, (columns, _) in WRITERS.items():
+        text = _same_table(tmp_path, kind, [])
+        assert text.splitlines() == io._header_lines(META) + [",".join(columns)]
+
+
+def test_write_csv_creates_the_directory(tmp_path, monkeypatch):
+    path = tmp_path / "a" / "b" / "spectrum.csv"
+    io.write_spectrum_csv(path, [2.0, 1.0], META)
+    assert _body(path.read_text()) == ["1,2", "2,1"]
+    io.write_spectrum_csv(path, [3.0], META)  # into the existing directory
+    assert _body(path.read_text()) == ["1,3"]
+    monkeypatch.chdir(tmp_path)  # a bare file name has no directory part
+    io.write_spectrum_csv("bare.csv", [4.0], META)
+    assert _body((tmp_path / "bare.csv").read_text()) == ["1,4"]
 
 
 def test_image_single_row_and_column(tmp_path):
@@ -118,18 +161,17 @@ def test_image_unnormalized_complex_is_x_major(tmp_path):
     small = SearchGrid(50 + 1 / 7, 52.0, -1.0, 1.0, 0.7, 1 / 3)
     shape = (small.x.size, small.z.size)
     images = [ImageMap(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), small)]
-    # more than two blocks of pixels, with exact zeros, values below 1e-4
-    # (the exponent form of %.12g) and negative z
+    # a larger grid with exact zeros, values below 1e-4 (the exponent form
+    # of %.12g) and negative z
     large = SearchGrid(50.0, 69.0, -3.0, 3.0, 0.5, 1 / 71)
     shape = (large.x.size, large.z.size)
     values = rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 1, shape)
     values[rng.random(shape) < 0.1] = 0.0
     images.append(ImageMap(values, large))
-    assert large.x.size * large.z.size > 2 * io.BLOCK_ROWS + 1
     for im in images:
         grid = im.grid
         text = _same_image(tmp_path, im)
-        body = text.splitlines()[len(io._header_lines(META)) + 1:]
+        body = _body(text)
         assert [ln.split(",")[0] for ln in body[:grid.z.size]] == ["%.12g" % grid.x[0]] * grid.z.size
         assert max(float(ln.split(",")[2]) for ln in body) == 1.0
     z_col, value_col = zip(*(ln.split(",")[1:] for ln in body))
@@ -137,23 +179,25 @@ def test_image_unnormalized_complex_is_x_major(tmp_path):
     assert any("e-" in v for v in value_col)
 
 
-_cells = {"int": st.integers(min_value=-2**130, max_value=2**130),
-          "float": st.floats(allow_nan=True, allow_infinity=True)}
-
-
-@st.composite
-def _column_uniform_rows(draw):
-    kinds = draw(st.lists(st.sampled_from(sorted(_cells)), min_size=1, max_size=5))
-    row = st.tuples(*(_cells[k] for k in kinds))
-    return kinds, draw(st.lists(row, max_size=20))
+_float = st.floats(allow_nan=True, allow_infinity=True)
+_int = st.integers(min_value=0, max_value=2**128 - 1)
+#: rows of each table writer's column types; a rates table has one trials
+#: count and one seed
+_rows = {
+    "spectrum": st.lists(_float, max_size=30).map(
+        lambda vs: [(i + 1, v) for i, v in enumerate(vs)]),
+    "rates": st.tuples(st.lists(st.tuples(_float, _float), max_size=20), _int, _int).map(
+        lambda c: [(s, r, c[1], c[2]) for s, r in c[0]]),
+    "rank_scan": st.lists(st.tuples(_float, _float, _int), max_size=20),
+}
 
 
 @settings(max_examples=60, deadline=None)
-@given(_column_uniform_rows())
-def test_column_uniform_rows_match_reference(case):
-    kinds, rows = case
+@given(st.sampled_from(sorted(_rows)).flatmap(lambda k: st.tuples(st.just(k), _rows[k])))
+def test_table_writers_match_per_cell_reference(case):
+    kind, rows = case
     with tempfile.TemporaryDirectory() as tmp:
-        _same_csv(Path(tmp), tuple(f"{k}{i}" for i, k in enumerate(kinds)), rows)
+        _same_table(Path(tmp), kind, rows)
 
 
 _axis_start = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
