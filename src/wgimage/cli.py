@@ -1,9 +1,12 @@
 """Command-line experiment runner.
 
-Subcommands: modes, spectrum, image, mc-rate, rank-scan. Each reads a
-key=value config file (see config.py) and applies any command-line
-overrides (--sigma lands in noise.sigmas); then its runner in
-experiments.py writes the CSV into --out and prints a short summary.
+Subcommands: modes, spectrum, image, mc-rate, rank-scan, each stated
+once in COMMANDS: its runner, its help and its noise flags. Each reads a
+key=value config file (see config.py), applies its command-line
+overrides (OVERRIDES: --sigma lands in noise.sigmas) and builds it with
+config.build_experiment(cfg, command), which refuses every config the
+command cannot run before its runner starts. The runner in
+experiments.py then writes the CSV into --out and prints a short summary.
 --out is created when the first file is written into it, so a refused
 run, and `modes`, which only prints, leave no directory behind.
 Exit codes: 0 success, 2 configuration error, 1 runtime failure.
@@ -42,53 +45,46 @@ from .experiments import (  # noqa: E402
 )
 
 
+#: Subcommand -> (its runner in experiments.py, its help, the OVERRIDES flags
+#: it takes), in the order --help lists them
+COMMANDS = {
+    "modes": (run_modes, "list guided modes", ("seed",)),
+    "spectrum": (run_spectrum, "array operator spectrum", ("seed",)),
+    "image": (run_image, "single noisy imaging pass", ("seed", "sigma")),
+    "mc-rate": (run_mc_rate, "localization error-rate curve", ("seed", "sigma", "trials")),
+    "rank-scan": (run_rank_scan, "predicted vs measured effective rank", ("seed",)),
+}
+
+#: Override flag -> (the config key it sets, its type, its help)
+OVERRIDES = {
+    "seed": ("noise.seed", int, "override noise.seed"),
+    "sigma": ("noise.sigmas", float, "relative noise level (overrides noise.sigmas)"),
+    "trials": ("noise.trials", int, "override noise.trials"),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="wgimage",
         description="Guided-mode array imaging experiments: spectra, images, "
                     "localization error rates, effective-rank scans.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, sigma=False, trials=False):
+    for name, (_, summary, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", default=".", help="output directory (default .)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override noise.seed")
-        if sigma:
-            p.add_argument("--sigma", type=float, default=None,
-                           help="relative noise level (overrides noise.sigmas)")
-        if trials:
-            p.add_argument("--trials", type=int, default=None,
-                           help="override noise.trials")
-
-    common(sub.add_parser("modes", help="list guided modes"))
-    common(sub.add_parser("spectrum", help="array operator spectrum"))
-    common(sub.add_parser("image", help="single noisy imaging pass"), sigma=True)
-    common(sub.add_parser("mc-rate", help="localization error-rate curve"),
-           sigma=True, trials=True)
-    common(sub.add_parser("rank-scan", help="predicted vs measured effective rank"))
+        for flag in flags:
+            _, kind, text = OVERRIDES[flag]
+            p.add_argument(f"--{flag}", type=kind, default=None, help=text)
     return parser
 
 
 def _load(args):
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.override("noise.seed", str(args.seed))
-    if getattr(args, "trials", None) is not None:
-        cfg.override("noise.trials", str(args.trials))
-    if getattr(args, "sigma", None) is not None:
-        cfg.override("noise.sigmas", repr(args.sigma))
-    return build_experiment(cfg)
-
-
-#: Subcommand -> its runner in experiments.py
-RUNNERS = {
-    "modes": run_modes,
-    "spectrum": run_spectrum,
-    "image": run_image,
-    "mc-rate": run_mc_rate,
-    "rank-scan": run_rank_scan,
-}
+    for flag, (key, _, _) in OVERRIDES.items():
+        if getattr(args, flag, None) is not None:
+            cfg.override(key, repr(getattr(args, flag)))
+    return build_experiment(cfg, args.command)
 
 
 def main(argv=None):
@@ -96,7 +92,7 @@ def main(argv=None):
         gc.freeze()
     args = build_parser().parse_args(argv)
     try:
-        RUNNERS[args.command](_load(args), args.out)
+        COMMANDS[args.command][0](_load(args), args.out)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

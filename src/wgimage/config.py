@@ -20,6 +20,12 @@ diff-friendly on purpose; there is no nesting and no quoting.
 
 Every key is declared once, in KEYS. `read_keys` turns a Config into
 typed values through that table alone; `build_experiment` builds from them.
+Given the command line's command, `build_experiment` also refuses what
+that command cannot run: a key it needs is unset, or, for image and
+mc-rate, there is no receiver set, or no search grid beyond it that
+holds the source. So a built config runs. The one refusal left to run
+time is plain inversion of a singular spectrum, which needs the spectrum
+(estimate raises SingularUnregularized before any file is written).
 """
 
 import math
@@ -40,6 +46,7 @@ from .synth import (
     array_x_max,
     horizontal_line,
     lhs_design,
+    source_amplitudes,
     vertical_line,
 )
 
@@ -175,8 +182,8 @@ KEYS = (
     Key("grid.step_fraction", "20", *_POSITIVE),
     Key("rank.eps", "1e-7", *_POSITIVE),
     Key("rank.kinds", "vertical, horizontal", _list(str),
-        lambda kinds: bool(kinds) and _each(_LINES.__contains__)(kinds),
-        "a non-empty comma list of vertical, horizontal"),
+        lambda kinds: 0 < len(kinds) == len(set(kinds)) and _each(_LINES.__contains__)(kinds),
+        "a non-empty comma list of distinct vertical, horizontal"),
     Key("rank.ratios", None, *_RATIOS),
     Key("rank.ratios_vertical", "0.1, 0.2, 0.3, 0.4", *_RATIOS),
     Key("rank.ratios_horizontal", "0.05, 0.1", *_RATIOS),
@@ -306,7 +313,17 @@ class ExperimentConfig(NamedTuple):
     __eq__, __ne__ = _record.eq, _record.ne
 
 
-def build_experiment(cfg):
+#: the keys, unset by default, that each command cannot run without
+_NEEDS = {"spectrum": ("array.kind",),
+          "image": ("array.kind", "source.x", "source.z"),
+          "mc-rate": ("array.kind", "source.x", "source.z", "noise.sigmas")}
+
+
+def build_experiment(cfg, command=None):
+    """The validated ExperimentConfig of cfg. Given the command line's
+    command, it also refuses what that command cannot run (see _NEEDS;
+    image and mc-rate search a grid beyond a receiver set that holds the
+    source), so the runner it is handed only computes."""
     v = read_keys(cfg)
     kind, L = v["array.kind"], v["waveguide.L"]
     spec = _MODELS[v["waveguide.model"]](L=L, c_o=v["waveguide.c_o"])
@@ -324,11 +341,10 @@ def build_experiment(cfg):
     rank_apertures = {k: [(r, shapes[k](r * L)) for r in v[ratio_keys[k]]]
                       for k in v["rank.kinds"]}
     # the data model is the field of a source beyond the array, at larger x
-    if source is not None and geometry is not None:
-        reach = array_x_max(geometry)
-        if not source.x_o > reach:
-            raise ConfigError(f"source.x = {source.x_o:g} must lie beyond the array, "
-                              f"which reaches x = {reach:g}")
+    reach = None if geometry is None else array_x_max(geometry)
+    if source is not None and geometry is not None and not source.x_o > reach:
+        raise ConfigError(f"source.x = {source.x_o:g} must lie beyond the array, "
+                          f"which reaches x = {reach:g}")
     # a receiver set needs a row of the sensing matrix per mode
     if isinstance(geometry, Discrete) and geometry.points.shape[0] < ms.n_modes:
         key = "array.points" if kind == "points" else "array.M"
@@ -357,6 +373,25 @@ def build_experiment(cfg):
         # no walls: the default grid spans [0, L] exactly
         _in_guide("grid.z_min/grid.z_max", np.array([grid.z_min, grid.z_max]), L, (),
                   "the search grid")
+    # its mode amplitudes have norm 0 (or underflow to it), and the
+    # heuristic eps divides by that norm
+    if source is not None and not np.linalg.norm(source_amplitudes(ms, source)) > 0:
+        raise ConfigError(f"source.z = {source.z_o:g} lies where every guided mode vanishes")
+    missing = [k for k in _NEEDS.get(command, ()) if v[k] in (None, [])]
+    if missing:
+        head = ", ".join(missing[:-1])
+        raise ConfigError(f"{command} needs {head + ' and ' if head else ''}{missing[-1]}")
+    if command in ("image", "mc-rate"):
+        if not isinstance(geometry, Discrete):
+            raise ConfigError(f"{command} runs on a receiver set, not array.kind = {kind}")
+        if not grid.x_min > reach:
+            raise ConfigError(f"grid.x_min = {grid.x_min:g} must lie beyond the array, "
+                              f"which reaches x = {reach:g}")
+        for axis, at in (("x", source.x_o), ("z", source.z_o)):
+            lo, hi = getattr(grid, f"{axis}_min"), getattr(grid, f"{axis}_max")
+            if not lo <= at <= hi:
+                raise ConfigError(f"source.{axis} = {at:g} lies outside the search grid, "
+                                  f"{axis} in [{lo:g}, {hi:g}] (grid.{axis}_min, grid.{axis}_max)")
     return ExperimentConfig(
         values=v, ms=ms, source=source, geometry=geometry, grid=grid,
         reg=RegPolicy(_REGULARIZERS[v["reg.kind"]], v["reg.eps"]),

@@ -18,7 +18,9 @@ class NoGuidedModes(ConfigError):
 
 
 class SingularUnregularized(ConfigError):
-    """Raised when plain inversion (reg.kind = none) meets a singular spectrum."""
+    """Raised when plain inversion meets a spectrum spanning more than 14
+    decades: reg.kind = none, or a regularizer at eps = 0 (reg.eps = 0,
+    or the heuristic eps at sigma 0)."""
 
 
 class TooFewReceivers(ConfigError):

@@ -7,8 +7,9 @@ sets). Both are one estimator a_eps = V psi_eps(D) X (X = b, U^dag p,
 or U^dag for the estimator matrix G), formed only in `_filtered`, with
 one analytic bias/variance decomposition of the error. A `RegPolicy`
 picks psi_eps at each noise level: Tikhonov, HardThreshold or None
-(plain inversion, refused on a spectrum spanning more than 14 decades),
-at a fixed eps or at the noise-matched `heuristic_eps`.
+(plain inversion), at a fixed eps or at the noise-matched
+`heuristic_eps`. Plain inversion, which any regularizer at eps = 0 is
+too, is refused on a spectrum spanning more than 14 decades.
 
 A discrete receiver set has the exact Gram (1/M) B^dag B. A `Dense`
 aperture is its product measure mu_x (x) mu_z, and this module composes
@@ -60,8 +61,6 @@ class Tikhonov(_Regularizer):
 
     def filter(self, d):
         d = np.asarray(d, dtype=float)
-        if self.eps == 0.0:
-            return 1.0 / d
         return d / (d * d + self.eps * self.eps)
 
     def residual(self, d):
@@ -73,8 +72,7 @@ class Tikhonov(_Regularizer):
 
 
 class HardThreshold(_Regularizer):
-    """psi_eps(d) = (1/d) 1{d > eps}; eps = 0 gives the Moore-Penrose
-    convention (zero weight on nonpositive spectrum)."""
+    """psi_eps(d) = (1/d) 1{d > eps}."""
 
     __slots__ = ()
 
@@ -112,12 +110,12 @@ class RegPolicy(NamedTuple):
 
 
 def _psi(d, reg):
-    """psi(d) of regularizer reg; reg=None is plain inversion 1/d, refused
-    on a singular spectrum."""
-    if reg is None:
+    """psi(d) of regularizer reg; reg=None, and any regularizer at eps = 0,
+    is plain inversion 1/d, refused on a singular spectrum."""
+    if reg is None or reg.eps == 0:
         if np.min(d) < 1e-14 * np.max(d):
-            raise SingularUnregularized("spectrum spans more than 14 decades: plain "
-                                        "inversion (reg.kind = none) needs a regularizer")
+            raise SingularUnregularized("spectrum spans more than 14 decades: plain inversion "
+                                        "(reg.kind = none, or eps = 0) needs reg.eps > 0")
         return 1.0 / d
     return reg.filter(d)
 

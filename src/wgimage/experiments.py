@@ -1,9 +1,11 @@
 """Experiment runners: spectra, images, localization error rates, rank scans.
 
 These are the command line's subcommands, one runner each:
-run_<command>(ecfg, outdir) takes a built ExperimentConfig, computes
-with the library modules, writes the command's deterministic CSV into
-outdir and prints its summary on stdout.
+run_<command>(ecfg, outdir) takes the ExperimentConfig that
+config.build_experiment(cfg, command) built, computes with the library
+modules, writes the command's deterministic CSV into outdir and prints
+its summary on stdout. That build has refused every config the command
+cannot run, so a runner checks none.
 
 Measurement noise is additive circular complex Gaussian, scaled relative
 to the peak data amplitude, and follows one convention. Trial t draws its
@@ -24,7 +26,6 @@ import functools
 import numpy as np
 
 from . import _kernels, io
-from .errors import ConfigError
 from .estimate import (
     RegPolicy,
     coupling_spectrum,
@@ -34,7 +35,7 @@ from .estimate import (
 )
 from .image import default_grid, locate_peak, localization_success, migrate
 from .rank import dense_rank_prediction, effective_rank
-from .synth import Discrete, array_x_max, source_amplitudes
+from .synth import Discrete, source_amplitudes
 
 
 def mode_table(ms):
@@ -174,8 +175,6 @@ def run_spectrum(ecfg, outdir):
     """Spectrum of the array operator: singular values of B for receiver
     sets, eigenvalues of A for dense apertures. Writes spectrum.csv and
     prints the spectrum with its effective rank at rank.eps."""
-    if ecfg.geometry is None:
-        raise ConfigError("spectrum experiment needs array.* keys")
     if isinstance(ecfg.geometry, Discrete):
         spectrum = sensing_matrix(ecfg.ms, ecfg.geometry.points).s
     else:
@@ -188,26 +187,6 @@ def run_spectrum(ecfg, outdir):
     print(f"wrote {outdir}/spectrum.csv")
 
 
-def _receiver_points(ecfg, command):
-    """Receiver points of a config that has a receiver set, and a search
-    grid beyond it that holds the source."""
-    if ecfg.geometry is None or ecfg.source is None:
-        raise ConfigError(f"{command} experiment needs array.* and source.* keys")
-    if not isinstance(ecfg.geometry, Discrete):
-        raise ConfigError(f"{command} experiment runs on receiver-set geometries")
-    grid, src = ecfg.grid, ecfg.source
-    reach = array_x_max(ecfg.geometry)
-    if not grid.x_min > reach:
-        raise ConfigError(f"grid.x_min = {grid.x_min:g} must lie beyond the array, "
-                          f"which reaches x = {reach:g}")
-    for axis, at in (("x", src.x_o), ("z", src.z_o)):
-        lo, hi = getattr(grid, f"{axis}_min"), getattr(grid, f"{axis}_max")
-        if not lo <= at <= hi:
-            raise ConfigError(f"source.{axis} = {at:g} lies outside the search grid, "
-                              f"{axis} in [{lo:g}, {hi:g}] (grid.{axis}_min, grid.{axis}_max)")
-    return ecfg.geometry.points
-
-
 def run_image(ecfg, outdir):
     """Single noisy-data imaging pass at the first configured relative
     noise level (0 when noise.sigmas is empty).
@@ -216,10 +195,9 @@ def run_image(ecfg, outdir):
     sigma 0), builds the regularized estimate, migrates it, and locates
     the peak. Writes image.csv and prints the peak with its
     half-wavelength success flag."""
-    points = _receiver_points(ecfg, "image")
     ms, src = ecfg.ms, ecfg.source
     sigma = ecfg.sigmas[0] if ecfg.sigmas else 0.0
-    sm = sensing_matrix(ms, points)
+    sm = sensing_matrix(ms, ecfg.geometry.points)
     a_o = source_amplitudes(ms, src)
     p = sm.B @ a_o
     s_meas = noise_scale(sigma, p)
@@ -238,11 +216,8 @@ def run_image(ecfg, outdir):
 def run_mc_rate(ecfg, outdir):
     """Error-rate curve over the configured sigma list; writes rates.csv
     and prints one line per sigma."""
-    points = _receiver_points(ecfg, "mc-rate")
-    if not ecfg.sigmas:
-        raise ConfigError("mc-rate experiment needs noise.sigmas")
     rates = localization_error_rates(
-        ecfg.ms, ecfg.source, points, ecfg.sigmas,
+        ecfg.ms, ecfg.source, ecfg.geometry.points, ecfg.sigmas,
         ecfg.trials, ecfg.seed, grid=ecfg.grid, reg=ecfg.reg)
     meta = _meta(ecfg, noise="philox key=seed counter=(0,0,trial,0)")
     io.write_rates_csv(f"{outdir}/rates.csv", ecfg.sigmas, rates, ecfg.trials, ecfg.seed, meta)

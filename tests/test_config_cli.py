@@ -208,6 +208,8 @@ def test_search_grid_beyond_the_array_around_the_source(tmp_path, capsys, key, e
     # image and mc-rate search the grid; spectrum reads none of it
     cfg = _vertical_with(tmp_path, entries)
     build_experiment(load_config(cfg))
+    with pytest.raises(wg.ConfigError, match=key):
+        build_experiment(load_config(cfg), "image")
     for cmd in (["image"], ["mc-rate", "--trials", "2"]):
         assert main([*cmd, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
@@ -264,6 +266,14 @@ def test_plain_inversion_of_singular_spectrum_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error") and "reg.kind" in err
     assert not list(tmp_path.glob("*.csv"))
+    # a regularizer at eps = 0 is plain inversion too: the heuristic eps at
+    # sigma 0, or reg.eps = 0
+    for kind, eps, sigma in (("tikhonov", None, "0"), ("hard", "0", "1e-6")):
+        cfg = _vertical_with(tmp_path, dict(entries, **{"reg.kind": kind, "reg.eps": eps}))
+        assert main(["image", "--sigma", sigma, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "reg.eps" in err
+    assert not list(tmp_path.glob("*.csv"))
     # the default regularizer runs on the same receivers
     cfg = _vertical_with(tmp_path, dict(entries, **{"reg.kind": "tikhonov"}))
     assert main(["image", "--sigma", "1e-6", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -294,6 +304,8 @@ def test_dense_half_widths_rejected(tmp_path, capsys, key, kind, value):
 
 _PLANAR = {"array.kind": "planar_lhs", "array.M": "20"}
 _DENSE = {"array.kind": "dense_vertical", "array.a": "2"}
+_DEEP = {"waveguide.model": "parabolic", "waveguide.L": "10", "array.z_a": "0",
+         "grid.z_min": "-200", "grid.z_max": "200"}
 
 
 @pytest.mark.parametrize("key, entries", [
@@ -362,6 +374,11 @@ _DENSE = {"array.kind": "dense_vertical", "array.a": "2"}
     ("source.x", {"source.x": "0"}),  # the receivers' own range
     ("source.x", {"array.kind": "dense_horizontal", "array.z_a": "7", "array.a": "60"}),
     ("rank.kinds", {"rank.kinds": ""}),  # a scan of no kind writes nothing
+    ("rank.kinds", {"rank.kinds": "vertical, vertical"}),  # a scan written twice
+    # deep in the L=10 graded guide every mode amplitude is 0, or its square
+    # underflows: 3.9e-212 at z = 100, exactly 0 at z = 150
+    ("source.z", dict(_DEEP, **{"source.z": "100"})),
+    ("source.z", dict(_DEEP, **{"source.z": "150"})),
 ])
 def test_invalid_keys_exit_2_before_any_output(tmp_path, capsys, key, entries):
     cfg = _vertical_with(tmp_path, entries)
@@ -391,6 +408,7 @@ def test_invalid_keys_exit_2_before_any_output(tmp_path, capsys, key, entries):
     {"grid.z_min": "0", "grid.z_max": "20"},  # the default grid: both walls
     {"waveguide.model": "parabolic", "array.kind": "dense_vertical", "array.z_a": "-3",
      "array.a": "1", "grid.z_min": "-30", "grid.z_max": "30"},  # unbounded in depth
+    dict(_DEEP, **{"source.z": "80"}),  # mode amplitudes of 2.4e-134, norm > 0
 ])
 def test_depths_off_the_dirichlet_walls_accepted(tmp_path, entries):
     build_experiment(load_config(_vertical_with(tmp_path, entries)))
@@ -720,15 +738,59 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     def boom(*a, **k):
         raise RuntimeError("disk full")
 
-    monkeypatch.setitem(cli_mod.RUNNERS, "image", boom)
+    monkeypatch.setitem(cli_mod.COMMANDS, "image", (boom, *cli_mod.COMMANDS["image"][1:]))
     assert main(["image", "--config", VERTICAL, "--sigma", "0",
                  "--out", str(tmp_path)]) == 1
     assert "disk full" in capsys.readouterr().err
 
 
+def _never_run(ecfg, outdir):
+    raise AssertionError("the runner of a refused config was called")
+
+
+_NO_SOURCE = dict(_DENSE, **{"array.z_a": "10", "source.x": None, "source.z": None})
+
+
+@pytest.mark.parametrize("cmd, config, message", [
+    ("spectrum", "rank_scan.cfg", "spectrum needs array.kind"),
+    ("image", "rank_scan.cfg", "image needs array.kind, source.x and source.z"),
+    ("mc-rate", "rank_scan.cfg", "mc-rate needs array.kind, source.x, source.z and noise.sigmas"),
+    ("mc-rate", {"noise.sigmas": None}, "mc-rate needs noise.sigmas"),
+    ("mc-rate", dict(_NO_SOURCE, **{"noise.sigmas": None}),
+     "mc-rate needs source.x, source.z and noise.sigmas"),
+] + [
+    (cmd, config, message.format(cmd=cmd))
+    for cmd in ("image", "mc-rate")
+    for config, message in (
+        (_NO_SOURCE, "{cmd} needs source.x and source.z"),
+        (dict(_DENSE, **{"array.z_a": "10"}),
+         "{cmd} runs on a receiver set, not array.kind = dense_vertical"),
+        ({"grid.x_min": "0"}, "grid.x_min = 0 must lie beyond the array, which reaches x = 0"),
+        ({"grid.x_min": "-20", "grid.x_max": "20"},
+         "grid.x_min = -20 must lie beyond the array, which reaches x = 0"),
+        ({"grid.x_max": "90"}, "source.x = 100 lies outside the search grid, "
+                               "x in [50, 90] (grid.x_min, grid.x_max)"),
+        ({"grid.z_min": "8", "grid.z_max": "12"}, "source.z = 7.7 lies outside the search "
+                                                  "grid, z in [8, 12] (grid.z_min, grid.z_max)"))
+])
+def test_runner_refusals_made_at_build(tmp_path, monkeypatch, capsys, cmd, config, message):
+    # every config a runner once refused is refused where it is built, for
+    # its command, naming the keys at fault and no key that is set
+    import wgimage.cli as cli_mod
+
+    monkeypatch.setitem(cli_mod.COMMANDS, cmd, (_never_run, *cli_mod.COMMANDS[cmd][1:]))
+    cfg = f"{CFG_DIR}/{config}" if isinstance(config, str) else _vertical_with(tmp_path, config)
+    assert main([cmd, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(wg.ConfigError) as exc:
+        build_experiment(load_config(cfg), cmd)
+    assert str(exc.value) == message
+
+
 def test_out_directory_made_by_the_first_file(tmp_path, capsys):
     refused_at_build = _vertical_with(tmp_path, {"omega": "-1"})
-    no_array = f"{CFG_DIR}/rank_scan.cfg"  # refused by the spectrum, image and mc-rate runners
+    no_array = f"{CFG_DIR}/rank_scan.cfg"  # refused at build for spectrum, image and mc-rate
     refused = [(c, refused_at_build) for c in ("spectrum", "image", "mc-rate", "rank-scan")]
     refused += [(c, no_array) for c in ("spectrum", "image", "mc-rate")]
     for cmd, cfg in refused:
