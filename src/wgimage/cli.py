@@ -2,10 +2,11 @@
 
 Subcommands: modes, spectrum, image, mc-rate, rank-scan, each stated
 once in COMMANDS: its runner, its help and its noise flags. Each reads a
-key=value config file (see config.py), applies its command-line
-overrides (OVERRIDES: --sigma lands in noise.sigmas) and builds it with
-config.build_experiment(cfg, command), which refuses every config the
-command cannot run before its runner starts. The runner in
+key=value config file into its entries (config.load_config: a dict of
+key -> value text), writes the repr of each command-line override given
+into them (OVERRIDES: --sigma lands in noise.sigmas) and builds them
+with config.build_experiment(entries, command), which refuses every
+config the command cannot run before its runner starts. The runner in
 experiments.py then writes the CSV into --out and prints a short summary.
 --out is created when the first file is written into it, so a refused
 run, and `modes`, which only prints, leave no directory behind.
@@ -80,11 +81,11 @@ def build_parser():
 
 
 def _load(args):
-    cfg = load_config(args.config)
+    entries = load_config(args.config)
     for flag, (key, _, _) in OVERRIDES.items():
         if getattr(args, flag, None) is not None:
-            cfg.override(key, repr(getattr(args, flag)))
-    return build_experiment(cfg, args.command)
+            entries[key] = repr(getattr(args, flag))
+    return build_experiment(entries, args.command)
 
 
 def main(argv=None):

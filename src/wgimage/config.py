@@ -18,14 +18,19 @@ Example:
 Lines starting with # and blank lines are ignored. The format is
 diff-friendly on purpose; there is no nesting and no quoting.
 
-Every key is declared once, in KEYS. `read_keys` turns a Config into
-typed values through that table alone; `build_experiment` builds from them.
-Given the command line's command, `build_experiment` also refuses what
-that command cannot run: a key it needs is unset, or, for image and
-mc-rate, there is no receiver set, or no search grid beyond it that
-holds the source. So a built config runs. The one refusal left to run
-time is plain inversion of a singular spectrum, which needs the spectrum
-(estimate raises SingularUnregularized before any file is written).
+`parse_config_text` and `load_config` return the entries: a dict of
+key -> value text. Every key is declared once, in KEYS. `read_keys`
+turns the entries into typed values through that table alone, and
+`build_experiment(entries, command)` builds from them. Given the command
+line's command, it also refuses what that command cannot run: a key it
+needs is unset, or, for image and mc-rate, there is no receiver set, or
+no search grid beyond it that holds the source. So a built config runs.
+The one refusal left to run time is plain inversion of a singular
+spectrum, which needs the spectrum (estimate raises SingularUnregularized
+before any file is written).
+
+A comma list (noise.sigmas, rank.kinds, rank.ratios*) repeats no entry;
+its values are compared parsed, so 1e-6 and 1e-06 are one value.
 """
 
 import math
@@ -51,18 +56,8 @@ from .synth import (
 )
 
 
-class Config:
-    """Parsed key=value entries, as text."""
-
-    def __init__(self, entries):
-        self.entries = dict(entries)
-
-    def override(self, key, value):
-        if value is not None:
-            self.entries[key] = value
-
-
 def parse_config_text(text):
+    """The key -> value text entries of a config."""
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -77,7 +72,7 @@ def parse_config_text(text):
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = val
-    return Config(entries)
+    return entries
 
 
 def load_config(path):
@@ -125,6 +120,11 @@ def _each(ok):
     return lambda values: all(map(ok, values))
 
 
+def _distinct(ok):
+    """The check of a comma list: each value passes ok, and none repeats."""
+    return lambda values: len(set(values)) == len(values) and all(map(ok, values))
+
+
 def _one_of(names):
     return str.lower, names.__contains__, "one of " + ", ".join(names)
 
@@ -134,7 +134,7 @@ _FINITE = (float, math.isfinite, "a finite number")
 _POSITIVE = (float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 _NONNEGATIVE = (float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 _COUNT = (_int, lambda n: n >= 1, "an integer >= 1")
-_RATIOS = (_list(float), _each(_POSITIVE[1]), "comma-separated finite numbers > 0")
+_RATIOS = (_list(float), _distinct(_POSITIVE[1]), "comma-separated distinct finite numbers > 0")
 
 _MODELS = {"homogeneous_dd": HomogeneousDD, "homogeneous_dn": HomogeneousDN,
            "parabolic": Parabolic}
@@ -168,8 +168,8 @@ KEYS = (
     Key("array.intervals", None, _pairs(":"),
         _each(lambda seg: math.isfinite(seg[0]) and _POSITIVE[1](seg[1])),
         "b1:h1; b2:h2; ... with b finite and h finite > 0", _DENSE_LINES),
-    Key("noise.sigmas", "", _list(float), _each(_NONNEGATIVE[1]),
-        "comma-separated finite numbers >= 0"),
+    Key("noise.sigmas", "", _list(float), _distinct(_NONNEGATIVE[1]),
+        "comma-separated distinct finite numbers >= 0"),
     Key("noise.trials", "200", *_COUNT),
     # the 128-bit Philox key of every trial's draw; trial t sets the counter
     Key("noise.seed", "0", _int, lambda n: 0 <= n < 2**128, "an integer in [0, 2**128)"),
@@ -182,7 +182,7 @@ KEYS = (
     Key("grid.step_fraction", "20", *_POSITIVE),
     Key("rank.eps", "1e-7", *_POSITIVE),
     Key("rank.kinds", "vertical, horizontal", _list(str),
-        lambda kinds: 0 < len(kinds) == len(set(kinds)) and _each(_LINES.__contains__)(kinds),
+        lambda kinds: len(kinds) > 0 and _distinct(_LINES.__contains__)(kinds),
         "a non-empty comma list of distinct vertical, horizontal"),
     Key("rank.ratios", None, *_RATIOS),
     Key("rank.ratios_vertical", "0.1, 0.2, 0.3, 0.4", *_RATIOS),
@@ -217,11 +217,11 @@ def _unread(name, kind):
     return f"unknown key {name!r} (keys: {', '.join(known)})"
 
 
-def read_keys(cfg):
-    """Typed value (None: unset) of every key the config's array.kind reads.
+def read_keys(entries):
+    """Typed value (None: unset) of every key the entries' array.kind reads.
     Raises ConfigError, naming the key, on a missing, unknown or unread
     key, a value that fails its parser or check, and the cross-key rules."""
-    entries, v = cfg.entries, {}
+    v = {}
     for key in KEYS:  # array.kind comes before every row that depends on it
         if key.kinds is None or v["array.kind"] in key.kinds:
             default = key.default
@@ -245,38 +245,41 @@ def read_keys(cfg):
     return v
 
 
-#: the keys that place each array kind in depth
-_DEPTH_KEYS = {"vertical": "array.z_a/array.extent", "horizontal": "array.z_a",
-               "planar_lhs": "array.center_z/array.size", "points": "array.points",
-               "dense_vertical": "array.z_a/array.a", "dense_horizontal": "array.z_a",
-               "dense_planar": "array.z_a/array.a"}
-
-
 def _geometry(kind, v):
-    """Discrete for receiver-set kinds, the product measure Dense(mu_x, mu_z)
-    for dense_*: vertical x = 0 over [z_a - a, z_a + a], horizontal [0, 2a]
-    at depth z_a, planar [-a, a] x [z_a - a, z_a + a]; each array.intervals
-    segment b:h spans [b - h, b + h] in place of the one of half-length a."""
+    """(geometry, the keys that place it in depth): Discrete for receiver-set
+    kinds, the product measure Dense(mu_x, mu_z) for dense_*: vertical x = 0
+    over [z_a - a, z_a + a], horizontal [0, 2a] at depth z_a, planar
+    [-a, a] x [z_a - a, z_a + a]; each array.intervals segment b:h spans
+    [b - h, b + h] in place of the one of half-length a."""
     if kind in _LINES:
-        line = vertical_line if kind == "vertical" else horizontal_line
-        return Discrete(line(v["array.M"], v["array.z_a"], v["array.extent"]))
+        line, keys = ((vertical_line, "array.z_a/array.extent") if kind == "vertical"
+                      else (horizontal_line, "array.z_a"))
+        return Discrete(line(v["array.M"], v["array.z_a"], v["array.extent"])), keys
     if kind == "planar_lhs":
-        return Discrete(lhs_design(v["array.M"], (v["array.center_x"], v["array.center_z"]),
-                                   v["array.size"], v["array.seed"]))
+        points = lhs_design(v["array.M"], (v["array.center_x"], v["array.center_z"]),
+                            v["array.size"], v["array.seed"])
+        return Discrete(points), "array.center_z/array.size"
     if kind == "points":
-        return Discrete(np.array(v["array.points"]))
+        return Discrete(np.array(v["array.points"])), "array.points"
     z_a, a = v["array.z_a"], v["array.a"]
     if kind == "dense_planar":
-        return Dense(((0.0, a),), ((z_a, a),))
+        return Dense(((0.0, a),), ((z_a, a),)), "array.z_a/array.a"
     segs = v["array.intervals"]
     if kind == "dense_vertical":
-        return Dense(0.0, tuple(segs) if segs else ((z_a, a),))
-    return Dense(tuple(segs) if segs else ((a, a),), z_a)
+        if segs:
+            return Dense(0.0, tuple(segs)), "array.intervals"
+        return Dense(0.0, ((z_a, a),)), "array.z_a/array.a"
+    return Dense(tuple(segs) if segs else ((a, a),), z_a), "array.z_a"
 
 
 def _in_guide(name, z, L, walls, what):
-    """Depths z must lie in [0, L], and not all on a Dirichlet wall, where
-    every mode vanishes and the field is zero."""
+    """Depths z must lie in [0, L]. Point depths (a number or an array) may
+    not all sit on a Dirichlet wall, where every mode vanishes and the
+    field is zero; a tuple of depth segments (b, h) is checked on its ends
+    b -+ h, which may touch a wall."""
+    if isinstance(z, tuple):
+        z, walls = np.ravel([(b - h, b + h) for b, h in z]), ()
+    z = np.atleast_1d(z)
     lo, hi = z.min(), z.max()
     if lo < 0 or hi > L:
         raise ConfigError(f"{name} puts depths {lo:g}..{hi:g} outside the guide [0, {L:g}]")
@@ -284,15 +287,6 @@ def _in_guide(name, z, L, walls, what):
         at = " or ".join(f"{w:g}" for w in walls)
         raise ConfigError(f"{name} puts {what} on a Dirichlet wall (z = {at}), "
                           "where every mode vanishes")
-
-
-def _depth_in_guide(name, mu_z, L, walls):
-    """_in_guide on the endpoints of a dense aperture's depth factor: a
-    segment may touch a Dirichlet wall, a point mass may not lie on one."""
-    if np.isscalar(mu_z):
-        _in_guide(name, np.array([mu_z]), L, walls, "the aperture")
-    else:
-        _in_guide(name, np.ravel([(b - h, b + h) for b, h in mu_z]), L, (), "the aperture")
 
 
 class ExperimentConfig(NamedTuple):
@@ -308,8 +302,8 @@ class ExperimentConfig(NamedTuple):
     trials: int
     seed: int
     rank_eps: float
-    rank_kinds: list
-    rank_apertures: dict  # rank kind -> [(a/L, Dense)], see experiments.rank_scan_rows
+    # rank kind -> [(a/L, Dense)], in rank.kinds order; see experiments.rank_scan_rows
+    rank_apertures: dict
     __eq__, __ne__ = _record.eq, _record.ne
 
 
@@ -319,26 +313,27 @@ _NEEDS = {"spectrum": ("array.kind",),
           "mc-rate": ("array.kind", "source.x", "source.z", "noise.sigmas")}
 
 
-def build_experiment(cfg, command=None):
-    """The validated ExperimentConfig of cfg. Given the command line's
+def build_experiment(entries, command=None):
+    """The validated ExperimentConfig of the entries. Given the command line's
     command, it also refuses what that command cannot run (see _NEEDS;
     image and mc-rate search a grid beyond a receiver set that holds the
     source), so the runner it is handed only computes."""
-    v = read_keys(cfg)
+    v = read_keys(entries)
     kind, L = v["array.kind"], v["waveguide.L"]
     spec = _MODELS[v["waveguide.model"]](L=L, c_o=v["waveguide.c_o"])
     ms = solve_modes(spec, v["omega"])
     source = None if v["source.x"] is None else PointSource(v["source.x"], v["source.z"])
-    geometry = None if kind is None else _geometry(kind, v)
+    geometry, depth_keys = (None, None) if kind is None else _geometry(kind, v)
     # rank.ratios_<kind>, else rank.ratios, else the rank.ratios_<kind> default
     ratio_keys = {k: f"rank.ratios_{k}" if v["rank.ratios"] is None
-                  or f"rank.ratios_{k}" in cfg.entries else "rank.ratios" for k in _LINES}
+                  or f"rank.ratios_{k}" in entries else "rank.ratios" for k in _LINES}
     rank_z_a = 0.22 * L if v["rank.z_a"] is None else v["rank.z_a"]
-    # rank-scan apertures of total length 2a = 2 (a/L) L: the vertical one
-    # x = 0 over depths [0, 2a], the horizontal one [0, 2a] at depth rank.z_a
-    shapes = {"vertical": lambda a: Dense(0.0, ((a, a),)),
-              "horizontal": lambda a: Dense(((a, a),), rank_z_a)}
-    rank_apertures = {k: [(r, shapes[k](r * L)) for r in v[ratio_keys[k]]]
+    # rank-scan apertures of total length 2a = 2 (a/L) L, after the key that
+    # places each kind in depth: the vertical one x = 0 over depths [0, 2a],
+    # the horizontal one [0, 2a] at depth rank.z_a
+    shapes = {"vertical": (ratio_keys["vertical"], lambda a: Dense(0.0, ((a, a),))),
+              "horizontal": ("rank.z_a", lambda a: Dense(((a, a),), rank_z_a))}
+    rank_apertures = {k: [(r, shapes[k][1](r * L)) for r in v[ratio_keys[k]]]
                       for k in v["rank.kinds"]}
     # the data model is the field of a source beyond the array, at larger x
     reach = None if geometry is None else array_x_max(geometry)
@@ -359,17 +354,14 @@ def build_experiment(cfg, command=None):
     if not isinstance(spec, Parabolic):  # the graded guide is unbounded in depth
         walls = (L,) if isinstance(spec, HomogeneousDN) else (0.0, L)
         if source is not None:
-            _in_guide("source.z", np.array([source.z_o]), L, walls, "the source")
+            _in_guide("source.z", source.z_o, L, walls, "the source")
         if isinstance(geometry, Discrete):
-            _in_guide(_DEPTH_KEYS[kind], geometry.points[:, 1], L, walls, "every receiver")
+            _in_guide(depth_keys, geometry.points[:, 1], L, walls, "every receiver")
         elif geometry is not None:
-            intervals = kind == "dense_vertical" and v["array.intervals"]
-            _depth_in_guide("array.intervals" if intervals else _DEPTH_KEYS[kind],
-                            geometry.mu_z, L, walls)
-        depth_keys = {"vertical": ratio_keys["vertical"], "horizontal": "rank.z_a"}
+            _in_guide(depth_keys, geometry.mu_z, L, walls, "the aperture")
         for k, apertures in rank_apertures.items():
             for _, aperture in apertures:
-                _depth_in_guide(depth_keys[k], aperture.mu_z, L, walls)
+                _in_guide(shapes[k][0], aperture.mu_z, L, walls, "the aperture")
         # no walls: the default grid spans [0, L] exactly
         _in_guide("grid.z_min/grid.z_max", np.array([grid.z_min, grid.z_max]), L, (),
                   "the search grid")
@@ -396,4 +388,4 @@ def build_experiment(cfg, command=None):
         values=v, ms=ms, source=source, geometry=geometry, grid=grid,
         reg=RegPolicy(_REGULARIZERS[v["reg.kind"]], v["reg.eps"]),
         sigmas=v["noise.sigmas"], trials=v["noise.trials"], seed=v["noise.seed"],
-        rank_eps=v["rank.eps"], rank_kinds=v["rank.kinds"], rank_apertures=rank_apertures)
+        rank_eps=v["rank.eps"], rank_apertures=rank_apertures)

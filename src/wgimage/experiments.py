@@ -2,7 +2,7 @@
 
 These are the command line's subcommands, one runner each:
 run_<command>(ecfg, outdir) takes the ExperimentConfig that
-config.build_experiment(cfg, command) built, computes with the library
+config.build_experiment(entries, command) built, computes with the library
 modules, writes the command's deterministic CSV into outdir and prints
 its summary on stdout. That build has refused every config the command
 cannot run, so a runner checks none.
@@ -249,10 +249,10 @@ def rank_scan_rows(ms, kind, apertures):
 
 def run_rank_scan(ecfg, outdir):
     """Predicted vs measured effective rank over a/L: writes one CSV per
-    kind, then prints every row."""
+    kind, in rank.kinds order, then prints every row."""
     scans = []
-    for kind in ecfg.rank_kinds:
-        rows = rank_scan_rows(ecfg.ms, kind, ecfg.rank_apertures[kind])
+    for kind, apertures in ecfg.rank_apertures.items():
+        rows = rank_scan_rows(ecfg.ms, kind, apertures)
         io.write_rank_scan_csv(f"{outdir}/rank_scan_{kind}.csv", rows, _meta(ecfg))
         scans.append((kind, rows))
     for kind, rows in scans:

@@ -1,9 +1,12 @@
+import contextlib
 import glob
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +64,7 @@ def test_typed_getters():
         build_experiment(parse_config_text("waveguide.L = 20\nomega = abc\n"))
     with pytest.raises(wg.ConfigError, match="noise.trials must be an integer"):
         build_experiment(parse_config_text(base + "noise.trials = 2.5\n"))
-    cfg.override("noise.trials", "3")
-    cfg.override("noise.sigmas", None)  # None leaves the entry alone
+    cfg["noise.trials"] = "3"
     values = read_keys(cfg)
     assert values["noise.trials"] == 3 and values["noise.sigmas"] == [1e-3, 2e-3]
 
@@ -379,6 +381,11 @@ _DEEP = {"waveguide.model": "parabolic", "waveguide.L": "10", "array.z_a": "0",
     # underflows: 3.9e-212 at z = 100, exactly 0 at z = 150
     ("source.z", dict(_DEEP, **{"source.z": "100"})),
     ("source.z", dict(_DEEP, **{"source.z": "150"})),
+    # every list entry is distinct: equal floats written differently repeat
+    ("noise.sigmas", {"noise.sigmas": "1e-6, 1e-06"}),
+    ("rank.ratios", {"rank.ratios": "0.1, 0.1"}),
+    ("rank.ratios_vertical", {"rank.ratios_vertical": "0.1, 0.2, 0.1"}),
+    ("rank.ratios_horizontal", {"rank.ratios_horizontal": "0.05, 5e-2"}),
 ])
 def test_invalid_keys_exit_2_before_any_output(tmp_path, capsys, key, entries):
     cfg = _vertical_with(tmp_path, entries)
@@ -452,12 +459,13 @@ def test_unknown_key_lists_its_section():
 
 
 # every key, some misspellings, and values from one token list: valid small
-# values, 0, -1, nan, inf, abc, the empty value, and None for a left-out key
+# values, 0, -1, nan, inf, abc, a repeated list entry, the empty value, and
+# None for a left-out key
 _FUZZ_KEYS = sorted({key.name for key in KEYS}) + [
     "noise.trial", "array.extnet", "omeg", "reg.policy", "grid.xmin"]
 _FUZZ_TOKENS = [None, "", "0", "-1", "nan", "inf", "abc", "1", "2", "0.5", "7", "0x10",
-                "1e-6, 0", "0,3;0,7", "5:2", "vertical", "horizontal", "planar_lhs",
-                "points", "dense_vertical", "dense_horizontal", "dense_planar",
+                "1e-6, 0", "1e-6, 1e-06", "0,3;0,7", "5:2", "vertical", "horizontal",
+                "planar_lhs", "points", "dense_vertical", "dense_horizontal", "dense_planar",
                 "homogeneous_dn", "parabolic", "hard", "none"]
 _FUZZ_ARRAYS = [
     {"array.kind": "vertical", "array.M": "12"},
@@ -468,25 +476,56 @@ _FUZZ_ARRAYS = [
     {"array.kind": "dense_planar", "array.z_a": "10", "array.a": "1"},
     {},
 ]
+# the L = 20 guides: the graded one with a grid deep enough for a source at
+# z = 150, where every mode amplitude is exactly 0
+_FUZZ_GUIDES = [{}, {"waveguide.model": "parabolic", "grid.z_min": "-200", "grid.z_max": "200"}]
+_FUZZ_COMMANDS = (["modes"], ["spectrum"], ["image", "--sigma", "0"],
+                  ["mc-rate", "--trials", "2"], ["rank-scan"])
 
 
-@settings(max_examples=60, deadline=None)
-@given(array=st.sampled_from(_FUZZ_ARRAYS),
+def _printed_numbers(text):
+    """Every token of printed text, split at blanks, commas and =, that
+    reads as a float."""
+    for tok in re.split(r"[\s,=]+", text):
+        try:
+            yield float(tok)
+        except ValueError:
+            pass
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(guide=st.sampled_from(_FUZZ_GUIDES), source_z=st.sampled_from(["7.7", "150"]),
+       array=st.sampled_from(_FUZZ_ARRAYS),
        edits=st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_TOKENS))
                       .filter(lambda e: e != ("omega", "7")),  # omega <= 2: few modes
-                      min_size=1, max_size=3))
-def test_fuzzed_configs_run_or_exit_2(array, edits):
-    entries = {"waveguide.L": "20", "omega": "1", "source.x": "100", "source.z": "7.7",
-               "grid.x_min": "95", "grid.x_max": "105", **array, **dict(edits)}
+                      max_size=3))
+def test_fuzzed_configs_run_or_exit_2(guide, source_z, array, edits):
+    # every command exits 0 or 2; exit 2 names a key or the command and
+    # writes nothing; exit 0 prints and writes only finite numbers
+    entries = {"waveguide.L": "20", "omega": "1", "source.x": "100", "source.z": source_z,
+               "grid.x_min": "95", "grid.x_max": "105", "noise.sigmas": "0, 1e-3",
+               **guide, **array, **dict(edits)}
+    names = {key.name for key in KEYS} | set(entries)
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "fuzz.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in entries.items() if v is not None))
-        for cmd in (["spectrum"], ["image", "--sigma", "0"]):
+        for cmd in _FUZZ_COMMANDS:
             out = Path(tmp) / cmd[0]
-            code = main([*cmd, "--config", str(cfg), "--out", str(out)])
-            assert code in (0, 2), (cmd, entries)
+            stdout, stderr = StringIO(), StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([*cmd, "--config", str(cfg), "--out", str(out)])
+            err = stderr.getvalue()
+            assert code in (0, 2), (cmd, entries, err)
             if code == 2:
-                assert not list(out.glob("*.csv")), (cmd, entries)
+                assert any(name in err for name in names | {cmd[0]}), (cmd, entries, err)
+                assert not out.exists(), (cmd, entries)
+                continue
+            assert all(map(np.isfinite, _printed_numbers(stdout.getvalue()))), (cmd, entries)
+            for csv in out.glob("*.csv"):
+                rows = [ln for ln in csv.read_text().splitlines() if not ln.startswith("#")][1:]
+                values = [float(cell) for row in rows for cell in row.split(",")]
+                assert all(map(np.isfinite, values)), (cmd, entries, csv.name)
 
 
 def test_noise_overrides_rejected(tmp_path, capsys):
@@ -563,7 +602,7 @@ def test_error_rates_count_misses_by_the_one_ball_rule(monkeypatch, ms_dd20, src
 
 def test_image_runner_noiseless_success(tmp_path, capsys):
     cfg = load_config(VERTICAL)
-    cfg.override("noise.sigmas", "0")
+    cfg["noise.sigmas"] = "0"
     ecfg = build_experiment(cfg)
     run_image(ecfg, str(tmp_path))
     out = capsys.readouterr().out
@@ -715,12 +754,12 @@ def test_dense_spectrum_takes_eigenvalues_only(tmp_path, monkeypatch, capsys):
 def test_rank_scan_counts_equal_eigh_counts(monkeypatch):
     ecfg = build_experiment(load_config(f"{CFG_DIR}/rank_scan.cfg"))
     expected = {}
-    for kind in ecfg.rank_kinds:
-        ds = [wg.coupling_matrix(ecfg.ms, aperture).d for _, aperture in ecfg.rank_apertures[kind]]
+    for kind, apertures in ecfg.rank_apertures.items():
+        ds = [wg.coupling_matrix(ecfg.ms, aperture).d for _, aperture in apertures]
         expected[kind] = [wg.effective_rank(d, RANK_LEVEL[kind] * d[0]) for d in ds]
     monkeypatch.setattr(np.linalg, "eigh", _no_eigh)
-    for kind in ecfg.rank_kinds:
-        rows = rank_scan_rows(ecfg.ms, kind, ecfg.rank_apertures[kind])
+    for kind, apertures in ecfg.rank_apertures.items():
+        rows = rank_scan_rows(ecfg.ms, kind, apertures)
         assert [measured for _, _, measured in rows] == expected[kind]
 
 

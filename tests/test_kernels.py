@@ -224,7 +224,7 @@ def test_error_rates_match_per_sigma_reference(name, entries, blocks, rest):
     # (M = 1000, 129 trials). parabolic has a sigma-0 level in its list.
     cfg = load_config(CFG_DIR / f"{name}.cfg")
     for key, value in entries.items():
-        cfg.override(key, value)
+        cfg[key] = value
     ecfg = build_experiment(cfg)
     trials = blocks * trial_block(len(ecfg.geometry.points)) + rest
     rates = localization_error_rates(

@@ -20,9 +20,9 @@ _GRID = wg.SearchGrid(50.0, 150.0, 0.0, 20.0, 0.5, 0.25)
 # (class, positional arguments, field names in order, frozen)
 CASES = [
     (ExperimentConfig, ({"omega": 1.0}, None, wg.PointSource(100.0, 7.7), None, _GRID,
-                        wg.RegPolicy(), [1e-3], 10, 2024, 1e-7, ["vertical"], {}),
+                        wg.RegPolicy(), [1e-3], 10, 2024, 1e-7, {}),
      ("values", "ms", "source", "geometry", "grid", "reg", "sigmas", "trials", "seed",
-      "rank_eps", "rank_kinds", "rank_apertures"), False),
+      "rank_eps", "rank_apertures"), False),
     (wg.Tikhonov, (0.5,), ("eps",), True),
     (wg.HardThreshold, (0.5,), ("eps",), True),
     (wg.RegPolicy, (wg.HardThreshold, 0.5), ("kind", "eps"), True),
