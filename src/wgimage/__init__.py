@@ -21,9 +21,10 @@ _EXPORTS = {
     "estimate": ("CouplingMatrix", "EstimationReport", "HardThreshold", "RegPolicy",
                  "SensingMatrix", "Tikhonov", "coupling_matrix", "coupling_spectrum",
                  "estimate_amplitudes", "estimator_matrix", "mse_decomposition",
-                 "optimal_epsilon", "project_reduced", "sensing_matrix", "svd_estimate"),
+                 "optimal_epsilon", "project_reduced", "reverse_time", "sensing_matrix",
+                 "svd_estimate"),
     "image": ("ImageMap", "SearchGrid", "default_grid", "locate_peak",
-              "localization_success", "migrate", "reverse_time"),
+              "localization_success", "migrate"),
     "modes": ("HomogeneousDD", "HomogeneousDN", "ModeSet", "Parabolic", "solve_modes"),
     "rank": ("MomentFamily", "dense_rank_prediction", "effective_rank", "moment_family",
              "span_rank_collapse", "taylor_rank_prediction"),

@@ -132,7 +132,9 @@ def _one_of(names):
 _int = partial(int, base=0)
 _FINITE = (float, math.isfinite, "a finite number")
 _POSITIVE = (float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
-_NONNEGATIVE = (float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+# -0 passes v >= 0; it parses as 0, so no output prints or writes -0
+_NONNEGATIVE = (lambda text: float(text) or 0.0, lambda v: math.isfinite(v) and v >= 0,
+                "a finite number >= 0")
 _COUNT = (_int, lambda n: n >= 1, "an integer >= 1")
 _RATIOS = (_list(float), _distinct(_POSITIVE[1]), "comma-separated distinct finite numbers > 0")
 
@@ -168,7 +170,7 @@ KEYS = (
     Key("array.intervals", None, _pairs(":"),
         _each(lambda seg: math.isfinite(seg[0]) and _POSITIVE[1](seg[1])),
         "b1:h1; b2:h2; ... with b finite and h finite > 0", _DENSE_LINES),
-    Key("noise.sigmas", "", _list(float), _distinct(_NONNEGATIVE[1]),
+    Key("noise.sigmas", "", _list(_NONNEGATIVE[0]), _distinct(_NONNEGATIVE[1]),
         "comma-separated distinct finite numbers >= 0"),
     Key("noise.trials", "200", *_COUNT),
     # the 128-bit Philox key of every trial's draw; trial t sets the counter
@@ -181,7 +183,7 @@ KEYS = (
     Key("grid.z_max", None, *_FINITE),
     Key("grid.step_fraction", "20", *_POSITIVE),
     Key("rank.eps", "1e-7", *_POSITIVE),
-    Key("rank.kinds", "vertical, horizontal", _list(str),
+    Key("rank.kinds", "vertical, horizontal", _list(str.lower),
         lambda kinds: len(kinds) > 0 and _distinct(_LINES.__contains__)(kinds),
         "a non-empty comma list of distinct vertical, horizontal"),
     Key("rank.ratios", None, *_RATIOS),
@@ -351,8 +353,8 @@ def build_experiment(entries, command=None):
         if not getattr(grid, lo) < getattr(grid, hi):
             raise ConfigError(f"grid.{lo} must be < grid.{hi}, "
                               f"got {getattr(grid, lo)!r} >= {getattr(grid, hi)!r}")
-    if not isinstance(spec, Parabolic):  # the graded guide is unbounded in depth
-        walls = (L,) if isinstance(spec, HomogeneousDN) else (0.0, L)
+    walls = spec.walls
+    if walls:  # a guide with walls spans [0, L]; the graded one is unbounded
         if source is not None:
             _in_guide("source.z", source.z_o, L, walls, "the source")
         if isinstance(geometry, Discrete):

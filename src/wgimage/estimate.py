@@ -12,14 +12,10 @@ picks psi_eps at each noise level: Tikhonov, HardThreshold or None
 too, is refused on a spectrum spanning more than 14 decades.
 
 A discrete receiver set has the exact Gram (1/M) B^dag B. A `Dense`
-aperture is its product measure mu_x (x) mu_z, and this module composes
-its Gram as the elementwise product A = X (.) Z of a range factor
-X_jl = int e^{i(beta_j - beta_l) x} dmu_x (a phase for a range point
-mass, a sum of sincs over range segments, for every model) and a depth
-factor Z_jl = int phi_j phi_l dmu_z (outer(phi(z_0), phi(z_0)) for a
-depth point mass z_0, and `ModeSet.segment_gram` over depth segments,
-which holds each model's closed form). So every Gram is closed form,
-with no quadrature and no tolerance.
+aperture is its product measure mu_x (x) mu_z, whose Gram
+`ModeSet.gram` gives as the elementwise product A = X (.) Z of a range
+and a depth factor, in closed form for every model. So every Gram is
+closed form, with no quadrature and no tolerance.
 
 One Gram, `_gram`, feeds two paths. Estimation uses `coupling_matrix`,
 its full eigendecomposition, at the aperture's true position. The
@@ -30,6 +26,10 @@ one-segment range measure to x = 0, a unitary similarity that keeps the
 eigenvalues and makes the Gram real. The two lists agree to round-off,
 about N eps d_0, not bit for bit. A receiver set's printed spectrum is
 the singular values of `sensing_matrix`.
+
+Field samples enter through their back-projection onto the mode traces:
+`project_reduced` takes it onto the reduced profiles V, and
+`reverse_time` migrates it.
 
 Spectral conventions, fixed for reproducibility: eigenvalues and
 singular values in descending order, and each eigen/singular vector
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import _record
 from .errors import GeometryMismatch, SingularUnregularized, TooFewReceivers
-from .modes import _segment_sum, _sinc
+from .image import migrate
 from .synth import Discrete, FieldSamples, geometry_equal, mode_traces
 
 
@@ -167,44 +167,18 @@ class SensingMatrix(NamedTuple):
     __eq__, __ne__ = _record.eq, _record.ne
 
 
-def _range_factor(ms, mu_x):
-    """X_jl = int e^{i(beta_j - beta_l) x} dmu_x with db = beta_j - beta_l:
-    e^{i db x0} for a point mass at x0, and over each segment (b, h) the
-    average e^{i db b} sinc(db h). Centred at x = 0, X is real: the
-    scalar 1 for a point mass, sinc(db h) for a segment."""
-    if np.isscalar(mu_x) and mu_x == 0:
-        return 1.0
-    db = ms.beta[:, None] - ms.beta[None, :]
-    if np.isscalar(mu_x):
-        return np.exp(1j * db * mu_x)
-    return _segment_sum(mu_x, lambda b, h: _sinc(db * h) if b == 0
-                        else np.exp(1j * db * b) * _sinc(db * h))
-
-
-def _depth_factor(ms, mu_z):
-    """Z_jl = int phi_j phi_l dmu_z: outer(phi(z_0), phi(z_0)) for a point
-    mass at z_0, and `ModeSet.segment_gram` over segments."""
-    if np.isscalar(mu_z):
-        phi = ms.profile_matrix(mu_z)[0]
-        return np.outer(phi, phi)
-    return ms.segment_gram(mu_z)
-
-
 def _gram(ms, geom):
     """The coupling matrix A of an array geometry, symmetrized to
     (A + A^dag)/2.
 
-    A Discrete receiver set uses the exact Gram (1/M) B^dag B. A Dense
-    aperture's Gram is the elementwise product A = X (.) Z of the range
-    factor X over geom.mu_x (closed form for every model) and the depth
-    factor Z over geom.mu_z (closed form at a point mass and over
-    segments, for every model).
+    A Discrete receiver set uses the exact Gram (1/M) B^dag B, a Dense
+    aperture `ModeSet.gram` of its product measure.
     """
     if isinstance(geom, Discrete):
         B = mode_traces(ms, geom.points)
         A = B.conj().T @ B / geom.points.shape[0]
     else:
-        A = _depth_factor(ms, geom.mu_z) * _range_factor(ms, geom.mu_x)
+        A = ms.gram(geom.mu_x, geom.mu_z)
     return 0.5 * (A + A.conj().T)
 
 
@@ -253,6 +227,14 @@ def project_reduced(fs, cm, ms):
     For noiseless mode-sum data b = D V^dag a_o.
     """
     return cm.V.conj().T @ _backproject(fs, cm, ms)
+
+
+def reverse_time(fs, cm, ms, grid):
+    """Migration driven directly by the recorded field: the data are
+    projected on the mode traces, m_j = int p conj(phi_j e^{-i beta_j x}) dmu,
+    and m is migrated. For noiseless data m = A a_o, so the result is
+    I[A a_o] and coincides with (1/L) I[a_o] at full aperture."""
+    return migrate(_backproject(fs, cm, ms), ms, grid)
 
 
 def estimate_amplitudes(b, cm, reg):

@@ -26,14 +26,8 @@ import functools
 import numpy as np
 
 from . import _kernels, io
-from .estimate import (
-    RegPolicy,
-    coupling_spectrum,
-    estimator_matrix,
-    sensing_matrix,
-    svd_estimate,
-)
-from .image import default_grid, locate_peak, localization_success, migrate
+from .estimate import coupling_spectrum, estimator_matrix, sensing_matrix, svd_estimate
+from .image import locate_peak, localization_success, migrate
 from .rank import dense_rank_prediction, effective_rank
 from .synth import Discrete, source_amplitudes
 
@@ -108,11 +102,11 @@ def trial_block(m):
     return max(1, BLOCK_VALUES // m)
 
 
-def localization_error_rates(ms, src, points, sigmas, trials, seed,
-                             grid=None, reg=RegPolicy()):
+def localization_error_rates(ms, src, points, sigmas, trials, seed, grid, reg):
     """Fraction of noise draws whose image peak lands farther than half a
     wavelength from the source (`localization_success` fails), for each
-    relative noise level sigma.
+    relative noise level sigma: the peak is searched on the SearchGrid
+    `grid`, and the RegPolicy `reg` picks each sigma's regularizer.
 
     The estimator matrix G = V psi(D) U^dag of each sigma and the
     separable grid factors are built once. Trials then run in blocks of
@@ -122,8 +116,6 @@ def localization_error_rates(ms, src, points, sigmas, trials, seed,
     max(BLOCK_VALUES, M) values per array; at M = 20 up to 6400 trials
     share one block.
     """
-    if grid is None:
-        grid = default_grid(ms)
     sm = sensing_matrix(ms, points)
     a_o = source_amplitudes(ms, src)
     p = sm.B @ a_o

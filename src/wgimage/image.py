@@ -3,7 +3,10 @@
 The imaging function backpropagates the amplitude vector through the
 guided-mode phases over a rectangular search region; its modulus peaks
 at the source position with a spot width at the resolution limit of
-half a wavelength.
+half a wavelength. The guide enters only through a ModeSet: its axial
+wavenumbers, `profile_matrix`, and the model's `walls`, which set the
+default depth span. Migrating the recorded field itself is
+`estimate.reverse_time`.
 """
 
 from typing import NamedTuple
@@ -12,8 +15,6 @@ import numpy as np
 
 from . import _record
 from .errors import GeometryMismatch
-from .estimate import _backproject
-from .modes import Parabolic
 
 
 def _axis(lo, hi, step):
@@ -64,14 +65,12 @@ class SearchGrid(_Box):
 
 def default_grid(ms, x_min=50.0, x_max=150.0, step_fraction=20.0):
     """Search region with lambda_o / step_fraction spacing in both axes;
-    z spans the transverse domain (symmetric about 0 for the graded
-    profile, the full slab otherwise)."""
+    z spans the transverse domain: [0, L] for a guide with walls, [-L, L]
+    for the unbounded graded profile."""
     h = ms.lambda_o / step_fraction
-    if isinstance(ms.spec, Parabolic):
-        z_min, z_max = -ms.spec.L, ms.spec.L
-    else:
-        z_min, z_max = 0.0, ms.spec.L
-    return SearchGrid(x_min, x_max, z_min, z_max, h, h)
+    L = ms.spec.L
+    z_min = 0.0 if ms.spec.walls else -L
+    return SearchGrid(x_min, x_max, z_min, L, h, h)
 
 
 class ImageMap(NamedTuple):
@@ -101,14 +100,6 @@ def migrate(a, ms, grid):
     E = np.exp(1j * np.outer(grid.x, ms.beta))
     P = ms.profile_matrix(grid.z)
     return ImageMap((E * coeff[None, :]) @ P.T, grid)
-
-
-def reverse_time(fs, cm, ms, grid):
-    """Migration driven directly by the recorded field: the data are
-    projected on the mode traces, m_j = int p conj(phi_j e^{-i beta_j x}) dmu,
-    and m is migrated. For noiseless data m = A a_o, so the result is
-    I[A a_o] and coincides with (1/L) I[a_o] at full aperture."""
-    return migrate(_backproject(fs, cm, ms), ms, grid)
 
 
 def locate_peak(im):

@@ -7,12 +7,17 @@ profile 1/c^2(z) = (1/c_o^2)(1 - z^2/L^2) on the unbounded transverse
 line. Mode profiles, transverse and axial wavenumbers are exact closed
 forms; no numerical eigensolver is involved.
 
+Each model states its `walls`, the depths where every mode vanishes:
+z = 0 and L (Dirichlet-Dirichlet), z = L (Neumann-Dirichlet), none for
+the unbounded parabolic profile. A guide with walls spans [0, L].
+
 A `ModeSet` is the one place that evaluates the basis, so only this
 module knows each model's formulas: the profiles and their depth
-derivatives (`derivatives`, `profile_matrix`), and the depth Gram
-int phi_j phi_l over segments (`segment_gram`), in closed form for every
-model. The homogeneous segment Gram relies on `solve_modes` spacing
-alpha evenly.
+derivatives (`derivatives`, `profile_matrix`), the depth Gram
+int phi_j phi_l over segments (`segment_gram`), and the Gram X (.) Z of
+an array's product measure mu_x (x) mu_z (`gram`), all in closed form
+for every model. The homogeneous segment Gram relies on `solve_modes`
+spacing alpha evenly.
 """
 
 import math
@@ -26,7 +31,8 @@ from .errors import NoGuidedModes
 
 
 class _Guide(NamedTuple):
-    """Scale L and reference sound speed c_o of a waveguide model."""
+    """Scale L and reference sound speed c_o of a waveguide model; its
+    `walls` are the depths where every mode vanishes."""
 
     L: float
     c_o: float = 1.0
@@ -37,6 +43,10 @@ class HomogeneousDD(_Guide):
     """Constant speed c_o on [0, L], Dirichlet at z=0 and z=L."""
 
     __slots__ = ()
+
+    @property
+    def walls(self):
+        return (0.0, self.L)
 
 
 class HomogeneousDN(_Guide):
@@ -49,11 +59,16 @@ class HomogeneousDN(_Guide):
 
     __slots__ = ()
 
+    @property
+    def walls(self):
+        return (self.L,)
+
 
 class Parabolic(_Guide):
     """Parabolic index profile with scale L: 1/c^2(z) = (1/c_o^2)(1 - z^2/L^2)."""
 
     __slots__ = ()
+    walls = ()  # unbounded in depth
 
 
 # Taylor terms (derivative orders 0..14) of a short parabolic segment. With
@@ -173,6 +188,30 @@ class ModeSet:
         toeplitz = sliding_window_view(np.concatenate((diff[:0:-1], diff)), n)[::-1]
         return toeplitz + sliding_window_view(total, n)
 
+    def gram(self, mu_x, mu_z):
+        """A = X (.) Z for the product measure mu_x (x) mu_z of a dense
+        aperture, each factor a point (a number) or segments (b, h).
+
+        The range factor X_jl = int e^{i db x} dmu_x, db = beta_j - beta_l,
+        is e^{i db x0} at a point x0 and the length-weighted average of
+        e^{i db b} sinc(db h) over segments; centred at x = 0 it is real,
+        so A is Z itself at the point and takes the real sinc over a
+        segment. The depth factor Z_jl = int phi_j phi_l dmu_z is
+        outer(phi(z0), phi(z0)) at a point z0 and `segment_gram` over
+        segments."""
+        if np.isscalar(mu_z):
+            phi = self.profile_matrix(mu_z)[0]
+            Z = np.outer(phi, phi)
+        else:
+            Z = self.segment_gram(mu_z)
+        if np.isscalar(mu_x) and mu_x == 0:
+            return Z
+        db = self.beta[:, None] - self.beta[None, :]
+        if np.isscalar(mu_x):
+            return Z * np.exp(1j * db * mu_x)
+        return Z * _segment_sum(mu_x, lambda b, h: _sinc(db * h) if b == 0
+                                else np.exp(1j * db * b) * _sinc(db * h))
+
 
 def _sinc(x):
     # unnormalized sinc sin(x)/x
@@ -237,13 +276,12 @@ def solve_modes(spec, omega):
         raise ValueError("omega must be positive")
     k_o = omega / spec.c_o
     L = spec.L
-    if isinstance(spec, HomogeneousDD):
-        j = np.arange(1, int(np.floor(k_o * L / np.pi)) + 2)
-        alpha = np.pi * j / L
-        offset = 1
-    elif isinstance(spec, HomogeneousDN):
-        j = np.arange(1, int(np.floor(k_o * L / np.pi + 0.5)) + 2)
-        alpha = (j - 0.5) * np.pi / L
+    if isinstance(spec, (HomogeneousDD, HomogeneousDN)):
+        # alpha_j = (j - s) pi / L: s = 0 for the sin basis (DD), 1/2 for
+        # the cos one (DN)
+        s = 0.5 * isinstance(spec, HomogeneousDN)
+        j = np.arange(1, int(np.floor(k_o * L / np.pi + s)) + 2)
+        alpha = (j - s) * np.pi / L
         offset = 1
     elif isinstance(spec, Parabolic):
         j = np.arange(0, int(np.ceil((k_o * L - 1.0) / 2.0)) + 1)

@@ -1,9 +1,20 @@
-"""SHA-256 digests of every output of the shipped configs.
+"""SHA-256 digests of every output of the shipped configs and of the
+generated dense apertures.
 
 Runs the five subcommands on each configs/*.cfg at seeds 1 and 7, with
-the shipped trial counts, and prints one line per output: the exit code,
-the digests of stdout and stderr, and the digest of every file the run
-writes. The first lines name the numpy and BLAS the outputs come from.
+the shipped trial counts, then `spectrum` on each generated config of
+GENERATED at seed 1 (and `rank-scan` on the first one of each guide),
+and prints one line per output: the exit code, the digests of stdout and
+stderr, and the digest of every file the run writes. The first lines
+name the numpy and BLAS the outputs come from.
+
+The generated configs take every path of the dense Gram that the
+shipped ones miss: dense_vertical and dense_horizontal with array.a and
+with two array.intervals, and dense_planar, in the L = 20
+Dirichlet-Dirichlet and Neumann-Dirichlet guides (two horizontal
+intervals off x = 0 give a complex Gram), and parabolic dense_vertical
+segments both longer and shorter than k_o h = 1/2, the two branches of
+the parabolic segment Gram.
 
     python tests/output_digests.py           # print the digests
     python tests/output_digests.py --write   # rewrite tests/output_digests.txt
@@ -11,8 +22,9 @@ writes. The first lines name the numpy and BLAS the outputs come from.
 All runs share this one interpreter, which sets the BLAS thread
 variables to 1 and imports wgimage.cli before numpy, so BLAS runs on one
 thread whatever the environment exports. They run in a temporary directory,
-on copies of the configs, with the fixed relative --out `out`, so no
-printed path depends on where the checkout lives.
+on copies of the configs (the generated ones written there too), with
+the fixed relative --out `out`, so no printed path depends on where the
+checkout lives.
 """
 
 import contextlib
@@ -33,6 +45,31 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from wgimage.cli import COMMANDS, main  # noqa: E402  (before numpy: one BLAS thread)
 
 SEEDS = (1, 7)
+
+_GUIDE = {"omega": "1", "waveguide.L": "20"}
+_SLAB = {
+    "dense_vertical_a": {"array.kind": "dense_vertical", "array.z_a": "11", "array.a": "3"},
+    "dense_vertical_intervals": {"array.kind": "dense_vertical",
+                                 "array.intervals": "5:1; 12:2.5"},
+    "dense_horizontal_a": {"array.kind": "dense_horizontal", "array.z_a": "7.7",
+                           "array.a": "4"},
+    "dense_horizontal_intervals": {"array.kind": "dense_horizontal", "array.z_a": "7.7",
+                                   "array.intervals": "3:2; 9:1.5"},
+    "dense_planar": {"array.kind": "dense_planar", "array.z_a": "11", "array.a": "3"},
+}
+_PARABOLIC = {
+    "dense_vertical_long": {"array.kind": "dense_vertical", "array.z_a": "-2", "array.a": "3"},
+    "dense_vertical_short": {"array.kind": "dense_vertical", "array.z_a": "1.5",
+                             "array.a": "0.4"},
+    "dense_vertical_intervals": {"array.kind": "dense_vertical",
+                                 "array.intervals": "-3:0.3; 4:2"},
+}
+#: name -> entries of the generated dense-aperture configs
+GENERATED = {f"{guide}_{name}": {"waveguide.model": model, **_GUIDE, **entries}
+             for guide, model, apertures in (("dd", "homogeneous_dd", _SLAB),
+                                             ("dn", "homogeneous_dn", _SLAB),
+                                             ("parabolic", "parabolic", _PARABOLIC))
+             for name, entries in apertures.items()}
 
 
 def environment():
@@ -57,20 +94,29 @@ def digests():
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            for cfg in sorted(Path("configs").glob("*.cfg")):
-                for command in COMMANDS:
-                    for seed in SEEDS:
-                        out, err = io.StringIO(), io.StringIO()
-                        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                            code = main([command, "--config", str(cfg), "--out", "out",
-                                         "--seed", str(seed)])
-                        run = f"{cfg.stem} {command} {seed}"
-                        lines += [f"{run} exit {code}",
-                                  f"{run} stdout {_sha(out.getvalue().encode())}",
-                                  f"{run} stderr {_sha(err.getvalue().encode())}"]
-                        for path in sorted(Path("out").glob("*")):
-                            lines.append(f"{run} {path.name} {_sha(path.read_bytes())}")
-                        shutil.rmtree("out", ignore_errors=True)
+            runs = [(cfg, command, seed) for cfg in sorted(Path("configs").glob("*.cfg"))
+                    for command in COMMANDS for seed in SEEDS]
+            Path("generated").mkdir()
+            guides = set()
+            for name, entries in GENERATED.items():
+                cfg = Path("generated", f"{name}.cfg")
+                cfg.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+                runs.append((cfg, "spectrum", 1))
+                if entries["waveguide.model"] not in guides:
+                    guides.add(entries["waveguide.model"])
+                    runs.append((cfg, "rank-scan", 1))
+            for cfg, command, seed in runs:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([command, "--config", str(cfg), "--out", "out",
+                                 "--seed", str(seed)])
+                run = f"{cfg.stem} {command} {seed}"
+                lines += [f"{run} exit {code}",
+                          f"{run} stdout {_sha(out.getvalue().encode())}",
+                          f"{run} stderr {_sha(err.getvalue().encode())}"]
+                for path in sorted(Path("out").glob("*")):
+                    lines.append(f"{run} {path.name} {_sha(path.read_bytes())}")
+                shutil.rmtree("out", ignore_errors=True)
         finally:
             os.chdir(cwd)
     return "".join(line + "\n" for line in lines)

@@ -3,6 +3,7 @@ import glob
 import importlib.util
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -386,6 +387,8 @@ _DEEP = {"waveguide.model": "parabolic", "waveguide.L": "10", "array.z_a": "0",
     ("rank.ratios", {"rank.ratios": "0.1, 0.1"}),
     ("rank.ratios_vertical", {"rank.ratios_vertical": "0.1, 0.2, 0.1"}),
     ("rank.ratios_horizontal", {"rank.ratios_horizontal": "0.05, 5e-2"}),
+    ("noise.sigmas", {"noise.sigmas": "-0, 0"}),  # -0 reads as 0
+    ("rank.kinds", {"rank.kinds": "vertical, Vertical"}),  # kinds are read lowercased
 ])
 def test_invalid_keys_exit_2_before_any_output(tmp_path, capsys, key, entries):
     cfg = _vertical_with(tmp_path, entries)
@@ -571,7 +574,8 @@ def test_error_rates_nondecreasing_within_noise(ms_dd20, src_ref, vertical_point
     trials = 100
     rates = localization_error_rates(
         ms_dd20, src_ref, vertical_points,
-        [1e-8, 1e-7, 1e-6, 1e-5], trials, seed=2024)
+        [1e-8, 1e-7, 1e-6, 1e-5], trials, seed=2024,
+        grid=wg.default_grid(ms_dd20), reg=wg.RegPolicy())
     assert rates[0] == 0.0 and rates[-1] == 1.0
     se = np.sqrt(np.maximum(rates * (1 - rates), 0.25) / trials)
     assert np.all(np.diff(rates) >= -2 * se[:-1])
@@ -579,7 +583,8 @@ def test_error_rates_nondecreasing_within_noise(ms_dd20, src_ref, vertical_point
 
 def test_error_rate_zero_at_zero_noise(ms_dd20, src_ref, vertical_points):
     rates = localization_error_rates(
-        ms_dd20, src_ref, vertical_points, [0.0], trials=10, seed=2024)
+        ms_dd20, src_ref, vertical_points, [0.0], trials=10, seed=2024,
+        grid=wg.default_grid(ms_dd20), reg=wg.RegPolicy())
     assert rates.tolist() == [0.0]
 
 
@@ -588,7 +593,8 @@ def test_error_rates_count_misses_by_the_one_ball_rule(monkeypatch, ms_dd20, src
     # a miss is a peak that image.localization_success refuses, asked once
     # per sigma over all the block's peaks
     args = (ms_dd20, src_ref, vertical_points, [0.0, 1e-8], 10, 2024)
-    assert localization_error_rates(*args).tolist() == [0.0, 0.0]
+    kwargs = dict(grid=wg.default_grid(ms_dd20), reg=wg.RegPolicy())
+    assert localization_error_rates(*args, **kwargs).tolist() == [0.0, 0.0]
     shapes = []
 
     def nowhere(peak, src, lambda_o):
@@ -596,7 +602,7 @@ def test_error_rates_count_misses_by_the_one_ball_rule(monkeypatch, ms_dd20, src
         return np.zeros(np.shape(peak[0]), dtype=bool)
 
     monkeypatch.setattr("wgimage.experiments.localization_success", nowhere)
-    assert localization_error_rates(*args).tolist() == [1.0, 1.0]
+    assert localization_error_rates(*args, **kwargs).tolist() == [1.0, 1.0]
     assert shapes == [(10,), (10,)]
 
 
@@ -883,3 +889,37 @@ def test_config_digest_ignores_comments(tmp_path):
     edited.write_text("# a comment-only edit\n\n" + Path(VERTICAL).read_text()
                       .replace("# Vertical receiver line", "# A vertical line"))
     assert _config_line(tmp_path, edited) == _config_line(tmp_path, VERTICAL)
+
+
+def _outputs(tmp_path, capsys, cfg, *argv):
+    """(exit code, stdout, {file name: bytes}) of one run on cfg; every run
+    writes to the same --out, so equal runs print equal paths."""
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    code = main([*argv, "--config", cfg, "--out", str(out)])
+    return code, capsys.readouterr().out, {f.name: f.read_bytes() for f in sorted(out.glob("*"))}
+
+
+@pytest.mark.parametrize("argv", [["image"], ["mc-rate", "--trials", "5"]])
+def test_negative_zero_sigma_runs_as_zero(tmp_path, capsys, argv):
+    # -0 passes the >= 0 check and parses as 0: the same stdout and CSVs,
+    # the config digest included, in the config and on the command line
+    def run(sigmas, *flags):
+        return _outputs(tmp_path, capsys, _vertical_with(tmp_path, {"noise.sigmas": sigmas}),
+                        *argv, *flags)
+
+    zero = run("0, 1e-7")
+    assert zero[0] == 0 and zero[2]
+    assert run("-0, 1e-7") == zero
+    assert run("1e-7", "--sigma=-0.0") == run("1e-7", "--sigma=0")
+
+
+def test_rank_kinds_read_case_insensitively(tmp_path, capsys):
+    # like every one-of key's value; the config digest is that of the lowercase
+    def run(kinds):
+        return _outputs(tmp_path, capsys, _vertical_with(tmp_path, {"rank.kinds": kinds}),
+                        "rank-scan")
+
+    lower = run("vertical, horizontal")
+    assert lower[0] == 0 and len(lower[2]) == 2
+    assert run("Vertical, HORIZONTAL") == lower
