@@ -103,13 +103,19 @@ class Key(NamedTuple):
     kinds: tuple = None
 
 
+def _real(text):
+    """float(text), with -0 read as 0: a key's value then prints, writes and
+    enters the config digest alike whichever zero the config spells."""
+    return float(text) or 0.0
+
+
 def _list(item):
     return lambda text: [item(tok.strip()) for tok in text.split(",") if tok.strip()]
 
 
 def _pairs(sep):
     def parse(text):
-        pairs = [tuple(map(float, tok.split(sep))) for tok in text.split(";") if tok.strip()]
+        pairs = [tuple(map(_real, tok.split(sep))) for tok in text.split(";") if tok.strip()]
         if not pairs or any(len(p) != 2 for p in pairs):
             raise ValueError(text)
         return pairs
@@ -130,13 +136,11 @@ def _one_of(names):
 
 
 _int = partial(int, base=0)
-_FINITE = (float, math.isfinite, "a finite number")
-_POSITIVE = (float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
-# -0 passes v >= 0; it parses as 0, so no output prints or writes -0
-_NONNEGATIVE = (lambda text: float(text) or 0.0, lambda v: math.isfinite(v) and v >= 0,
-                "a finite number >= 0")
+_FINITE = (_real, math.isfinite, "a finite number")
+_POSITIVE = (_real, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_NONNEGATIVE = (_real, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 _COUNT = (_int, lambda n: n >= 1, "an integer >= 1")
-_RATIOS = (_list(float), _distinct(_POSITIVE[1]), "comma-separated distinct finite numbers > 0")
+_RATIOS = (_list(_real), _distinct(_POSITIVE[1]), "comma-separated distinct finite numbers > 0")
 
 _MODELS = {"homogeneous_dd": HomogeneousDD, "homogeneous_dn": HomogeneousDN,
            "parabolic": Parabolic}
@@ -170,7 +174,7 @@ KEYS = (
     Key("array.intervals", None, _pairs(":"),
         _each(lambda seg: math.isfinite(seg[0]) and _POSITIVE[1](seg[1])),
         "b1:h1; b2:h2; ... with b finite and h finite > 0", _DENSE_LINES),
-    Key("noise.sigmas", "", _list(_NONNEGATIVE[0]), _distinct(_NONNEGATIVE[1]),
+    Key("noise.sigmas", "", _list(_real), _distinct(_NONNEGATIVE[1]),
         "comma-separated distinct finite numbers >= 0"),
     Key("noise.trials", "200", *_COUNT),
     # the 128-bit Philox key of every trial's draw; trial t sets the counter

@@ -17,8 +17,9 @@ A single imaging pass uses trial 0, and draws nothing at sigma 0.
 Trials are order-independent, and any slice of them, a single trial
 included, recomputes the same amplitudes (`_kernels.amplitudes`). The
 Monte Carlo loop runs over blocks of trial_block(M) trials, at most
-BLOCK_VALUES noise values each (one trial if M is larger), and draws
-each Z_t once, for every sigma.
+BLOCK_VALUES noise values each (one trial if M is larger). It draws each
+Z_t once, into the block's row of one unit-noise array, and scales that
+array into one buffer per sigma; both arrays are allocated once per run.
 """
 
 import functools
@@ -90,9 +91,10 @@ def _trial_noise(m, seed, t):
 # localization error rates
 
 #: Noise values per block of the Monte Carlo loop, which runs
-#: trial_block(M) trials per block: it bounds the noise arrays at about
-#: BLOCK_VALUES values (128 trials at M = 1000), while few receivers let
-#: one block, and one best-first search per sigma, cover many trials.
+#: trial_block(M) trials per block: it sizes the loop's two noise arrays,
+#: unit noise and its scaled copy, at about BLOCK_VALUES values each (128
+#: trials at M = 1000), while few receivers let one block, and one
+#: best-first search per sigma, cover many trials.
 BLOCK_VALUES = 128_000
 
 
@@ -110,11 +112,12 @@ def localization_error_rates(ms, src, points, sigmas, trials, seed, grid, reg):
 
     The estimator matrix G = V psi(D) U^dag of each sigma and the
     separable grid factors are built once. Trials then run in blocks of
-    trial_block(M): each trial's unit noise Z_t is drawn once, and every
-    sigma's peak search in the block reuses it, rescaled. So a run makes
-    one draw per trial, and the noise held at once never exceeds
-    max(BLOCK_VALUES, M) values per array; at M = 20 up to 6400 trials
-    share one block.
+    trial_block(M): each trial's unit noise Z_t is drawn once, into its
+    row of the block's unit-noise array, and every sigma's peak search in
+    the block reads it scaled into one reused buffer. So a run makes one
+    draw per trial, and at any time holds two block arrays of noise, the
+    unit noise and one scaled copy, plus the kernel's chunk of p + W; at
+    M = 20 up to 6400 trials share one block.
     """
     sm = sensing_matrix(ms, points)
     a_o = source_amplitudes(ms, src)
@@ -126,11 +129,15 @@ def localization_error_rates(ms, src, points, sigmas, trials, seed, grid, reg):
     Gs = [estimator_matrix(sm, reg.regularizer(s, a_o)) for s in s_meas]
     misses = np.zeros(len(Gs), dtype=np.int64)
     block = trial_block(p.size)
+    Z = np.empty((min(block, trials), p.size), dtype=complex)  # unit noise of a block
+    W = np.empty_like(Z)  # the same, scaled to one sigma
     for t0 in range(0, trials, block):
-        Z = np.array([_trial_noise(p.size, seed, t)
-                      for t in range(t0, min(t0 + block, trials))])
+        n = min(block, trials - t0)
+        for i in range(n):
+            Z[i] = _trial_noise(p.size, seed, t0 + i)
         for k, (s, G) in enumerate(zip(s_meas, Gs)):
-            peaks = _kernels.peak_search(G, p, s / np.sqrt(2.0) * Z, ms.beta, E, PT)
+            np.multiply(s / np.sqrt(2.0), Z[:n], out=W[:n])
+            peaks = _kernels.peak_search(G, p, W[:n], ms.beta, E, PT)
             found = localization_success((xs[peaks[:, 0]], zs[peaks[:, 1]]), src, ms.lambda_o)
             misses[k] += np.count_nonzero(~found)
     return misses / trials

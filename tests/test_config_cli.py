@@ -914,6 +914,19 @@ def test_negative_zero_sigma_runs_as_zero(tmp_path, capsys, argv):
     assert run("1e-7", "--sigma=-0.0") == run("1e-7", "--sigma=0")
 
 
+def test_negative_zero_finite_key_runs_as_zero(tmp_path, capsys):
+    # a key read as any finite number also parses -0 as 0: the same stdout
+    # and image.csv, the config digest included
+    def run(z_min):
+        return _outputs(tmp_path, capsys, _vertical_with(tmp_path, {"grid.z_min": z_min}),
+                        "image")
+
+    zero = run("0")
+    assert zero[0] == 0 and zero[2]
+    assert run("-0") == zero
+    assert run("-0.0") == zero
+
+
 def test_rank_kinds_read_case_insensitively(tmp_path, capsys):
     # like every one-of key's value; the config digest is that of the lowercase
     def run(kinds):

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -214,14 +215,18 @@ def _reference_error_rates(ecfg, trials):
     pytest.param("horizontal", {}, 0, 131, id="horizontal"),
     pytest.param("planar_lhs_w07", {}, 1, 3, id="planar_lhs_w07"),
     pytest.param("planar_lhs_1000", {}, 1, 1, id="planar_lhs_1000"),
+    pytest.param("planar_lhs_1000", {}, 1, _kernels.AMPLITUDE_CHUNK + 1,
+                 id="planar_lhs_1000-merged-chunk"),
     pytest.param("vertical", {"reg.kind": "hard"}, 0, 131, id="vertical-hard"),
     pytest.param("vertical", {"reg.eps": "1e-9"}, 0, 131, id="vertical-eps1e-9"),
 ])
 def test_error_rates_match_per_sigma_reference(name, entries, blocks, rest):
     # blocks full trial blocks of the config's receiver count, then rest
     # trials: one partial block (M = 20, 131 trials), two blocks with a
-    # partial last one (M = 20, 6403 trials), and a last block of one trial
-    # (M = 1000, 129 trials). parabolic has a sigma-0 level in its list.
+    # partial last one (M = 20, 6403 trials), a last block of one trial
+    # (M = 1000, 129 trials) and one whose single amplitude chunk holds a
+    # merged one-row remainder (M = 1000, 161 trials). parabolic has a
+    # sigma-0 level in its list.
     cfg = load_config(CFG_DIR / f"{name}.cfg")
     for key, value in entries.items():
         cfg[key] = value
@@ -235,21 +240,55 @@ def test_error_rates_match_per_sigma_reference(name, entries, blocks, rest):
     assert 0 < ref.sum() < len(ref)  # the curves are not trivially all 0 or 1
 
 
-@pytest.mark.parametrize("name", ["vertical", "planar_lhs_1000", "parabolic"])
-def test_amplitudes_of_every_trial_slice_keep_their_bits(name):
-    # any slice of trials, a single trial included, recomputes the
-    # amplitudes it has inside a block (at the config's last sigma)
+def _amplitude_inputs(name, trials):
+    """(G, p, W) of a config at its last sigma, W holding the scaled noise
+    of trials 0 .. trials - 1 at seed 7."""
     ecfg = build_experiment(load_config(CFG_DIR / f"{name}.cfg"))
     sm = sensing_matrix(ecfg.ms, ecfg.geometry.points)
     a_o = source_amplitudes(ecfg.ms, ecfg.source)
     p = sm.B @ a_o
     s = noise_scale(ecfg.sigmas[-1], p)
     G = estimator_matrix(sm, ecfg.reg.regularizer(s, a_o))
-    W = s / np.sqrt(2.0) * np.array([_trial_noise(p.size, 7, t) for t in range(8)])
+    W = s / np.sqrt(2.0) * np.array([_trial_noise(p.size, 7, t) for t in range(trials)])
+    return G, p, W
+
+
+@pytest.mark.parametrize("name", ["vertical", "planar_lhs_1000", "parabolic"])
+def test_amplitudes_of_every_trial_slice_keep_their_bits(name):
+    # any slice of trials, a single trial included, recomputes the
+    # amplitudes it has inside a block (at the config's last sigma)
+    G, p, W = _amplitude_inputs(name, 8)
     block = _kernels.amplitudes(G, p, W)
     for i in range(8):
         for j in range(i + 1, 9):
             assert _kernels.amplitudes(G, p, W[i:j]).tobytes() == block[i:j].tobytes(), (i, j)
+
+
+def test_chunked_amplitudes_equal_one_product():
+    # row chunks, a merged one-row remainder included, give the bits of
+    # the single GEMM (p + W) @ G.T; one trial those of the two-row product
+    G, p, W = _amplitude_inputs("planar_lhs_1000", 129)
+    c = _kernels.AMPLITUDE_CHUNK
+    for T in (1, 2, 3, c - 1, c, c + 1, c + 2, 2 * c + 1, 128, 129):
+        X = p + W[:T]
+        ref = (np.concatenate((X, X)) @ G.T)[:1] if T == 1 else X @ G.T
+        assert _kernels.amplitudes(G, p, W[:T]).tobytes() == ref.tobytes(), T
+
+
+def test_error_rate_loop_holds_under_three_noise_blocks():
+    # the loop holds one block of unit noise, one scaled copy and a chunk
+    # of p + W, whatever the trial count: at M = 1000 a block is 128 trials
+    ecfg = build_experiment(load_config(CFG_DIR / "planar_lhs_1000.cfg"))
+    M = len(ecfg.geometry.points)
+    block_bytes = trial_block(M) * M * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        localization_error_rates(ecfg.ms, ecfg.source, ecfg.geometry.points, ecfg.sigmas,
+                                 2 * trial_block(M), ecfg.seed, grid=ecfg.grid, reg=ecfg.reg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * block_bytes, peak
 
 
 def test_bench_kernels_output_parses():
