@@ -1,12 +1,13 @@
 """Timing of the Monte Carlo peak-search kernel.
 
 Builds the inputs of the vertical-array localization experiment at
-relative noise 1e-6 the way `localization_error_rates` builds them: the
-Tikhonov estimator matrix at the heuristic eps, the separable grid
-factors with the real profile matrix, one unit noise draw per trial
-scaled to the noise level, and the blocks of trial_block(M) trials that
-`mc-rate` runs (all of up to 6400 trials in one block at M = 20). It then
-times `_kernels.peak_search` over all blocks. Run:
+relative noise 1e-6 through the functions `localization_error_rates`
+calls: the data model of `receiver_data` with the Tikhonov estimator
+matrix at the heuristic eps, the separable `grid_factors`, one unit
+noise draw per trial scaled to the noise level, and the blocks of
+trial_block(M) trials that `mc-rate` runs (all of up to 6400 trials in
+one block at M = 20). It then times `_kernels.peak_search` over all
+blocks. Run:
 
     python3 benchmarks/bench_kernels.py [--trials N] [--repeats R]
 """
@@ -18,24 +19,19 @@ import numpy as np
 
 import wgimage as wg
 from wgimage import _kernels
-from wgimage.experiments import _trial_noise, trial_block
+from wgimage.experiments import _trial_noise, receiver_data, trial_block
+from wgimage.image import grid_factors
 
 
 def build_workload(trials, sigma=1e-6, seed=2024):
     ms = wg.solve_modes(wg.HomogeneousDD(L=20.0), 1.0)
     src = wg.PointSource(100.0, 7.7)
-    sm = wg.sensing_matrix(ms, wg.vertical_line(20))
-    a_o = wg.source_amplitudes(ms, src)
-    p = sm.B @ a_o
-    s_meas = sigma * np.abs(p).max()
-    G = wg.estimator_matrix(sm, wg.RegPolicy().regularizer(s_meas, a_o))
-    grid = wg.default_grid(ms)
-    E = np.exp(1j * np.outer(grid.x, ms.beta))
-    PT = np.ascontiguousarray(ms.profile_matrix(grid.z).T)
+    sm, p, (c,), (reg,) = receiver_data(ms, src, wg.vertical_line(20), [sigma], wg.RegPolicy())
+    E, PT = grid_factors(ms, wg.default_grid(ms))
     Z = np.array([_trial_noise(p.size, seed, t) for t in range(trials)])
     block = trial_block(p.size)
-    blocks = [s_meas / np.sqrt(2.0) * Z[t0:t0 + block] for t0 in range(0, trials, block)]
-    return G, p, blocks, ms.beta, E, PT
+    blocks = [c * Z[t0:t0 + block] for t0 in range(0, trials, block)]
+    return wg.estimator_matrix(sm, reg), p, blocks, ms.beta, E, PT
 
 
 def run(G, p, blocks, beta, E, PT):

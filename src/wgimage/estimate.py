@@ -43,7 +43,7 @@ import numpy as np
 from . import _record
 from .errors import GeometryMismatch, SingularUnregularized, TooFewReceivers
 from .image import migrate
-from .synth import Discrete, FieldSamples, geometry_equal, mode_traces
+from .synth import Discrete, geometry_equal, mode_traces
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +262,9 @@ def sensing_matrix(ms, points):
     return SensingMatrix(B=B, U=U, s=s, V=V, points=points)
 
 
-def svd_estimate(p_meas, sm, reg):
-    """a_eps = V psi_eps(D) U^dag p from receiver data (FieldSamples or array)."""
-    p = p_meas.values if isinstance(p_meas, FieldSamples) else np.asarray(p_meas)
+def svd_estimate(p, sm, reg):
+    """a_eps = V psi_eps(D) U^dag p from the receiver data array p."""
+    p = np.asarray(p)
     if p.shape != (sm.B.shape[0],):
         raise GeometryMismatch(f"data length {p.shape} != receiver count {sm.B.shape[0]}")
     return _filtered(sm.V, sm.s, reg, sm.U.conj().T @ p)

@@ -12,7 +12,9 @@ to the peak data amplitude, and follows one convention. Trial t draws its
 unit complex noise Z_t (real and imaginary parts standard normal) from
 the Philox stream keyed on the pair (seed, t): key = seed, counter =
 (0, 0, t, 0). At relative level sigma the noise on data p is
-s_meas / sqrt(2) * Z_t, with s_meas = sigma * max|p| (`noise_scale`).
+s_meas / sqrt(2) * Z_t, with s_meas = sigma * max|p|, and the
+regularizer is the one chosen at s_meas. `receiver_data` builds this
+data model, for a single imaging pass and the Monte Carlo loop alike.
 A single imaging pass uses trial 0, and draws nothing at sigma 0.
 Trials are order-independent, and any slice of them, a single trial
 included, recomputes the same amplitudes (`_kernels.amplitudes`). The
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import _kernels, io
 from .estimate import coupling_spectrum, estimator_matrix, sensing_matrix, svd_estimate
-from .image import locate_peak, localization_success, migrate
+from .image import grid_factors, locate_peak, localization_success, migrate
 from .rank import dense_rank_prediction, effective_rank
 from .synth import Discrete, source_amplitudes
 
@@ -51,10 +53,17 @@ def _meta(ecfg, **extra):
     return meta
 
 
-def noise_scale(sigma, p):
-    """s_meas = sigma * max|p|, the absolute noise scale of relative level
-    sigma (a number or an array of them) on data p."""
-    return np.asarray(sigma, dtype=float) * np.abs(p).max()
+def receiver_data(ms, src, points, sigmas, reg):
+    """The data model of a receiver set, as (sm, p, scales, regs): the
+    SensingMatrix sm of the receivers at `points`, the noiseless data
+    p = B a_o of the source, and for each relative noise level sigma the
+    scale s_meas / sqrt(2) of the unit noise Z_t, s_meas = sigma * max|p|,
+    and the regularizer the RegPolicy `reg` picks at s_meas."""
+    sm = sensing_matrix(ms, points)
+    a_o = source_amplitudes(ms, src)
+    p = sm.B @ a_o
+    s_meas = np.asarray(sigmas, dtype=float) * np.abs(p).max()
+    return sm, p, s_meas / np.sqrt(2.0), [reg.regularizer(s, a_o) for s in s_meas]
 
 
 @functools.cache
@@ -110,8 +119,9 @@ def localization_error_rates(ms, src, points, sigmas, trials, seed, grid, reg):
     relative noise level sigma: the peak is searched on the SearchGrid
     `grid`, and the RegPolicy `reg` picks each sigma's regularizer.
 
-    The estimator matrix G = V psi(D) U^dag of each sigma and the
-    separable grid factors are built once. Trials then run in blocks of
+    The data model (`receiver_data`), the estimator matrix
+    G = V psi(D) U^dag of each sigma and the separable `grid_factors`
+    are built once. Trials then run in blocks of
     trial_block(M): each trial's unit noise Z_t is drawn once, into its
     row of the block's unit-noise array, and every sigma's peak search in
     the block reads it scaled into one reused buffer. So a run makes one
@@ -119,14 +129,10 @@ def localization_error_rates(ms, src, points, sigmas, trials, seed, grid, reg):
     unit noise and one scaled copy, plus the kernel's chunk of p + W; at
     M = 20 up to 6400 trials share one block.
     """
-    sm = sensing_matrix(ms, points)
-    a_o = source_amplitudes(ms, src)
-    p = sm.B @ a_o
+    sm, p, scales, regs = receiver_data(ms, src, points, sigmas, reg)
+    Gs = [estimator_matrix(sm, r) for r in regs]
     xs, zs = grid.x, grid.z
-    E = np.exp(1j * np.outer(xs, ms.beta))
-    PT = np.ascontiguousarray(ms.profile_matrix(zs).T)
-    s_meas = noise_scale(sigmas, p)
-    Gs = [estimator_matrix(sm, reg.regularizer(s, a_o)) for s in s_meas]
+    E, PT = grid_factors(ms, grid)
     misses = np.zeros(len(Gs), dtype=np.int64)
     block = trial_block(p.size)
     Z = np.empty((min(block, trials), p.size), dtype=complex)  # unit noise of a block
@@ -135,8 +141,8 @@ def localization_error_rates(ms, src, points, sigmas, trials, seed, grid, reg):
         n = min(block, trials - t0)
         for i in range(n):
             Z[i] = _trial_noise(p.size, seed, t0 + i)
-        for k, (s, G) in enumerate(zip(s_meas, Gs)):
-            np.multiply(s / np.sqrt(2.0), Z[:n], out=W[:n])
+        for k, (c, G) in enumerate(zip(scales, Gs)):
+            np.multiply(c, Z[:n], out=W[:n])
             peaks = _kernels.peak_search(G, p, W[:n], ms.beta, E, PT)
             found = localization_success((xs[peaks[:, 0]], zs[peaks[:, 1]]), src, ms.lambda_o)
             misses[k] += np.count_nonzero(~found)
@@ -196,13 +202,10 @@ def run_image(ecfg, outdir):
     half-wavelength success flag."""
     ms, src = ecfg.ms, ecfg.source
     sigma = ecfg.sigmas[0] if ecfg.sigmas else 0.0
-    sm = sensing_matrix(ms, ecfg.geometry.points)
-    a_o = source_amplitudes(ms, src)
-    p = sm.B @ a_o
-    s_meas = noise_scale(sigma, p)
+    sm, p, (c,), (reg,) = receiver_data(ms, src, ecfg.geometry.points, [sigma], ecfg.reg)
     # noiseless data skip the draw, and numpy.random stays unloaded
-    w = s_meas / np.sqrt(2.0) * _trial_noise(p.size, ecfg.seed, 0) if s_meas else 0.0
-    a = svd_estimate(p + w, sm, ecfg.reg.regularizer(s_meas, a_o))
+    w = c * _trial_noise(p.size, ecfg.seed, 0) if c else 0.0
+    a = svd_estimate(p + w, sm, reg)
     im = migrate(a, ms, ecfg.grid)
     x, z, value = locate_peak(im)
     success = localization_success((x, z), src, ms.lambda_o)

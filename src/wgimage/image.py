@@ -5,7 +5,9 @@ guided-mode phases over a rectangular search region; its modulus peaks
 at the source position with a spot width at the resolution limit of
 half a wavelength. The guide enters only through a ModeSet: its axial
 wavenumbers, `profile_matrix`, and the model's `walls`, which set the
-default depth span. Migrating the recorded field itself is
+default depth span. `grid_factors` builds the range phases and the
+profile matrix of a grid once, for `migrate` and for the Monte Carlo
+peak search alike. Migrating the recorded field itself is
 `estimate.reverse_time`.
 """
 
@@ -88,18 +90,23 @@ class ImageMap(NamedTuple):
         return ImageMap(mod / peak if peak > 0 else mod, self.grid)
 
 
-def migrate(a, ms, grid):
-    """I[a](x,z) = 2i sum_j beta_j e^{i beta_j x} phi_j(z) conj(a_j).
+def grid_factors(ms, grid):
+    """The separable factors (E, PT) of an image on a SearchGrid: the
+    range phases E = e^{i beta x}, shape (nx, N), and the real profile
+    transpose PT, shape (N, nz), in C order. An image with mode
+    coefficients c is (E * c) @ PT."""
+    E = np.exp(1j * np.outer(grid.x, ms.beta))
+    return E, np.ascontiguousarray(ms.profile_matrix(grid.z).T)
 
-    The grid evaluation is separable: a phase matrix over x and a
-    profile matrix over z."""
+
+def migrate(a, ms, grid):
+    """I[a](x,z) = 2i sum_j beta_j e^{i beta_j x} phi_j(z) conj(a_j),
+    evaluated on the separable `grid_factors`."""
     a = np.asarray(a)
     if a.shape != (ms.n_modes,):
         raise GeometryMismatch(f"amplitude length {a.shape} != mode count {ms.n_modes}")
-    coeff = 2j * ms.beta * np.conj(a)
-    E = np.exp(1j * np.outer(grid.x, ms.beta))
-    P = ms.profile_matrix(grid.z)
-    return ImageMap((E * coeff[None, :]) @ P.T, grid)
+    E, PT = grid_factors(ms, grid)
+    return ImageMap((E * (2j * ms.beta * np.conj(a))) @ PT, grid)
 
 
 def locate_peak(im):

@@ -462,26 +462,50 @@ def test_unknown_key_lists_its_section():
 
 
 # every key, some misspellings, and values from one token list: valid small
-# values, 0, -1, nan, inf, abc, a repeated list entry, the empty value, and
-# None for a left-out key
+# values, 0, -1, nan, inf, abc, a repeated list entry, the empty value, a
+# depth (150) where every parabolic mode vanishes, and None for a left-out key
 _FUZZ_KEYS = sorted({key.name for key in KEYS}) + [
     "noise.trial", "array.extnet", "omeg", "reg.policy", "grid.xmin"]
+# values each key accepts on its own, for the L = 20 guides and the grid
+# around x = 100 below; a key the drawn array.kind does not read, or a clash
+# with another key, still exits 2
+_FUZZ_VALUES = {
+    "waveguide.model": ["homogeneous_dd", "homogeneous_dn", "parabolic"],
+    "waveguide.L": ["20", "16"], "waveguide.c_o": ["1", "1.2"], "omega": ["1", "0.8"],
+    "source.x": ["100", "98"], "source.z": ["7.7", "12"],
+    "array.kind": ["vertical", "horizontal", "planar_lhs"], "array.M": ["12", "16"],
+    "array.z_a": ["7", "11"], "array.extent": ["16", "0.25"],
+    "array.center_x": ["0", "-3"], "array.center_z": ["11", "6"],
+    "array.size": ["8", "0.125"], "array.seed": ["0", "3"],
+    "array.points": ["0,1;0,3;0,5;0,7;0,9;0,11;0,13;0,15;0,17;0,19;2,6;2,14"],
+    "array.a": ["1", "3"], "array.intervals": ["5:2; 12:1"],
+    "noise.sigmas": ["0, 1e-3", "1e-6", "1e-4, 1e-2"], "noise.trials": ["1", "5"],
+    "noise.seed": ["0", "7", "2024"], "reg.kind": ["tikhonov", "hard"],
+    "reg.eps": ["1e-6", "0.5"], "grid.x_min": ["95", "90"], "grid.x_max": ["105", "110"],
+    "grid.z_min": ["0", "2"], "grid.z_max": ["20", "18"],
+    "grid.step_fraction": ["20", "10"], "rank.eps": ["1e-7", "1e-3"],
+    "rank.kinds": ["vertical", "horizontal", "vertical, horizontal"],
+    "rank.ratios": ["0.1, 0.25"], "rank.ratios_vertical": ["0.1, 0.2"],
+    "rank.ratios_horizontal": ["0.05, 0.1"], "rank.z_a": ["7", "10"],
+}
 _FUZZ_TOKENS = [None, "", "0", "-1", "nan", "inf", "abc", "1", "2", "0.5", "7", "0x10",
                 "1e-6, 0", "1e-6, 1e-06", "0,3;0,7", "5:2", "vertical", "horizontal",
                 "planar_lhs", "points", "dense_vertical", "dense_horizontal", "dense_planar",
-                "homogeneous_dn", "parabolic", "hard", "none"]
+                "homogeneous_dn", "parabolic", "hard", "none", "150"]
+# the receiver sets are wide enough that both guides (6 and 10 modes) run
+# them at sigma 0, where plain inversion refuses an ill-conditioned B
 _FUZZ_ARRAYS = [
-    {"array.kind": "vertical", "array.M": "12"},
-    {"array.kind": "horizontal", "array.M": "12", "array.z_a": "5"},
-    {"array.kind": "planar_lhs", "array.M": "12"},
-    {"array.kind": "points", "array.points": "0,2;0,4;0,6;0,8;0,10;0,12;0,14;0,16"},
+    {"array.kind": "vertical", "array.M": "12", "array.z_a": "10", "array.extent": "16"},
+    {"array.kind": "horizontal", "array.M": "12", "array.z_a": "7", "array.extent": "40"},
+    {"array.kind": "planar_lhs", "array.M": "12", "array.center_z": "10", "array.size": "8"},
+    {"array.kind": "points",
+     "array.points": "0,2;0,4;0,6;0,8;0,10;0,12;0,14;0,16;0,18;1,3;1,9;1,15"},
     {"array.kind": "dense_vertical", "array.z_a": "10", "array.a": "3"},
     {"array.kind": "dense_planar", "array.z_a": "10", "array.a": "1"},
     {},
 ]
-# the L = 20 guides: the graded one with a grid deep enough for a source at
-# z = 150, where every mode amplitude is exactly 0
-_FUZZ_GUIDES = [{}, {"waveguide.model": "parabolic", "grid.z_min": "-200", "grid.z_max": "200"}]
+# the L = 20 guides, Dirichlet and graded
+_FUZZ_GUIDES = [{}, {"waveguide.model": "parabolic"}]
 _FUZZ_COMMANDS = (["modes"], ["spectrum"], ["image", "--sigma", "0"],
                   ["mc-rate", "--trials", "2"], ["rank-scan"])
 
@@ -496,17 +520,30 @@ def _printed_numbers(text):
             pass
 
 
+def _fuzz_edits(array):
+    """Up to three edits of a config on `array`: three in four set a key
+    that its array.kind reads to one of that key's values, the fourth sets
+    any key to any token."""
+    kind = array.get("array.kind")
+    read = {key.name for key in KEYS if key.kinds is None or kind in key.kinds}
+    valid = st.sampled_from([(k, v) for k, vals in _FUZZ_VALUES.items() if k in read
+                             for v in vals])
+    junk = (st.tuples(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_TOKENS))
+            .filter(lambda e: e != ("omega", "7")))  # omega <= 2: few modes
+    return st.lists(st.sampled_from([valid] * 3 + [junk]).flatmap(lambda edit: edit),
+                    max_size=3)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
-@given(guide=st.sampled_from(_FUZZ_GUIDES), source_z=st.sampled_from(["7.7", "150"]),
-       array=st.sampled_from(_FUZZ_ARRAYS),
-       edits=st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_TOKENS))
-                      .filter(lambda e: e != ("omega", "7")),  # omega <= 2: few modes
-                      max_size=3))
-def test_fuzzed_configs_run_or_exit_2(guide, source_z, array, edits):
+@given(guide=st.sampled_from(_FUZZ_GUIDES),
+       config=st.sampled_from(_FUZZ_ARRAYS).flatmap(
+           lambda array: st.tuples(st.just(array), _fuzz_edits(array))))
+def test_fuzzed_configs_run_or_exit_2(guide, config):
     # every command exits 0 or 2; exit 2 names a key or the command and
     # writes nothing; exit 0 prints and writes only finite numbers
-    entries = {"waveguide.L": "20", "omega": "1", "source.x": "100", "source.z": source_z,
+    array, edits = config
+    entries = {"waveguide.L": "20", "omega": "1", "source.x": "100", "source.z": "7.7",
                "grid.x_min": "95", "grid.x_max": "105", "noise.sigmas": "0, 1e-3",
                **guide, **array, **dict(edits)}
     names = {key.name for key in KEYS} | set(entries)

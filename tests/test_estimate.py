@@ -205,7 +205,7 @@ def test_both_routes_recover_amplitudes_when_well_conditioned(
     cm = wg.coupling_matrix(ms_dd20, geom)
     a_cpl = wg.estimate_amplitudes(wg.project_reduced(fs, cm, ms_dd20), cm, None)
     sm = wg.sensing_matrix(ms_dd20, spread_points)
-    a_svd = wg.svd_estimate(fs, sm, None)
+    a_svd = wg.svd_estimate(fs.values, sm, None)
     scale = np.linalg.norm(a_o)
     assert np.linalg.norm(a_cpl - a_o) < 1e-9 * scale
     assert np.linalg.norm(a_svd - a_o) < 1e-9 * scale

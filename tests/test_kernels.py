@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -10,10 +12,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wgimage import _kernels
+from wgimage import _kernels, experiments
+from wgimage.cli import main
 from wgimage.config import build_experiment, load_config
-from wgimage.estimate import HardThreshold, estimator_matrix, sensing_matrix
-from wgimage.experiments import _trial_noise, localization_error_rates, noise_scale, trial_block
+from wgimage.estimate import HardThreshold, estimator_matrix, heuristic_eps, sensing_matrix
+from wgimage.experiments import _trial_noise, localization_error_rates, receiver_data, trial_block
 from wgimage.synth import source_amplitudes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -149,26 +152,74 @@ def test_trial_noise_deterministic_per_seed_and_trial():
     assert not np.array_equal(z, _trial_noise(20, 42, 4))
 
 
+def _receiver_data(name, sigmas):
+    """A shipped config's ExperimentConfig and its receiver data at sigmas."""
+    ecfg = build_experiment(load_config(CFG_DIR / f"{name}.cfg"))
+    return ecfg, receiver_data(ecfg.ms, ecfg.source, ecfg.geometry.points, sigmas, ecfg.reg)
+
+
 def test_zero_sigma_adds_no_noise():
-    p = np.array([1.0 + 2.0j, -3.0, 0.5j])
-    s = noise_scale(0.0, p)
-    assert s == 0.0
-    assert np.array_equal(p + s / np.sqrt(2.0) * _trial_noise(p.size, 1, 0), p)
+    _, (_, p, (c,), _) = _receiver_data("vertical", [0.0])
+    assert c == 0.0
+    assert np.array_equal(p + c * _trial_noise(p.size, 1, 0), p)
+
+
+def test_receiver_data_scales_and_regularizers():
+    # p = B a_o; at each sigma s_meas = sigma max|p| scales the unit noise
+    # by s_meas / sqrt(2), and the regularizer is chosen at s_meas
+    sigmas = [0.0, 1e-3, 0.3]
+    ecfg, (sm, p, scales, regs) = _receiver_data("planar_lhs", sigmas)
+    a_o = source_amplitudes(ecfg.ms, ecfg.source)
+    assert np.array_equal(p, sensing_matrix(ecfg.ms, ecfg.geometry.points).B @ a_o)
+    for sigma, c, reg in zip(sigmas, scales, regs):
+        s_meas = sigma * np.abs(p).max()
+        assert c == s_meas / np.sqrt(2.0)
+        assert reg.eps == heuristic_eps(s_meas, a_o)
 
 
 def test_noise_statistics():
     # unit noise: zero mean, E|Z|^2 = 2, independent samples; the noise
     # s_meas / sqrt(2) Z then has per-sample variance s_meas^2
     k = 100_000
-    s_meas = noise_scale(0.3, np.array([1.0, -0.5j, 0.25]))
-    assert s_meas == pytest.approx(0.3)
     z = _trial_noise(k, 7, 0)
     se = 1 / np.sqrt(k)
     assert abs(z.real.mean()) < 5 * se and abs(z.imag.mean()) < 5 * se
     assert np.mean(np.abs(z) ** 2) == pytest.approx(2.0, rel=0.02)
+    s_meas = 0.3
+    assert np.mean(np.abs(s_meas / np.sqrt(2.0) * z) ** 2) == pytest.approx(s_meas ** 2, rel=0.02)
     # adjacent-sample cross-correlation vanishes
     cross = np.mean(z[:-1] * np.conj(z[1:]))
     assert abs(cross) < 10 / np.sqrt(k)
+
+
+@pytest.mark.parametrize("name", ["vertical", "planar_lhs", "parabolic"])
+def test_image_adds_trial_zero_of_mc_rate(name, monkeypatch, tmp_path):
+    # the data image estimates from equal, bit for bit, p + W[0] of a
+    # one-trial mc-rate at the same sigma and seed, and its regularizer
+    # gives the G mc-rate searches with: vertical has a real SVD,
+    # planar_lhs a complex one, parabolic the graded guide
+    seen = {}
+
+    def spy(key, fn):
+        def record(*args):
+            seen[key] = [np.copy(x) if isinstance(x, np.ndarray) else x for x in args]
+            return fn(*args)
+        return record
+
+    monkeypatch.setattr(experiments, "svd_estimate", spy("image", experiments.svd_estimate))
+    monkeypatch.setattr(experiments, "estimator_matrix",
+                        spy("estimator", experiments.estimator_matrix))
+    monkeypatch.setattr(experiments._kernels, "peak_search", spy("mc", _kernels.peak_search))
+    argv = ["--config", str(CFG_DIR / f"{name}.cfg"), "--sigma", "1e-3", "--out", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["image", *argv]) == 0
+        assert main(["mc-rate", "--trials", "1", *argv]) == 0
+    data, sm, reg = seen["image"]
+    G, p, W = seen["mc"][:3]
+    assert W.shape == (1, p.size)
+    assert np.array_equal(data, p + W[0])
+    assert reg.eps == seen["estimator"][1].eps > 0
+    assert np.array_equal(G, estimator_matrix(sm, reg))
 
 
 def _reference_filter(reg, s_meas, a_o, s):
@@ -244,13 +295,10 @@ def _amplitude_inputs(name, trials):
     """(G, p, W) of a config at its last sigma, W holding the scaled noise
     of trials 0 .. trials - 1 at seed 7."""
     ecfg = build_experiment(load_config(CFG_DIR / f"{name}.cfg"))
-    sm = sensing_matrix(ecfg.ms, ecfg.geometry.points)
-    a_o = source_amplitudes(ecfg.ms, ecfg.source)
-    p = sm.B @ a_o
-    s = noise_scale(ecfg.sigmas[-1], p)
-    G = estimator_matrix(sm, ecfg.reg.regularizer(s, a_o))
-    W = s / np.sqrt(2.0) * np.array([_trial_noise(p.size, 7, t) for t in range(trials)])
-    return G, p, W
+    sm, p, (c,), (reg,) = receiver_data(ecfg.ms, ecfg.source, ecfg.geometry.points,
+                                        ecfg.sigmas[-1:], ecfg.reg)
+    W = c * np.array([_trial_noise(p.size, 7, t) for t in range(trials)])
+    return estimator_matrix(sm, reg), p, W
 
 
 @pytest.mark.parametrize("name", ["vertical", "planar_lhs_1000", "parabolic"])

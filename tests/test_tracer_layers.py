@@ -91,3 +91,18 @@ def test_csv_counts_of_every_kind(tracer, tmp_path, command, config, extra, file
                        "bytes_written": (tmp_path / name).stat().st_size})
     assert counted == expect
     assert all(c["rows_written"] > 0 for c in counted)
+
+
+@pytest.mark.parametrize("command, extra, draws", [
+    pytest.param("image", [], 1, id="image"),
+    pytest.param("mc-rate", ["--trials", "3"], 3, id="mc-rate"),
+])
+def test_traced_counts_of_the_receiver_data_model(tracer, tmp_path, command, extra, draws):
+    # one sensing matrix per run; four mode-profile evaluations (the config
+    # build, the receivers, the source, the grid); one noise draw per trial
+    argv = [command, "--config", str(CONFIGS / "vertical.cfg"), *extra, "--out", str(tmp_path)]
+    layers = tracer.summarize(_traced_main(tracer, argv).spans)
+    assert layers["estimate.sensing_matrix"]["calls"] == 1
+    assert layers["modes.profile_matrix"]["calls"] == 4
+    assert layers["modes.profile_matrix"]["profile_values"] == 522
+    assert layers["experiments.noise_draw"]["calls"] == draws
