@@ -44,6 +44,7 @@ from .errors import ConfigError, TooFewReceivers
 from .estimate import HardThreshold, RegPolicy, Tikhonov
 from .image import SearchGrid, default_grid
 from .modes import HomogeneousDD, HomogeneousDN, Parabolic, solve_modes
+from .rank import DENSE_LINE_KINDS
 from .synth import (
     Dense,
     Discrete,
@@ -188,7 +189,7 @@ KEYS = (
     Key("grid.step_fraction", "20", *_POSITIVE),
     Key("rank.eps", "1e-7", *_POSITIVE),
     Key("rank.kinds", "vertical, horizontal", _list(str.lower),
-        lambda kinds: len(kinds) > 0 and _distinct(_LINES.__contains__)(kinds),
+        lambda kinds: len(kinds) > 0 and _distinct(DENSE_LINE_KINDS.__contains__)(kinds),
         "a non-empty comma list of distinct vertical, horizontal"),
     Key("rank.ratios", None, *_RATIOS),
     Key("rank.ratios_vertical", "0.1, 0.2, 0.3, 0.4", *_RATIOS),
@@ -332,7 +333,8 @@ def build_experiment(entries, command=None):
     geometry, depth_keys = (None, None) if kind is None else _geometry(kind, v)
     # rank.ratios_<kind>, else rank.ratios, else the rank.ratios_<kind> default
     ratio_keys = {k: f"rank.ratios_{k}" if v["rank.ratios"] is None
-                  or f"rank.ratios_{k}" in entries else "rank.ratios" for k in _LINES}
+                  or f"rank.ratios_{k}" in entries else "rank.ratios"
+                  for k in DENSE_LINE_KINDS}
     rank_z_a = 0.22 * L if v["rank.z_a"] is None else v["rank.z_a"]
     # rank-scan apertures of total length 2a = 2 (a/L) L, after the key that
     # places each kind in depth: the vertical one x = 0 over depths [0, 2a],

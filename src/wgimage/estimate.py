@@ -114,8 +114,10 @@ def _psi(d, reg):
     is plain inversion 1/d, refused on a singular spectrum."""
     if reg is None or reg.eps == 0:
         if np.min(d) < 1e-14 * np.max(d):
-            raise SingularUnregularized("spectrum spans more than 14 decades: plain inversion "
-                                        "(reg.kind = none, or eps = 0) needs reg.eps > 0")
+            raise SingularUnregularized(
+                "spectrum spans more than 14 decades: plain inversion (reg.kind = none, "
+                "reg.eps = 0, or the noise-matched eps at a sigma of 0 in noise.sigmas or "
+                "--sigma) needs reg.eps > 0 or a nonzero sigma")
         return 1.0 / d
     return reg.filter(d)
 

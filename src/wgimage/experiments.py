@@ -31,7 +31,7 @@ import numpy as np
 from . import _kernels, io
 from .estimate import coupling_spectrum, estimator_matrix, sensing_matrix, svd_estimate
 from .image import grid_factors, locate_peak, localization_success, migrate
-from .rank import dense_rank_prediction, effective_rank
+from .rank import DENSE_LINE_KINDS, dense_rank_prediction, effective_rank
 from .synth import Discrete, source_amplitudes
 
 
@@ -228,24 +228,18 @@ def run_mc_rate(ecfg, outdir):
     print(f"wrote {outdir}/rates.csv")
 
 
-#: Rank-scan count level, relative to the top eigenvalue, per kind. Vertical
-#: spectra plateau at their top value, so the half-maximum count is the
-#: natural measure. Horizontal spectra have no plateau: they decay smoothly
-#: to a sharp drop at the predicted rank, so the significant set is counted
-#: at 1e-2 of the top eigenvalue.
-RANK_LEVEL = {"vertical": 0.5, "horizontal": 1e-2}
-
-
 def rank_scan_rows(ms, kind, apertures):
     """(a/L, predicted, measured) rows for the (a/L, Dense) apertures of
     one kind that config.build_experiment builds; measured counts the
-    eigenvalues at or above RANK_LEVEL[kind] times the top one."""
+    eigenvalues at or above the kind's DENSE_LINE_KINDS level times the
+    top one."""
+    _, level = DENSE_LINE_KINDS[kind]
     rows = []
     for r, aperture in apertures:
         d = coupling_spectrum(ms, aperture)
         segments = aperture.mu_z if kind == "vertical" else aperture.mu_x
         predicted = dense_rank_prediction(kind, segments, ms.lambda_o, ms.n_modes)
-        rows.append((r, predicted, effective_rank(d, RANK_LEVEL[kind] * d[0])))
+        rows.append((r, predicted, effective_rank(d, level * d[0])))
     return rows
 
 

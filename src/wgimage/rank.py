@@ -1,11 +1,14 @@
 """Information content of receiver arrays.
 
-The effective rank of a coupling/sensing spectrum, which counts the
-entries at or above a plain number (a fixed eps for receiver sets, a
-fraction of the top entry for dense apertures), the dense-array
-asymptotic rank predictions for vertical and horizontal apertures, the
-Taylor-moment rank predictions for arrays much smaller than a
-wavelength, and the dispersion-relation collapse of the moment span.
+Every rank rule of the package is stated here once. `effective_rank`
+counts the entries of a coupling/sensing spectrum at or above a plain
+number (a fixed eps for receiver sets, a fraction of the top entry for
+dense apertures). `DENSE_LINE_KINDS` holds, for each dense-line kind,
+the asymptotic rank per wavelength of total half-length that
+`dense_rank_prediction` reads and the count level that rank-scan
+measures at. `taylor_rank_prediction` is the small-array Taylor rank,
+a plain argmin over the truncation order. The moment family and its
+dispersion-relation span collapse close the module.
 """
 
 import math
@@ -34,19 +37,23 @@ def effective_rank(spectrum, threshold):
 # ---------------------------------------------------------------------------
 # dense-aperture predictions
 
+#: dense-line kind -> (predicted rank per wavelength of total half-length,
+#: rank-scan count level relative to the top eigenvalue). A vertical
+#: spectrum plateaus at its top value, so it is counted at half of it. A
+#: horizontal one has no plateau: it decays smoothly to a sharp drop at
+#: the predicted rank, so its significant set is counted at 1e-2 of the top.
+DENSE_LINE_KINDS = {"vertical": (4.0, 0.5), "horizontal": (2.0, 1e-2)}
+
+
 def dense_rank_prediction(kind, intervals, lambda_o, N):
     """Asymptotic effective rank of a dense aperture of segments
     (b_k, a_k): vertical 4 sum(a_k)/lambda_o = N (2 sum a_k)/L,
     horizontal 2 sum(a_k)/lambda_o = N sum(a_k)/L, capped at the mode
     count. Positions b_k do not enter."""
-    total = sum(a for _, a in intervals)
-    if kind == "vertical":
-        pred = 4.0 * total / lambda_o
-    elif kind == "horizontal":
-        pred = 2.0 * total / lambda_o
-    else:
+    if kind not in DENSE_LINE_KINDS:
         raise ValueError(f"kind must be 'vertical' or 'horizontal', got {kind!r}")
-    return float(min(pred, N))
+    per_wavelength, _ = DENSE_LINE_KINDS[kind]
+    return float(min(per_wavelength * sum(a for _, a in intervals) / lambda_o, N))
 
 
 # ---------------------------------------------------------------------------
@@ -67,23 +74,16 @@ def taylor_rank_prediction(k_o_a, eps, n_cap=None):
     """
     if not 0.0 < k_o_a < 1.0:
         raise ValueError("k_o_a must lie in (0, 1)")
-    if eps >= 1.0:
-        return TaylorRank(Q=0, linear=0, planar=0)
+    if not eps > 0.0:
+        raise ValueError(f"eps must be > 0, got {eps!r}")
+    # the first argmin over q < 200: for every q >= 178 the term lies below
+    # 1/178! < 5e-324, the smallest double and so the smallest eps, and
+    # from there on its gap only grows
     target = math.log(eps)
-    best_q, best_gap = 0, abs(0.0 - target)
-    q = 0
-    while True:
-        q += 1
-        val = q * math.log(k_o_a) - math.lgamma(q + 1)
-        gap = abs(val - target)
-        if gap < best_gap:
-            best_q, best_gap = q, gap
-        # terms decrease monotonically in log, so once past the target by
-        # more than the best gap nothing later can win
-        if val < target - best_gap:
-            break
-    linear = best_q if n_cap is None else min(best_q, n_cap)
-    return TaylorRank(Q=best_q, linear=linear, planar=max(2 * best_q - 1, 0))
+    gaps = [abs(q * math.log(k_o_a) - math.lgamma(q + 1) - target) for q in range(200)]
+    Q = gaps.index(min(gaps))
+    linear = Q if n_cap is None else min(Q, n_cap)
+    return TaylorRank(Q=Q, linear=linear, planar=max(2 * Q - 1, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,7 @@ def test_lazy_exports_resolve():
             "      set(names) <= set(dir(wgimage)))\n")
     assert run([sys.executable, "-c", code], child_env()).split() == [
         str(len(wgimage.__all__)), "True", "True"]
+    assert set(wgimage.__all__) <= set(dir(wgimage))
     with pytest.raises(AttributeError, match="nope"):
         wgimage.nope
     with pytest.raises(ImportError, match="nope"):

@@ -20,13 +20,13 @@ from wgimage import io
 from wgimage.cli import main
 from wgimage.config import KEYS, build_experiment, load_config, parse_config_text, read_keys
 from wgimage.experiments import (
-    RANK_LEVEL,
     localization_error_rates,
     mode_table,
     rank_scan_rows,
     run_image,
     threshold_sigma,
 )
+from wgimage.rank import DENSE_LINE_KINDS
 
 ROOT = Path(__file__).resolve().parent.parent
 CFG_DIR = str(ROOT / "configs")
@@ -282,6 +282,25 @@ def test_plain_inversion_of_singular_spectrum_exits_2(tmp_path, capsys):
     assert main(["image", "--sigma", "1e-6", "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
+def test_sigma_zero_refusal_names_sigma(tmp_path, capsys):
+    # the noise-matched eps is 0 at sigma 0, so a config that sets neither
+    # reg.kind nor reg.eps is refused; the message names the sigma as well
+    cfg = tmp_path / "sigma0.cfg"
+    cfg.write_text("waveguide.model = parabolic\nwaveguide.L = 20\nomega = 1\n"
+                   "source.x = 100\nsource.z = 0\narray.kind = vertical\narray.M = 12\n"
+                   "array.z_a = 0\narray.extent = 0.25\nnoise.sigmas = 0, 1e-3\n")
+    for cmd in (["image", "--sigma", "0"], ["mc-rate", "--trials", "2"]):
+        assert main([*cmd, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: spectrum spans more than 14 decades: plain inversion "
+                       "(reg.kind = none, reg.eps = 0, or the noise-matched eps at a sigma "
+                       "of 0 in noise.sigmas or --sigma) needs reg.eps > 0 or a nonzero "
+                       "sigma\n")
+    assert not list(tmp_path.glob("*.csv"))
+    # a nonzero sigma runs
+    assert main(["image", "--sigma", "1e-3", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize("key, kind, value", [
     ("array.a", kind, a)
     for kind in ("dense_vertical", "dense_horizontal", "dense_planar")
@@ -459,6 +478,11 @@ def test_unknown_key_lists_its_section():
         read_keys(cfg)
     assert str(exc.value) == ("unknown key 'noise.trial' "
                               "(noise.* keys: noise.seed, noise.sigmas, noise.trials)")
+    # a key of no known section lists every section
+    with pytest.raises(wg.ConfigError) as exc:
+        read_keys(parse_config_text("waveguide.L = 20\nomega = 1\nsorce.x = 5\n"))
+    assert str(exc.value) == ("unknown key 'sorce.x' (keys: array.*, grid.*, noise.*, "
+                              "omega, rank.*, reg.*, source.*, waveguide.*)")
 
 
 # every key, some misspellings, and values from one token list: valid small
@@ -799,7 +823,8 @@ def test_rank_scan_counts_equal_eigh_counts(monkeypatch):
     expected = {}
     for kind, apertures in ecfg.rank_apertures.items():
         ds = [wg.coupling_matrix(ecfg.ms, aperture).d for _, aperture in apertures]
-        expected[kind] = [wg.effective_rank(d, RANK_LEVEL[kind] * d[0]) for d in ds]
+        _, level = DENSE_LINE_KINDS[kind]
+        expected[kind] = [wg.effective_rank(d, level * d[0]) for d in ds]
     monkeypatch.setattr(np.linalg, "eigh", _no_eigh)
     for kind, apertures in ecfg.rank_apertures.items():
         rows = rank_scan_rows(ecfg.ms, kind, apertures)

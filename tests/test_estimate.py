@@ -319,6 +319,10 @@ def test_mismatch_errors(ms_dd20, src_ref, vertical_points, spread_points):
     cm = wg.coupling_matrix(ms_dd20, wg.Discrete(spread_points))
     with pytest.raises(wg.GeometryMismatch):
         wg.project_reduced(fs, cm, ms_dd20)
+    # another geometry type never matches a receiver set
+    with pytest.raises(wg.GeometryMismatch):
+        wg.project_reduced(fs, wg.coupling_matrix(ms_dd20, wg.Dense(0.0, ((10.0, 10.0),))),
+                           ms_dd20)
     with pytest.raises(wg.GeometryMismatch):
         wg.estimate_amplitudes(np.zeros(4), cm, wg.Tikhonov(1e-6))
     sm = wg.sensing_matrix(ms_dd20, vertical_points)
@@ -336,6 +340,13 @@ def test_mse_limits(ms_dd20, src_ref, vertical_points):
     assert rep.bias_sq == pytest.approx(np.linalg.norm(a_o) ** 2, rel=1e-6)
     assert rep.variance < 1e-20
     assert rep.mse == rep.bias_sq + rep.variance
+    # hard threshold: the modes at or below eps are lost whole (bias), the
+    # rest inverted exactly (variance)
+    eps = np.sqrt(sm.s[2] * sm.s[3])
+    rep = mse_decomposition(sm, a_o, 1e-3, wg.HardThreshold(eps))
+    coeff = np.abs(sm.V.conj().T @ a_o) ** 2
+    assert rep.bias_sq == pytest.approx(np.sum(coeff[sm.s <= eps]), rel=1e-12)
+    assert rep.variance == pytest.approx(1e-6 * np.sum(sm.s[sm.s > eps] ** -2.0), rel=1e-12)
 
 
 def test_mse_plain_inversion_matches_tikhonov_zero(

@@ -59,6 +59,8 @@ def test_locate_peak_tie_breaks_to_first_node(ms_dd20, src_ref):
     assert wg.locate_peak(flat) == (90.0, 3.0, 0.0)
     assert not wg.localization_success(wg.locate_peak(flat), src_ref,
                                        ms_dd20.lambda_o)
+    with pytest.raises(ValueError, match="empty image"):
+        wg.locate_peak(wg.ImageMap(np.zeros((0, 3), complex), grid))
 
 
 def test_localization_success_closed_ball(src_ref):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,11 @@ def test_mode_count_parabolic(ms_parab10):
 def test_below_cutoff_raises():
     with pytest.raises(wg.NoGuidedModes):
         wg.solve_modes(wg.HomogeneousDD(L=20.0), 0.1)
+    for omega in (0.0, -1.0):
+        with pytest.raises(ValueError, match="omega must be positive"):
+            wg.solve_modes(wg.HomogeneousDD(L=20.0), omega)
+    with pytest.raises(TypeError, match="unknown waveguide model SimpleNamespace"):
+        wg.solve_modes(SimpleNamespace(L=20.0, c_o=1.0), 1.0)
 
 
 def test_eval_mode_antinode(ms_dd20):

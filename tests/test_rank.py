@@ -52,20 +52,29 @@ def test_taylor_rank_reference_points():
     assert (t.Q, t.linear, t.planar) == (3, 3, 5)
     assert taylor_rank_prediction(0.125, 1e-4, n_cap=2).linear == 2
     assert taylor_rank_prediction(0.125, 2.0) == wg.rank.TaylorRank(0, 0, 0)
+    assert taylor_rank_prediction(0.125, math.inf) == wg.rank.TaylorRank(0, 0, 0)
     with pytest.raises(ValueError):
         taylor_rank_prediction(1.5, 1e-4)
+    # an eps that is not > 0 has no log: refused by name, NaN included
+    for eps in (0.0, -1e-4, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            taylor_rank_prediction(0.125, eps)
 
 
 def test_taylor_rank_matches_explicit_scan():
-    # against a brute-force nearest-in-log search over a wide Q range
-    for koa in (0.05, 0.125, 0.4, 0.9):
-        for eps in (1e-2, 1e-4, 1e-7, 1e-12):
-            vals = [abs(q * np.log(koa) - np.log(float(math.factorial(q)))
-                        - np.log(eps)) for q in range(40)]
+    # against a brute-force nearest-in-log search over every q < 200, with
+    # log q! exact; k_o a near 1 and eps down to 1e-300 reach Q ~ 170
+    for koa in (0.05, 0.125, 0.4, 0.9, 0.999999):
+        for eps in (1e-2, 1e-4, 1e-7, 1e-12, 1e-100, 1e-300):
+            vals = [abs(q * math.log(koa) - math.log(math.factorial(q)) - math.log(eps))
+                    for q in range(200)]
             assert taylor_rank_prediction(koa, eps).Q == int(np.argmin(vals))
+    assert taylor_rank_prediction(0.999999, 1e-300).Q > 160
 
 
 def test_moment_family_values(ms_dd20, vertical_points):
+    with pytest.raises(ValueError, match="Q must be >= 1"):
+        moment_family(ms_dd20, 11.0, vertical_points, 0)
     mf = moment_family(ms_dd20, 11.0, vertical_points, 3)
     assert set(mf.u) == {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)}
     prof = ms_dd20.profile_matrix(np.array([11.0]))[0]

@@ -90,7 +90,8 @@ def test_record_defaults():
 
 
 def test_records_compare_by_class_and_fields():
-    assert wg.Tikhonov(0.5) == wg.Tikhonov(0.5)
+    assert wg.Tikhonov(0.5) == wg.Tikhonov(0.5) and not wg.Tikhonov(0.5) != wg.Tikhonov(0.5)
+    assert wg.Tikhonov(0.5) != wg.Tikhonov(0.25)
     assert hash(wg.Tikhonov(0.5)) == hash(wg.Tikhonov(0.5))
     assert wg.Tikhonov(0.5) != wg.HardThreshold(0.5)
     assert wg.HomogeneousDD(20) != wg.HomogeneousDN(20)
