@@ -2,12 +2,13 @@
 
 Builds the inputs of the vertical-array localization experiment at
 relative noise 1e-6 through the functions `localization_error_rates`
-calls: the data model of `receiver_data` with the Tikhonov estimator
-matrix at the heuristic eps, the separable `grid_factors`, one unit
-noise draw per trial scaled to the noise level, and the blocks of
-trial_block(M) trials that `mc-rate` runs (all of up to 6400 trials in
-one block at M = 20). It then times `_kernels.peak_search` over all
-blocks. Run:
+calls: the data model of `receiver_data`, the projected data
+y0 = U^dag p, the Tikhonov filtered basis H = V psi(S) at the heuristic
+eps, the separable `grid_factors`, and each trial's unit noise drawn
+once, projected onto conj(U) and scaled to the noise level, in the
+blocks of trial_block(N) trials that `mc-rate` runs (all of up to
+21 333 trials in one block at N = 6). It then times
+`_kernels.peak_search` over all blocks. Run:
 
     python3 benchmarks/bench_kernels.py [--trials N] [--repeats R]
 """
@@ -22,20 +23,25 @@ from wgimage import _kernels
 from wgimage.experiments import _trial_noise, receiver_data, trial_block
 from wgimage.image import grid_factors
 
+RECEIVERS = 20
+
 
 def build_workload(trials, sigma=1e-6, seed=2024):
     ms = wg.solve_modes(wg.HomogeneousDD(L=20.0), 1.0)
     src = wg.PointSource(100.0, 7.7)
-    sm, p, (c,), (reg,) = receiver_data(ms, src, wg.vertical_line(20), [sigma], wg.RegPolicy())
+    sm, p, (c,), (reg,) = receiver_data(ms, src, wg.vertical_line(RECEIVERS), [sigma],
+                                        wg.RegPolicy())
     E, PT = grid_factors(ms, wg.default_grid(ms))
-    Z = np.array([_trial_noise(p.size, seed, t) for t in range(trials)])
-    block = trial_block(p.size)
-    blocks = [c * Z[t0:t0 + block] for t0 in range(0, trials, block)]
-    return wg.estimator_matrix(sm, reg), p, blocks, ms.beta, E, PT
+    Uc = np.conj(sm.U)
+    Y = np.array([_trial_noise(p.size, seed, t) @ Uc for t in range(trials)])
+    block = trial_block(ms.n_modes)
+    blocks = [c * Y[t0:t0 + block] for t0 in range(0, trials, block)]
+    H = wg.filtered_basis(sm.V, sm.s, reg)
+    return H, sm.U.conj().T @ p, blocks, ms.beta, E, PT
 
 
-def run(G, p, blocks, beta, E, PT):
-    return np.concatenate([_kernels.peak_search(G, p, W, beta, E, PT) for W in blocks])
+def run(H, y0, blocks, beta, E, PT):
+    return np.concatenate([_kernels.peak_search(H, y0, W, beta, E, PT) for W in blocks])
 
 
 def main():
@@ -45,9 +51,9 @@ def main():
     args = ap.parse_args()
 
     work = build_workload(args.trials)
-    G, _, _, _, E, PT = work
-    print(f"workload: {args.trials} trials in blocks of {trial_block(G.shape[1])}, "
-          f"{E.shape[0]}x{PT.shape[1]} grid, {G.shape[1]} receivers, {G.shape[0]} modes")
+    H, _, _, _, E, PT = work
+    print(f"workload: {args.trials} trials in blocks of {trial_block(H.shape[0])}, "
+          f"{E.shape[0]}x{PT.shape[1]} grid, {RECEIVERS} receivers, {H.shape[0]} modes")
     best = np.inf
     for _ in range(args.repeats):
         t0 = time.perf_counter()

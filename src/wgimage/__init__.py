@@ -20,7 +20,7 @@ _EXPORTS = {
                "SingularUnregularized", "TooFewReceivers"),
     "estimate": ("CouplingMatrix", "EstimationReport", "HardThreshold", "RegPolicy",
                  "SensingMatrix", "Tikhonov", "coupling_matrix", "coupling_spectrum",
-                 "estimate_amplitudes", "estimator_matrix", "mse_decomposition",
+                 "estimate_amplitudes", "filtered_basis", "mse_decomposition",
                  "optimal_epsilon", "project_reduced", "reverse_time", "sensing_matrix",
                  "svd_estimate"),
     "image": ("ImageMap", "SearchGrid", "default_grid", "locate_peak",

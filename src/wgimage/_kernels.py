@@ -3,20 +3,18 @@
 Each noise draw runs the same three steps: regularized amplitude
 estimate from noisy receiver data, migration of the estimate over the
 search grid, and argmax of the image modulus. That loop dominates the
-runtime of `mc-rate`, so it is written for it: amplitude GEMMs over
-row chunks of the draws of a call, then an exact best-first search over
-the depth rows of each draw's image, all draws still searching batched
-together.
+runtime of `mc-rate`, so it is written for it: one amplitude GEMM over
+the draws of a call, then an exact best-first search over the depth
+rows of each draw's image, all draws still searching batched together.
 
-Amplitude chunks. The amplitudes (p + W) @ G.T are formed in chunks of
-AMPLITUDE_CHUNK noise rows, so p + W is held one chunk at a time and
-not for a whole block (2 MB at 128 trials of M = 1000). No chunk has
-one row: OpenBLAS computes a one-row product as a GEMV, whose sums
-round differently from the GEMM's, while the GEMM gives each row the
-same bits whatever the number of rows (two or more) beside it. So a
-one-row remainder joins the chunk before it, and a single-trial call
-multiplies its row twice over; every chunking, and every slice of
-trials, then gives the bits of one whole-block product.
+Amplitudes. `mc-rate` passes projected data: G = V psi(S) is N x N, and
+p + W is (T, N), about 0.1 MB at 1000 trials of N = 6, so the
+amplitudes (p + W) @ G.T are one GEMM. It never has one row: OpenBLAS
+computes a one-row product as a GEMV, whose sums round differently from
+the GEMM's, while the GEMM gives each row the same bits whatever the
+number of rows (two or more) beside it. So a single-trial call
+multiplies its row twice over, and every slice of trials gives the bits
+of the whole-block product.
 
 Row bound. Depth row z of the image is I(x, z) = sum_j E[x, j] c_j phi_j(z),
 so |I(x, z)| <= sum_j |c_j| |phi_j(z)| max_x |E[x, j]|. The square of that
@@ -72,10 +70,6 @@ ROW_BOUND_SLACK = 1e-9
 #: largest mode count scored by the quadratic lift (see the module text)
 QUADRATIC_MAX_MODES = 8
 
-#: noise rows per amplitude GEMM (a one-row remainder makes the last
-#: chunk one row longer): a chunk of p + W is 0.5 MB at M = 1000
-AMPLITUDE_CHUNK = 32
-
 #: rows per real GEMM, which runs on one BLAS thread (the CLI pins one):
 #: a chunk, the factor F and the output, about 0.3 MB at N = 6 and
 #: nx = 319, stay in L2; 64 timed as fast as any of 16 to 256 rows on
@@ -109,22 +103,13 @@ def _linear_lift(C, E, PT):
 
 
 def amplitudes(G, p, W):
-    """(p + W) @ G.T, one row per noise row of W, formed AMPLITUDE_CHUNK
-    rows at a time into one (T, N) output, never in a one-row product
-    (see the module text on amplitude chunks): any slice of trials
+    """(p + W) @ G.T, one row per noise row of W, never as a one-row
+    product (see the module text on amplitudes): any slice of trials
     recomputes its amplitudes exactly."""
-    T, M = W.shape
-    if T == 1:
-        X = p + W
+    X = p + W
+    if X.shape[0] == 1:
         return (np.concatenate((X, X)) @ G.T)[:1]
-    out = np.empty((T, G.shape[0]), dtype=complex)
-    X = np.empty((min(T, AMPLITUDE_CHUNK + 1), M), dtype=complex)
-    s = 0
-    while s < T:
-        e = T if T - s <= AMPLITUDE_CHUNK + 1 else s + AMPLITUDE_CHUNK  # no one-row rest
-        np.matmul(np.add(p, W[s:e], out=X[:e - s]), G.T, out=out[s:e])
-        s = e
-    return out
+    return X @ G.T
 
 
 def peak_search(G, p, W, beta, E, PT):
@@ -137,8 +122,9 @@ def peak_search(G, p, W, beta, E, PT):
     Ties resolve to the smallest flat index (row-major), i.e. smallest
     x index then smallest z index.
 
-    G: (N, M) estimator matrix V psi(D) U^dag
-    p: (M,) noiseless data; W: (T, M) noise draws
+    G: (N, K) estimator of data of width K; mc-rate passes the N x N
+       V psi(S) of projected data
+    p: (K,) noiseless data, U^dag p in mc-rate; W: (T, K) noise draws
     E: (nx, N) range phases e^{i beta x}; PT: (N, nz) real profile transpose
     returns (T, 2) int64 grid indices
     """

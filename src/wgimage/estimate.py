@@ -3,9 +3,9 @@
 Two routes to the amplitude vector: project data onto reduced mode
 profiles and invert the coupling matrix A (any geometry), or apply a
 regularized pseudo-inverse of the sensing matrix B (discrete receiver
-sets). Both are one estimator a_eps = V psi_eps(D) X (X = b, U^dag p,
-or U^dag for the estimator matrix G), formed only in `_filtered`, with
-one analytic bias/variance decomposition of the error. A `RegPolicy`
+sets). Both are one estimator a_eps = V psi_eps(D) X (X = b or U^dag p),
+formed only in `_filtered` from the N x N `filtered_basis` V psi_eps(D),
+with one analytic bias/variance decomposition of the error. A `RegPolicy`
 picks psi_eps at each noise level: Tikhonov, HardThreshold or None
 (plain inversion), at a fixed eps or at the noise-matched
 `heuristic_eps`. Plain inversion, which any regularizer at eps = 0 is
@@ -122,10 +122,16 @@ def _psi(d, reg):
     return reg.filter(d)
 
 
+def filtered_basis(V, d, reg):
+    """H = V psi(D), N x N: the estimate of reduced data y (b, or U^dag p
+    of receiver data p) is a = H y."""
+    return V * _psi(d, reg)
+
+
 def _filtered(V, d, reg, X):
     """V psi(D) X, associated as (V psi) X: the one place a filter is
     applied to data."""
-    return (V * _psi(d, reg)) @ X
+    return filtered_basis(V, d, reg) @ X
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +276,6 @@ def svd_estimate(p, sm, reg):
     if p.shape != (sm.B.shape[0],):
         raise GeometryMismatch(f"data length {p.shape} != receiver count {sm.B.shape[0]}")
     return _filtered(sm.V, sm.s, reg, sm.U.conj().T @ p)
-
-
-def estimator_matrix(sm, reg):
-    """G = V psi_eps(D) U^dag, so that a_eps = G p for receiver data p."""
-    return _filtered(sm.V, sm.s, reg, sm.U.conj().T)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,14 @@ the Philox stream keyed on the pair (seed, t): key = seed, counter =
 s_meas / sqrt(2) * Z_t, with s_meas = sigma * max|p|, and the
 regularizer is the one chosen at s_meas. `receiver_data` builds this
 data model, for a single imaging pass and the Monte Carlo loop alike.
-A single imaging pass uses trial 0, and draws nothing at sigma 0.
+A single imaging pass adds trial 0 to p, and draws nothing at sigma 0.
+Every estimate is a = V psi(S) U^dag (p + w), so only the N values
+U^dag w of an M-wide draw reach it: the Monte Carlo loop projects each
+Z_t once, Y_t = Z_t conj(U) (one GEMV, whatever the trials beside it),
+and estimates from y0 + c Y_t, with y0 = U^dag p. It runs over blocks
+of trial_block(N) trials, at most BLOCK_VALUES projected values each.
 Trials are order-independent, and any slice of them, a single trial
-included, recomputes the same amplitudes (`_kernels.amplitudes`). The
-Monte Carlo loop runs over blocks of trial_block(M) trials, at most
-BLOCK_VALUES noise values each (one trial if M is larger). It draws each
-Z_t once, into the block's row of one unit-noise array, and scales that
-array into one buffer per sigma; both arrays are allocated once per run.
+included, recomputes the same amplitudes (`_kernels.amplitudes`).
 """
 
 import functools
@@ -29,7 +30,7 @@ import functools
 import numpy as np
 
 from . import _kernels, io
-from .estimate import coupling_spectrum, estimator_matrix, sensing_matrix, svd_estimate
+from .estimate import coupling_spectrum, filtered_basis, sensing_matrix, svd_estimate
 from .image import grid_factors, locate_peak, localization_success, migrate
 from .rank import DENSE_LINE_KINDS, dense_rank_prediction, effective_rank
 from .synth import Discrete, source_amplitudes
@@ -99,18 +100,18 @@ def _trial_noise(m, seed, t):
 # ---------------------------------------------------------------------------
 # localization error rates
 
-#: Noise values per block of the Monte Carlo loop, which runs
-#: trial_block(M) trials per block: it sizes the loop's two noise arrays,
-#: unit noise and its scaled copy, at about BLOCK_VALUES values each (128
-#: trials at M = 1000), while few receivers let one block, and one
-#: best-first search per sigma, cover many trials.
+#: Projected noise values per block of the Monte Carlo loop, which runs
+#: trial_block(N) trials per block: it sizes the loop's two N-wide
+#: arrays, projected unit noise and its scaled copy, at about
+#: BLOCK_VALUES values each (21 333 trials at N = 6), so every shipped
+#: config searches all its trials in one call per sigma.
 BLOCK_VALUES = 128_000
 
 
-def trial_block(m):
-    """Trials per Monte Carlo block at m receivers: BLOCK_VALUES // m, at
+def trial_block(n):
+    """Trials per Monte Carlo block at n modes: BLOCK_VALUES // n, at
     least one."""
-    return max(1, BLOCK_VALUES // m)
+    return max(1, BLOCK_VALUES // n)
 
 
 def localization_error_rates(ms, src, points, sigmas, trials, seed, grid, reg):
@@ -119,31 +120,32 @@ def localization_error_rates(ms, src, points, sigmas, trials, seed, grid, reg):
     relative noise level sigma: the peak is searched on the SearchGrid
     `grid`, and the RegPolicy `reg` picks each sigma's regularizer.
 
-    The data model (`receiver_data`), the estimator matrix
-    G = V psi(D) U^dag of each sigma and the separable `grid_factors`
-    are built once. Trials then run in blocks of
-    trial_block(M): each trial's unit noise Z_t is drawn once, into its
-    row of the block's unit-noise array, and every sigma's peak search in
-    the block reads it scaled into one reused buffer. So a run makes one
-    draw per trial, and at any time holds two block arrays of noise, the
-    unit noise and one scaled copy, plus the kernel's chunk of p + W; at
-    M = 20 up to 6400 trials share one block.
+    The data model (`receiver_data`), the projected data y0 = U^dag p,
+    the N x N filtered basis H = V psi(S) of each sigma and the separable
+    `grid_factors` are built once. Trials then run in blocks of
+    trial_block(N): each trial's unit noise Z_t is drawn once and
+    projected straight into its row of the block's array Y, and every
+    sigma's peak search in the block reads c Y in one reused buffer, so
+    a = H (y0 + c Y_t). So a run makes one draw per trial and holds no
+    M-wide block: the two N-wide arrays, and one M-wide draw at a time.
     """
     sm, p, scales, regs = receiver_data(ms, src, points, sigmas, reg)
-    Gs = [estimator_matrix(sm, r) for r in regs]
+    Hs = [filtered_basis(sm.V, sm.s, r) for r in regs]
+    y0 = sm.U.conj().T @ p
+    Uc = np.conj(sm.U).astype(complex)  # cast once, not per draw: U is real at x = 0
     xs, zs = grid.x, grid.z
     E, PT = grid_factors(ms, grid)
-    misses = np.zeros(len(Gs), dtype=np.int64)
-    block = trial_block(p.size)
-    Z = np.empty((min(block, trials), p.size), dtype=complex)  # unit noise of a block
-    W = np.empty_like(Z)  # the same, scaled to one sigma
+    misses = np.zeros(len(Hs), dtype=np.int64)
+    block = trial_block(y0.size)
+    Y = np.empty((min(block, trials), y0.size), dtype=complex)  # projected unit noise
+    W = np.empty_like(Y)  # the same, scaled to one sigma
     for t0 in range(0, trials, block):
         n = min(block, trials - t0)
         for i in range(n):
-            Z[i] = _trial_noise(p.size, seed, t0 + i)
-        for k, (c, G) in enumerate(zip(scales, Gs)):
-            np.multiply(c, Z[:n], out=W[:n])
-            peaks = _kernels.peak_search(G, p, W[:n], ms.beta, E, PT)
+            np.matmul(_trial_noise(p.size, seed, t0 + i), Uc, out=Y[i])
+        for k, (c, H) in enumerate(zip(scales, Hs)):
+            np.multiply(c, Y[:n], out=W[:n])
+            peaks = _kernels.peak_search(H, y0, W[:n], ms.beta, E, PT)
             found = localization_success((xs[peaks[:, 0]], zs[peaks[:, 1]]), src, ms.lambda_o)
             misses[k] += np.count_nonzero(~found)
     return misses / trials

@@ -263,12 +263,17 @@ def test_reg_policy_picks_regularizer(ms_dd20, src_ref, vertical_points):
         reg = policy.regularizer(1e-3, a_o)
         assert type(reg) is type(expected) and reg == expected
     assert wg.RegPolicy(None, 0.5).regularizer(1e-3, a_o) is None
-    # G p is the same estimate as svd_estimate
+    # H U^dag p is svd_estimate's estimate, bit for bit, and H applied to
+    # projected noisy data, U^dag p + w conj(U), is that of p + w
     sm = wg.sensing_matrix(ms_dd20, vertical_points)
     p = sm.B @ a_o
+    w = 1e-3 * np.abs(p).max() * np.random.default_rng(5).standard_normal(p.size)
     for reg in (wg.Tikhonov(heur), wg.HardThreshold(1e-3 * sm.s[0])):
-        np.testing.assert_allclose(wg.estimator_matrix(sm, reg) @ p,
-                                   wg.svd_estimate(p, sm, reg), rtol=1e-12)
+        H = wg.filtered_basis(sm.V, sm.s, reg)
+        assert H.shape == (sm.s.size, sm.s.size)
+        assert np.array_equal(H @ (sm.U.conj().T @ p), wg.svd_estimate(p, sm, reg))
+        np.testing.assert_allclose(H @ (sm.U.conj().T @ p + w @ np.conj(sm.U)),
+                                   wg.svd_estimate(p + w, sm, reg), rtol=1e-12)
 
 
 @pytest.mark.parametrize("ms_name, points", [
@@ -296,8 +301,10 @@ def test_receivers_at_x0_get_real_factors(request, src_ref, ms_name, points):
     for reg in (None, wg.Tikhonov(heuristic_eps(1e-6, a_o)), wg.HardThreshold(1e-3 * s[0])):
         a, a_ref = wg.svd_estimate(p, sm, reg), wg.svd_estimate(p, ref, reg)
         assert np.linalg.norm(a - a_ref) <= tol * np.linalg.norm(a_ref)
-        G, G_ref = wg.estimator_matrix(sm, reg), wg.estimator_matrix(ref, reg)
-        assert np.isrealobj(G)
+        H = wg.filtered_basis(sm.V, sm.s, reg)
+        assert np.isrealobj(H)
+        # the estimator H U^dag; H alone depends on each SVD's phases
+        G, G_ref = (wg.filtered_basis(f.V, f.s, reg) @ f.U.conj().T for f in (sm, ref))
         assert np.linalg.norm(G - G_ref) <= tol * np.linalg.norm(G_ref)
 
 

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from wgimage import _kernels, experiments
 from wgimage.cli import main
 from wgimage.config import build_experiment, load_config
-from wgimage.estimate import HardThreshold, estimator_matrix, heuristic_eps, sensing_matrix
+from wgimage.estimate import (HardThreshold, filtered_basis, heuristic_eps, mse_decomposition,
+                              sensing_matrix)
 from wgimage.experiments import _trial_noise, localization_error_rates, receiver_data, trial_block
 from wgimage.synth import source_amplitudes
 
@@ -194,10 +195,11 @@ def test_noise_statistics():
 
 @pytest.mark.parametrize("name", ["vertical", "planar_lhs", "parabolic"])
 def test_image_adds_trial_zero_of_mc_rate(name, monkeypatch, tmp_path):
-    # the data image estimates from equal, bit for bit, p + W[0] of a
-    # one-trial mc-rate at the same sigma and seed, and its regularizer
-    # gives the G mc-rate searches with: vertical has a real SVD,
-    # planar_lhs a complex one, parabolic the graded guide
+    # image adds w = c Z_0 to p, and a one-trial mc-rate at the same sigma
+    # and seed searches H (y0 + W[0]) with W[0] = c (Z_0 conj(U)),
+    # y0 = U^dag p and the H of image's regularizer, all bit for bit:
+    # vertical has a real SVD, planar_lhs a complex one, parabolic the
+    # graded guide
     seen = {}
 
     def spy(key, fn):
@@ -207,19 +209,22 @@ def test_image_adds_trial_zero_of_mc_rate(name, monkeypatch, tmp_path):
         return record
 
     monkeypatch.setattr(experiments, "svd_estimate", spy("image", experiments.svd_estimate))
-    monkeypatch.setattr(experiments, "estimator_matrix",
-                        spy("estimator", experiments.estimator_matrix))
+    monkeypatch.setattr(experiments, "filtered_basis", spy("basis", experiments.filtered_basis))
     monkeypatch.setattr(experiments._kernels, "peak_search", spy("mc", _kernels.peak_search))
     argv = ["--config", str(CFG_DIR / f"{name}.cfg"), "--sigma", "1e-3", "--out", str(tmp_path)]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["image", *argv]) == 0
         assert main(["mc-rate", "--trials", "1", *argv]) == 0
+    ecfg, (_, p, (c,), _) = _receiver_data(name, [1e-3])
+    z = _trial_noise(p.size, ecfg.seed, 0)
     data, sm, reg = seen["image"]
-    G, p, W = seen["mc"][:3]
-    assert W.shape == (1, p.size)
-    assert np.array_equal(data, p + W[0])
-    assert reg.eps == seen["estimator"][1].eps > 0
-    assert np.array_equal(G, estimator_matrix(sm, reg))
+    H, y0, W = seen["mc"][:3]
+    assert np.array_equal(data, p + c * z)
+    assert W.shape == (1, sm.s.size)
+    assert np.array_equal(W[0], c * (z @ np.conj(sm.U)))
+    assert np.array_equal(y0, sm.U.conj().T @ p)
+    assert reg.eps == seen["basis"][2].eps > 0
+    assert np.array_equal(H, filtered_basis(sm.V, sm.s, reg))
 
 
 def _reference_filter(reg, s_meas, a_o, s):
@@ -260,29 +265,31 @@ def _reference_error_rates(ecfg, trials):
     return np.array(rates)
 
 
-@pytest.mark.parametrize("name, entries, blocks, rest", [
-    pytest.param("vertical", {}, 0, 131, id="vertical"),
-    pytest.param("parabolic", {}, 0, 131, id="parabolic"),
-    pytest.param("horizontal", {}, 0, 131, id="horizontal"),
-    pytest.param("planar_lhs_w07", {}, 1, 3, id="planar_lhs_w07"),
-    pytest.param("planar_lhs_1000", {}, 1, 1, id="planar_lhs_1000"),
-    pytest.param("planar_lhs_1000", {}, 1, _kernels.AMPLITUDE_CHUNK + 1,
-                 id="planar_lhs_1000-merged-chunk"),
-    pytest.param("vertical", {"reg.kind": "hard"}, 0, 131, id="vertical-hard"),
-    pytest.param("vertical", {"reg.eps": "1e-9"}, 0, 131, id="vertical-eps1e-9"),
+@pytest.mark.parametrize("name, entries, block_values, blocks, rest", [
+    pytest.param("vertical", {}, None, 0, 131, id="vertical"),
+    pytest.param("parabolic", {}, None, 0, 131, id="parabolic"),
+    pytest.param("horizontal", {}, None, 0, 131, id="horizontal"),
+    pytest.param("planar_lhs_w07", {}, 384, 1, 3, id="planar_lhs_w07"),
+    pytest.param("planar_lhs_1000", {}, 384, 1, 1, id="planar_lhs_1000"),
+    pytest.param("planar_lhs_1000", {}, 384, 2, 5, id="planar_lhs_1000-three-blocks"),
+    pytest.param("vertical", {"reg.kind": "hard"}, None, 0, 131, id="vertical-hard"),
+    pytest.param("vertical", {"reg.eps": "1e-9"}, None, 0, 131, id="vertical-eps1e-9"),
 ])
-def test_error_rates_match_per_sigma_reference(name, entries, blocks, rest):
-    # blocks full trial blocks of the config's receiver count, then rest
-    # trials: one partial block (M = 20, 131 trials), two blocks with a
-    # partial last one (M = 20, 6403 trials), a last block of one trial
-    # (M = 1000, 129 trials) and one whose single amplitude chunk holds a
-    # merged one-row remainder (M = 1000, 161 trials). parabolic has a
+def test_error_rates_match_per_sigma_reference(name, entries, block_values, blocks, rest,
+                                               monkeypatch):
+    # blocks full trial blocks of the config's mode count, then rest
+    # trials: one partial block of the shipped size (131 trials), and,
+    # with blocks cut to 384 projected values, two blocks with a partial
+    # last one (N = 4: 99 trials), a last block of one trial (N = 6:
+    # 65 trials) and three blocks (N = 6: 133 trials). parabolic has a
     # sigma-0 level in its list.
+    if block_values is not None:
+        monkeypatch.setattr(experiments, "BLOCK_VALUES", block_values)
     cfg = load_config(CFG_DIR / f"{name}.cfg")
     for key, value in entries.items():
         cfg[key] = value
     ecfg = build_experiment(cfg)
-    trials = blocks * trial_block(len(ecfg.geometry.points)) + rest
+    trials = blocks * trial_block(ecfg.ms.n_modes) + rest
     rates = localization_error_rates(
         ecfg.ms, ecfg.source, ecfg.geometry.points, ecfg.sigmas, trials,
         ecfg.seed, grid=ecfg.grid, reg=ecfg.reg)
@@ -292,51 +299,79 @@ def test_error_rates_match_per_sigma_reference(name, entries, blocks, rest):
 
 
 def _amplitude_inputs(name, trials):
-    """(G, p, W) of a config at its last sigma, W holding the scaled noise
-    of trials 0 .. trials - 1 at seed 7."""
+    """(H, y0, W) that mc-rate passes the kernel for a config at its last
+    sigma, W holding the scaled projected noise of trials 0 .. trials - 1
+    at seed 7."""
     ecfg = build_experiment(load_config(CFG_DIR / f"{name}.cfg"))
     sm, p, (c,), (reg,) = receiver_data(ecfg.ms, ecfg.source, ecfg.geometry.points,
                                         ecfg.sigmas[-1:], ecfg.reg)
-    W = c * np.array([_trial_noise(p.size, 7, t) for t in range(trials)])
-    return estimator_matrix(sm, reg), p, W
+    Y = np.array([_trial_noise(p.size, 7, t) @ np.conj(sm.U) for t in range(trials)])
+    return filtered_basis(sm.V, sm.s, reg), sm.U.conj().T @ p, c * Y
 
 
 @pytest.mark.parametrize("name", ["vertical", "planar_lhs_1000", "parabolic"])
 def test_amplitudes_of_every_trial_slice_keep_their_bits(name):
-    # any slice of trials, a single trial included, recomputes the
-    # amplitudes it has inside a block (at the config's last sigma)
-    G, p, W = _amplitude_inputs(name, 8)
+    # the block's amplitudes are the one product (p + W) @ G.T, and any
+    # slice of trials, a single trial included, recomputes the bits it
+    # has inside the block (at the config's last sigma, on the N-wide
+    # inputs of mc-rate: vertical's H is real, the others complex)
+    G, p, W = _amplitude_inputs(name, 200)
     block = _kernels.amplitudes(G, p, W)
-    for i in range(8):
-        for j in range(i + 1, 9):
-            assert _kernels.amplitudes(G, p, W[i:j]).tobytes() == block[i:j].tobytes(), (i, j)
-
-
-def test_chunked_amplitudes_equal_one_product():
-    # row chunks, a merged one-row remainder included, give the bits of
-    # the single GEMM (p + W) @ G.T; one trial those of the two-row product
-    G, p, W = _amplitude_inputs("planar_lhs_1000", 129)
-    c = _kernels.AMPLITUDE_CHUNK
-    for T in (1, 2, 3, c - 1, c, c + 1, c + 2, 2 * c + 1, 128, 129):
-        X = p + W[:T]
-        ref = (np.concatenate((X, X)) @ G.T)[:1] if T == 1 else X @ G.T
-        assert _kernels.amplitudes(G, p, W[:T]).tobytes() == ref.tobytes(), T
+    assert block.tobytes() == ((p + W) @ G.T).tobytes()
+    slices = [(i, j) for i in range(8) for j in range(i + 1, 9)]
+    slices += [(i, i + 1) for i in range(200)] + [(0, 199), (1, 200), (37, 164)]
+    for i, j in slices:
+        assert _kernels.amplitudes(G, p, W[i:j]).tobytes() == block[i:j].tobytes(), (i, j)
 
 
 def test_error_rate_loop_holds_under_three_noise_blocks():
-    # the loop holds one block of unit noise, one scaled copy and a chunk
-    # of p + W, whatever the trial count: at M = 1000 a block is 128 trials
+    # the loop holds no M-wide block of noise, only N-wide ones and one
+    # draw at a time: at M = 1000, 256 trials peak below one block of
+    # 128 trials of M-wide noise
     ecfg = build_experiment(load_config(CFG_DIR / "planar_lhs_1000.cfg"))
     M = len(ecfg.geometry.points)
-    block_bytes = trial_block(M) * M * np.dtype(complex).itemsize
+    block_bytes = 128 * M * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
         localization_error_rates(ecfg.ms, ecfg.source, ecfg.geometry.points, ecfg.sigmas,
-                                 2 * trial_block(M), ecfg.seed, grid=ecfg.grid, reg=ecfg.reg)
+                                 256, ecfg.seed, grid=ecfg.grid, reg=ecfg.reg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * block_bytes, peak
+    assert peak < block_bytes, peak
+
+
+@pytest.mark.parametrize("name, sigmas", [
+    pytest.param("vertical", [0.0, 1e-7, 1e-5], id="vertical"),
+    pytest.param("planar_lhs_1000", [0.0, 1e-5, 1e-3], id="planar_lhs_1000"),
+])
+def test_kernel_amplitude_error_matches_mse_decomposition(name, sigmas, monkeypatch):
+    # the mean of |a_t - a_o|^2 over the amplitudes the kernel forms from
+    # the projected draws is the analytic bias^2 + variance at
+    # per-receiver noise s_meas (the noise s_meas / sqrt(2) Z_t), within
+    # four standard errors of the mean; at sigma 0 the error is the
+    # rounding of plain inversion, below (N eps cond(B))^2 |a_o|^2
+    seen = []
+
+    def record(G, p, W, beta, E, PT):
+        seen.append(_kernels.amplitudes(G, p, W))
+        return np.zeros((W.shape[0], 2), dtype=np.int64)
+
+    monkeypatch.setattr(experiments._kernels, "peak_search", record)
+    ecfg, (sm, p, _, regs) = _receiver_data(name, sigmas)
+    trials = 1000
+    localization_error_rates(ecfg.ms, ecfg.source, ecfg.geometry.points, sigmas, trials,
+                             ecfg.seed, grid=ecfg.grid, reg=ecfg.reg)
+    a_o = source_amplitudes(ecfg.ms, ecfg.source)
+    for sigma, A, reg in zip(sigmas, seen, regs):
+        err = np.sum(np.abs(A - a_o) ** 2, axis=1)
+        if sigma == 0:
+            floor = (a_o.size * np.finfo(float).eps * sm.s[0] / sm.s[-1]) ** 2
+            assert err.max() < floor * np.sum(np.abs(a_o) ** 2), err.max()
+            continue
+        mse = mse_decomposition(sm, a_o, sigma * np.abs(p).max(), reg).mse
+        se = err.std(ddof=1) / np.sqrt(trials)
+        assert abs(err.mean() / mse - 1) < 4 * se / mse, (sigma, err.mean(), mse, se)
 
 
 def test_bench_kernels_output_parses():
