@@ -2,12 +2,12 @@
 
 Builds the inputs of the vertical-array localization experiment at
 relative noise 1e-6 through the functions `localization_error_rates`
-calls: the data model of `receiver_data`, the projected data
-y0 = U^dag p, the Tikhonov filtered basis H = V psi(S) at the heuristic
-eps, the separable `grid_factors`, and each trial's unit noise drawn
-once, projected onto conj(U) and scaled to the noise level, in the
-blocks of trial_block(N) trials that `mc-rate` runs (all of up to
-21 333 trials in one block at N = 6). It then times
+calls: the data model of `receiver_data` (the projected data
+y0 = U^dag p), the Tikhonov filtered basis H = V psi(S) at the heuristic
+eps, the separable `grid_factors`, and each trial's N values of unit
+noise, drawn once and scaled to the noise level, in the blocks of
+trial_block(N, nz) trials that `mc-rate` runs (up to 1267 trials at
+N = 6 on the 65 depth rows of this grid). It then times
 `_kernels.peak_search` over all blocks. Run:
 
     python3 benchmarks/bench_kernels.py [--trials N] [--repeats R]
@@ -29,15 +29,14 @@ RECEIVERS = 20
 def build_workload(trials, sigma=1e-6, seed=2024):
     ms = wg.solve_modes(wg.HomogeneousDD(L=20.0), 1.0)
     src = wg.PointSource(100.0, 7.7)
-    sm, p, (c,), (reg,) = receiver_data(ms, src, wg.vertical_line(RECEIVERS), [sigma],
-                                        wg.RegPolicy())
+    sm, y0, (c,), (reg,) = receiver_data(ms, src, wg.vertical_line(RECEIVERS), [sigma],
+                                         wg.RegPolicy())
     E, PT = grid_factors(ms, wg.default_grid(ms))
-    Uc = np.conj(sm.U)
-    Y = np.array([_trial_noise(p.size, seed, t) @ Uc for t in range(trials)])
-    block = trial_block(ms.n_modes)
-    blocks = [c * Y[t0:t0 + block] for t0 in range(0, trials, block)]
+    Z = np.array([_trial_noise(y0.size, seed, t) for t in range(trials)])
+    block = trial_block(*PT.shape)
+    blocks = [c * Z[t0:t0 + block] for t0 in range(0, trials, block)]
     H = wg.filtered_basis(sm.V, sm.s, reg)
-    return H, sm.U.conj().T @ p, blocks, ms.beta, E, PT
+    return H, y0, blocks, ms.beta, E, PT
 
 
 def run(H, y0, blocks, beta, E, PT):
@@ -52,7 +51,7 @@ def main():
 
     work = build_workload(args.trials)
     H, _, _, _, E, PT = work
-    print(f"workload: {args.trials} trials in blocks of {trial_block(H.shape[0])}, "
+    print(f"workload: {args.trials} trials in blocks of {trial_block(*PT.shape)}, "
           f"{E.shape[0]}x{PT.shape[1]} grid, {RECEIVERS} receivers, {H.shape[0]} modes")
     best = np.inf
     for _ in range(args.repeats):

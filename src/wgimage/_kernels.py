@@ -8,13 +8,14 @@ the draws of a call, then an exact best-first search over the depth
 rows of each draw's image, all draws still searching batched together.
 
 Amplitudes. `mc-rate` passes projected data: G = V psi(S) is N x N, and
-p + W is (T, N), about 0.1 MB at 1000 trials of N = 6, so the
-amplitudes (p + W) @ G.T are one GEMM. It never has one row: OpenBLAS
-computes a one-row product as a GEMV, whose sums round differently from
-the GEMM's, while the GEMM gives each row the same bits whatever the
-number of rows (two or more) beside it. So a single-trial call
-multiplies its row twice over, and every slice of trials gives the bits
-of the whole-block product.
+p + W is y0 + c Z_t, with the N values of unit noise Z_t drawn on the
+projected data y0 = U^dag p: (T, N), about 0.1 MB at 1000 trials of
+N = 6. So the amplitudes (p + W) @ G.T are one GEMM. It never has one
+row: OpenBLAS computes a one-row product as a GEMV, whose sums round
+differently from the GEMM's, while the GEMM gives each row the same
+bits whatever the number of rows (two or more) beside it. So a
+single-trial call multiplies its row twice over, and every slice of
+trials gives the bits of the whole-block product.
 
 Row bound. Depth row z of the image is I(x, z) = sum_j E[x, j] c_j phi_j(z),
 so |I(x, z)| <= sum_j |c_j| |phi_j(z)| max_x |E[x, j]|. The square of that
@@ -123,8 +124,9 @@ def peak_search(G, p, W, beta, E, PT):
     x index then smallest z index.
 
     G: (N, K) estimator of data of width K; mc-rate passes the N x N
-       V psi(S) of projected data
-    p: (K,) noiseless data, U^dag p in mc-rate; W: (T, K) noise draws
+       filtered basis V psi(S) of projected data (K = N)
+    p: (K,) noiseless data, y0 = U^dag p in mc-rate
+    W: (T, K) noise rows, c Z_t in mc-rate (N values drawn per trial)
     E: (nx, N) range phases e^{i beta x}; PT: (N, nz) real profile transpose
     returns (T, 2) int64 grid indices
     """

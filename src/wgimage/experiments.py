@@ -8,19 +8,20 @@ its summary on stdout. That build has refused every config the command
 cannot run, so a runner checks none.
 
 Measurement noise is additive circular complex Gaussian, scaled relative
-to the peak data amplitude, and follows one convention. Trial t draws its
-unit complex noise Z_t (real and imaginary parts standard normal) from
-the Philox stream keyed on the pair (seed, t): key = seed, counter =
-(0, 0, t, 0). At relative level sigma the noise on data p is
-s_meas / sqrt(2) * Z_t, with s_meas = sigma * max|p|, and the
-regularizer is the one chosen at s_meas. `receiver_data` builds this
-data model, for a single imaging pass and the Monte Carlo loop alike.
-A single imaging pass adds trial 0 to p, and draws nothing at sigma 0.
-Every estimate is a = V psi(S) U^dag (p + w), so only the N values
-U^dag w of an M-wide draw reach it: the Monte Carlo loop projects each
-Z_t once, Y_t = Z_t conj(U) (one GEMV, whatever the trials beside it),
-and estimates from y0 + c Y_t, with y0 = U^dag p. It runs over blocks
-of trial_block(N) trials, at most BLOCK_VALUES projected values each.
+to the peak data amplitude, and follows one convention. Every estimate
+is a = V psi(S) U^dag (p + w), and for i.i.d. circular Gaussian w the N
+values U^dag w have the same i.i.d. law as N entries of w, since the
+N columns of U are orthonormal. So the noise is drawn where it acts, on
+the projected data y0 = U^dag p: trial t draws N unit complex values
+Z_t (real and imaginary parts standard normal) from the Philox stream
+keyed on the pair (seed, t): key = seed, counter = (0, 0, t, 0). At
+relative level sigma the noisy data are y0 + s_meas / sqrt(2) * Z_t,
+with s_meas = sigma * max|p|, and the regularizer is the one chosen at
+s_meas. `receiver_data` builds this data model, for a single imaging
+pass and the Monte Carlo loop alike, so neither runner reads the M
+receiver values: a single imaging pass adds trial 0 to y0, and draws
+nothing at sigma 0. The Monte Carlo loop runs over blocks of
+trial_block(N, nz) trials, sized by the peak search's working set.
 Trials are order-independent, and any slice of them, a single trial
 included, recomputes the same amplitudes (`_kernels.amplitudes`).
 """
@@ -30,7 +31,7 @@ import functools
 import numpy as np
 
 from . import _kernels, io
-from .estimate import coupling_spectrum, filtered_basis, sensing_matrix, svd_estimate
+from .estimate import coupling_spectrum, filtered_basis, sensing_matrix
 from .image import grid_factors, locate_peak, localization_success, migrate
 from .rank import DENSE_LINE_KINDS, dense_rank_prediction, effective_rank
 from .synth import Discrete, source_amplitudes
@@ -55,16 +56,18 @@ def _meta(ecfg, **extra):
 
 
 def receiver_data(ms, src, points, sigmas, reg):
-    """The data model of a receiver set, as (sm, p, scales, regs): the
-    SensingMatrix sm of the receivers at `points`, the noiseless data
-    p = B a_o of the source, and for each relative noise level sigma the
-    scale s_meas / sqrt(2) of the unit noise Z_t, s_meas = sigma * max|p|,
-    and the regularizer the RegPolicy `reg` picks at s_meas."""
+    """The data model of a receiver set, as (sm, y0, scales, regs): the
+    SensingMatrix sm of the receivers at `points`, the projected
+    noiseless data y0 = U^dag p of the source's data p = B a_o, and for
+    each relative noise level sigma the scale s_meas / sqrt(2) of the N
+    values of unit noise Z_t, s_meas = sigma * max|p|, and the
+    regularizer the RegPolicy `reg` picks at s_meas."""
     sm = sensing_matrix(ms, points)
     a_o = source_amplitudes(ms, src)
     p = sm.B @ a_o
     s_meas = np.asarray(sigmas, dtype=float) * np.abs(p).max()
-    return sm, p, s_meas / np.sqrt(2.0), [reg.regularizer(s, a_o) for s in s_meas]
+    return (sm, sm.U.conj().T @ p, s_meas / np.sqrt(2.0),
+            [reg.regularizer(s, a_o) for s in s_meas])
 
 
 @functools.cache
@@ -74,9 +77,10 @@ def _philox_normal():
     return np.random.Generator(np.random.Philox(key=0))
 
 
-def _trial_noise(m, seed, t):
-    """Unit complex noise Z_t of trial t, shape (m,): real parts drawn
-    before imaginary parts, from the Philox stream keyed on (seed, t).
+def _trial_noise(n, seed, t):
+    """Unit complex noise Z_t of trial t, shape (n,), n = N values on the
+    projected data: real parts drawn before imaginary parts, from the
+    Philox stream keyed on (seed, t).
 
     The values are those of Generator(Philox(key=seed, counter=t << 128)).
     Rather than build that generator (whose constructor also seeds a
@@ -91,27 +95,30 @@ def _trial_noise(m, seed, t):
                                          "key": (seed & (2**64 - 1), seed >> 64)},
                                "buffer": (0, 0, 0, 0), "buffer_pos": 4,
                                "has_uint32": 0, "uinteger": 0}
-    x = rng.standard_normal(2 * m)
-    z = np.empty(m, dtype=complex)
-    z.real, z.imag = x[:m], x[m:]
+    x = rng.standard_normal(2 * n)
+    z = np.empty(n, dtype=complex)
+    z.real, z.imag = x[:n], x[n:]
     return z
 
 
 # ---------------------------------------------------------------------------
 # localization error rates
 
-#: Projected noise values per block of the Monte Carlo loop, which runs
-#: trial_block(N) trials per block: it sizes the loop's two N-wide
-#: arrays, projected unit noise and its scaled copy, at about
-#: BLOCK_VALUES values each (21 333 trials at N = 6), so every shipped
-#: config searches all its trials in one call per sigma.
-BLOCK_VALUES = 128_000
+#: Working-set values per block of the Monte Carlo loop, which runs
+#: trial_block(N, nz) trials per block. A peak-search call holds, per
+#: trial, about 18 B times its nz row bounds plus the width of its row
+#: lift (N^2 for the quadratic lift, 2N for the linear one), measured at
+#: N = 4 to 30: so a block holds about 2.3 MB, 1267 trials at N = 6 on
+#: 65 depth rows, and every shipped config searches 1000 trials in one
+#: call per sigma.
+BLOCK_WORKING_SET = 128_000
 
 
-def trial_block(n):
-    """Trials per Monte Carlo block at n modes: BLOCK_VALUES // n, at
-    least one."""
-    return max(1, BLOCK_VALUES // n)
+def trial_block(n, nz):
+    """Trials per Monte Carlo block at n modes on nz depth rows:
+    BLOCK_WORKING_SET // (nz + lift width), at least one."""
+    lift = n * n if n <= _kernels.QUADRATIC_MAX_MODES else 2 * n
+    return max(1, BLOCK_WORKING_SET // (nz + lift))
 
 
 def localization_error_rates(ms, src, points, sigmas, trials, seed, grid, reg):
@@ -120,31 +127,29 @@ def localization_error_rates(ms, src, points, sigmas, trials, seed, grid, reg):
     relative noise level sigma: the peak is searched on the SearchGrid
     `grid`, and the RegPolicy `reg` picks each sigma's regularizer.
 
-    The data model (`receiver_data`), the projected data y0 = U^dag p,
-    the N x N filtered basis H = V psi(S) of each sigma and the separable
-    `grid_factors` are built once. Trials then run in blocks of
-    trial_block(N): each trial's unit noise Z_t is drawn once and
-    projected straight into its row of the block's array Y, and every
-    sigma's peak search in the block reads c Y in one reused buffer, so
-    a = H (y0 + c Y_t). So a run makes one draw per trial and holds no
-    M-wide block: the two N-wide arrays, and one M-wide draw at a time.
+    The data model (`receiver_data`: y0 = U^dag p, scales and
+    regularizers), the N x N filtered basis H = V psi(S) of each sigma
+    and the separable `grid_factors` are built once. Trials then run in
+    blocks of trial_block(N, nz): each trial's N values of unit noise
+    Z_t are drawn once, straight into its row of the block's array Z,
+    and every sigma's peak search in the block reads c Z in one reused
+    buffer, so a = H (y0 + c Z_t). So a run makes one draw per trial and
+    never touches the M receiver values.
     """
-    sm, p, scales, regs = receiver_data(ms, src, points, sigmas, reg)
+    sm, y0, scales, regs = receiver_data(ms, src, points, sigmas, reg)
     Hs = [filtered_basis(sm.V, sm.s, r) for r in regs]
-    y0 = sm.U.conj().T @ p
-    Uc = np.conj(sm.U).astype(complex)  # cast once, not per draw: U is real at x = 0
     xs, zs = grid.x, grid.z
     E, PT = grid_factors(ms, grid)
     misses = np.zeros(len(Hs), dtype=np.int64)
-    block = trial_block(y0.size)
-    Y = np.empty((min(block, trials), y0.size), dtype=complex)  # projected unit noise
-    W = np.empty_like(Y)  # the same, scaled to one sigma
+    block = trial_block(y0.size, zs.size)
+    Z = np.empty((min(block, trials), y0.size), dtype=complex)  # unit noise
+    W = np.empty_like(Z)  # the same, scaled to one sigma
     for t0 in range(0, trials, block):
         n = min(block, trials - t0)
         for i in range(n):
-            np.matmul(_trial_noise(p.size, seed, t0 + i), Uc, out=Y[i])
+            Z[i] = _trial_noise(y0.size, seed, t0 + i)
         for k, (c, H) in enumerate(zip(scales, Hs)):
-            np.multiply(c, Y[:n], out=W[:n])
+            np.multiply(c, Z[:n], out=W[:n])
             peaks = _kernels.peak_search(H, y0, W[:n], ms.beta, E, PT)
             found = localization_success((xs[peaks[:, 0]], zs[peaks[:, 1]]), src, ms.lambda_o)
             misses[k] += np.count_nonzero(~found)
@@ -198,16 +203,16 @@ def run_image(ecfg, outdir):
     """Single noisy-data imaging pass at the first configured relative
     noise level (0 when noise.sigmas is empty).
 
-    Records data on the receivers, adds the trial-0 noise draw (none at
-    sigma 0), builds the regularized estimate, migrates it, and locates
-    the peak. Writes image.csv and prints the peak with its
+    Projects the receiver data onto U^dag, adds the trial-0 noise draw
+    (none at sigma 0), builds the regularized estimate, migrates it, and
+    locates the peak. Writes image.csv and prints the peak with its
     half-wavelength success flag."""
     ms, src = ecfg.ms, ecfg.source
     sigma = ecfg.sigmas[0] if ecfg.sigmas else 0.0
-    sm, p, (c,), (reg,) = receiver_data(ms, src, ecfg.geometry.points, [sigma], ecfg.reg)
+    sm, y0, (c,), (reg,) = receiver_data(ms, src, ecfg.geometry.points, [sigma], ecfg.reg)
     # noiseless data skip the draw, and numpy.random stays unloaded
-    w = c * _trial_noise(p.size, ecfg.seed, 0) if c else 0.0
-    a = svd_estimate(p + w, sm, reg)
+    y = y0 + c * _trial_noise(y0.size, ecfg.seed, 0) if c else y0
+    a = filtered_basis(sm.V, sm.s, reg) @ y
     im = migrate(a, ms, ecfg.grid)
     x, z, value = locate_peak(im)
     success = localization_success((x, z), src, ms.lambda_o)
@@ -223,7 +228,7 @@ def run_mc_rate(ecfg, outdir):
     rates = localization_error_rates(
         ecfg.ms, ecfg.source, ecfg.geometry.points, ecfg.sigmas,
         ecfg.trials, ecfg.seed, grid=ecfg.grid, reg=ecfg.reg)
-    meta = _meta(ecfg, noise="philox key=seed counter=(0,0,trial,0)")
+    meta = _meta(ecfg, noise="philox key=seed counter=(0,0,trial,0) N values on U^dag p")
     io.write_rates_csv(f"{outdir}/rates.csv", ecfg.sigmas, rates, ecfg.trials, ecfg.seed, meta)
     for s, r in zip(ecfg.sigmas, rates):
         print(f"sigma={s:.6g} error_rate={r:.6g}")

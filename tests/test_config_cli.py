@@ -109,7 +109,7 @@ def test_readme_library_example(capsys):
     exec(compile(code, "README.md", "exec"), {})
     x, z, ok = capsys.readouterr().out.split()
     shown = code.rstrip().splitlines()[-1].lstrip("# ").split(":")[0]
-    assert shown == "99.95 7.85 True"
+    assert shown == "99.64 7.85 True"
     assert f"{float(x):.2f} {float(z):.2f} {ok}" == shown
 
 
@@ -743,7 +743,7 @@ def test_cli_image_deterministic_bytes(tmp_path, capsys):
         assert main(["image", "--config", VERTICAL, "--out", str(d),
                      "--sigma", "1e-6"]) == 0
         assert capsys.readouterr().out == (
-            "sigma=1e-06 peak x=91.469 z=2.19911 value=0.239376 success=false\n"
+            "sigma=1e-06 peak x=91.1549 z=2.19911 value=0.245287 success=false\n"
             f"wrote {d}/image.csv\n")
     b1 = (d1 / "image.csv").read_bytes()
     assert b1 == (d2 / "image.csv").read_bytes()
@@ -758,12 +758,12 @@ def test_cli_mc_rate(tmp_path, capsys):
     assert main(["mc-rate", "--config", VERTICAL, "--out", str(tmp_path),
                  "--trials", "40"]) == 0
     assert capsys.readouterr().out == ("sigma=1e-08 error_rate=0\n"
-                                       "sigma=1e-07 error_rate=0.275\n"
-                                       "sigma=1e-06 error_rate=0.95\n"
+                                       "sigma=1e-07 error_rate=0.15\n"
+                                       "sigma=1e-06 error_rate=1\n"
                                        "sigma=1e-05 error_rate=1\n"
                                        f"wrote {tmp_path}/rates.csv\n")
     lines = (tmp_path / "rates.csv").read_text().splitlines()
-    assert lines[3] == "# noise philox key=seed counter=(0,0,trial,0)"
+    assert lines[3] == "# noise philox key=seed counter=(0,0,trial,0) N values on U^dag p"
     assert lines[4] == "sigma,error_rate,trials,seed"
     rows = [line.split(",") for line in lines[5:]]
     assert [r[0] for r in rows] == ["1e-08", "1e-07", "1e-06", "1e-05"]

@@ -12,12 +12,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import wgimage as wg
 from wgimage import _kernels, experiments
 from wgimage.cli import main
 from wgimage.config import build_experiment, load_config
 from wgimage.estimate import (HardThreshold, filtered_basis, heuristic_eps, mse_decomposition,
                               sensing_matrix)
 from wgimage.experiments import _trial_noise, localization_error_rates, receiver_data, trial_block
+from wgimage.image import grid_factors, migrate
 from wgimage.synth import source_amplitudes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -160,18 +162,20 @@ def _receiver_data(name, sigmas):
 
 
 def test_zero_sigma_adds_no_noise():
-    _, (_, p, (c,), _) = _receiver_data("vertical", [0.0])
+    _, (_, y0, (c,), _) = _receiver_data("vertical", [0.0])
     assert c == 0.0
-    assert np.array_equal(p + c * _trial_noise(p.size, 1, 0), p)
+    assert np.array_equal(y0 + c * _trial_noise(y0.size, 1, 0), y0)
 
 
 def test_receiver_data_scales_and_regularizers():
-    # p = B a_o; at each sigma s_meas = sigma max|p| scales the unit noise
-    # by s_meas / sqrt(2), and the regularizer is chosen at s_meas
+    # y0 = U^dag B a_o; at each sigma s_meas = sigma max|B a_o| scales the
+    # unit noise by s_meas / sqrt(2), and the regularizer is chosen at s_meas
     sigmas = [0.0, 1e-3, 0.3]
-    ecfg, (sm, p, scales, regs) = _receiver_data("planar_lhs", sigmas)
+    ecfg, (sm, y0, scales, regs) = _receiver_data("planar_lhs", sigmas)
     a_o = source_amplitudes(ecfg.ms, ecfg.source)
-    assert np.array_equal(p, sensing_matrix(ecfg.ms, ecfg.geometry.points).B @ a_o)
+    ref = sensing_matrix(ecfg.ms, ecfg.geometry.points)
+    p = ref.B @ a_o
+    assert np.array_equal(y0, ref.U.conj().T @ p)
     for sigma, c, reg in zip(sigmas, scales, regs):
         s_meas = sigma * np.abs(p).max()
         assert c == s_meas / np.sqrt(2.0)
@@ -195,36 +199,37 @@ def test_noise_statistics():
 
 @pytest.mark.parametrize("name", ["vertical", "planar_lhs", "parabolic"])
 def test_image_adds_trial_zero_of_mc_rate(name, monkeypatch, tmp_path):
-    # image adds w = c Z_0 to p, and a one-trial mc-rate at the same sigma
-    # and seed searches H (y0 + W[0]) with W[0] = c (Z_0 conj(U)),
-    # y0 = U^dag p and the H of image's regularizer, all bit for bit:
-    # vertical has a real SVD, planar_lhs a complex one, parabolic the
-    # graded guide
+    # image estimates H (y0 + c Z_0), and a one-trial mc-rate at the same
+    # sigma and seed searches H (y0 + W[0]) with W[0] = c Z_0, y0 = U^dag p
+    # and the H of image's regularizer, all bit for bit: vertical has a
+    # real SVD, planar_lhs a complex one, parabolic the graded guide
     seen = {}
 
     def spy(key, fn):
         def record(*args):
-            seen[key] = [np.copy(x) if isinstance(x, np.ndarray) else x for x in args]
+            seen.setdefault(key, []).append(
+                [np.copy(x) if isinstance(x, np.ndarray) else x for x in args])
             return fn(*args)
         return record
 
-    monkeypatch.setattr(experiments, "svd_estimate", spy("image", experiments.svd_estimate))
+    monkeypatch.setattr(experiments, "migrate", spy("image", experiments.migrate))
     monkeypatch.setattr(experiments, "filtered_basis", spy("basis", experiments.filtered_basis))
     monkeypatch.setattr(experiments._kernels, "peak_search", spy("mc", _kernels.peak_search))
     argv = ["--config", str(CFG_DIR / f"{name}.cfg"), "--sigma", "1e-3", "--out", str(tmp_path)]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["image", *argv]) == 0
         assert main(["mc-rate", "--trials", "1", *argv]) == 0
-    ecfg, (_, p, (c,), _) = _receiver_data(name, [1e-3])
-    z = _trial_noise(p.size, ecfg.seed, 0)
-    data, sm, reg = seen["image"]
-    H, y0, W = seen["mc"][:3]
-    assert np.array_equal(data, p + c * z)
+    ecfg, (sm, y0, (c,), (reg,)) = _receiver_data(name, [1e-3])
+    (a, *_), = seen["image"]
+    (H, y0_mc, W, *_), = seen["mc"]
+    (V, s, reg_image), (_, _, reg_mc) = seen["basis"]
     assert W.shape == (1, sm.s.size)
-    assert np.array_equal(W[0], c * (z @ np.conj(sm.U)))
-    assert np.array_equal(y0, sm.U.conj().T @ p)
-    assert reg.eps == seen["basis"][2].eps > 0
-    assert np.array_equal(H, filtered_basis(sm.V, sm.s, reg))
+    assert np.array_equal(W[0], c * _trial_noise(sm.s.size, ecfg.seed, 0))
+    assert np.array_equal(y0_mc, y0)
+    assert np.array_equal(y0, sm.U.conj().T @ (sm.B @ source_amplitudes(ecfg.ms, ecfg.source)))
+    assert reg_image.eps == reg_mc.eps == reg.eps > 0
+    assert np.array_equal(H, filtered_basis(V, s, reg_image))
+    assert np.array_equal(a, H @ (y0_mc + W[0]))
 
 
 def _reference_filter(reg, s_meas, a_o, s):
@@ -238,26 +243,27 @@ def _reference_filter(reg, s_meas, a_o, s):
 
 
 def _reference_error_rates(ecfg, trials):
-    """The per-sigma Monte Carlo loop: a fresh draw per sigma and trial,
-    one complex GEMV and one complex image GEMM per trial, argmax of the
-    modulus."""
+    """The per-sigma Monte Carlo loop: a fresh generator and N-wide draw
+    per sigma and trial on y0 = U^dag p, one complex GEMV and one complex
+    image GEMM per trial, argmax of the modulus."""
     ms, src, grid, seed = ecfg.ms, ecfg.source, ecfg.grid, ecfg.seed
     sm = sensing_matrix(ms, ecfg.geometry.points)
     a_o = source_amplitudes(ms, src)
     p = sm.B @ a_o
+    y0 = sm.U.conj().T @ p
+    n = y0.size
     E = np.exp(1j * np.outer(grid.x, ms.beta))
     PT = ms.profile_matrix(grid.z).T.astype(complex)
     half2 = (0.5 * ms.lambda_o) ** 2
     rates = []
     for sig in np.asarray(ecfg.sigmas, dtype=float):
         s_meas = sig * np.abs(p).max()
-        G = (sm.V * _reference_filter(ecfg.reg, s_meas, a_o, sm.s)) @ sm.U.conj().T
+        G = sm.V * _reference_filter(ecfg.reg, s_meas, a_o, sm.s)
         misses = 0
         for t in range(trials):
             rng = np.random.Generator(np.random.Philox(key=seed, counter=t << 128))
-            w = s_meas / np.sqrt(2.0) * (rng.standard_normal(p.size)
-                                         + 1j * rng.standard_normal(p.size))
-            a = G @ (p + w)
+            w = s_meas / np.sqrt(2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            a = G @ (y0 + w)
             img = np.abs((E * (2j * ms.beta * np.conj(a))) @ PT)
             ix, iz = np.unravel_index(np.argmax(img), img.shape)
             misses += (grid.x[ix] - src.x_o) ** 2 + (grid.z[iz] - src.z_o) ** 2 > half2
@@ -265,31 +271,33 @@ def _reference_error_rates(ecfg, trials):
     return np.array(rates)
 
 
-@pytest.mark.parametrize("name, entries, block_values, blocks, rest", [
+@pytest.mark.parametrize("name, entries, block, blocks, rest", [
     pytest.param("vertical", {}, None, 0, 131, id="vertical"),
     pytest.param("parabolic", {}, None, 0, 131, id="parabolic"),
     pytest.param("horizontal", {}, None, 0, 131, id="horizontal"),
-    pytest.param("planar_lhs_w07", {}, 384, 1, 3, id="planar_lhs_w07"),
-    pytest.param("planar_lhs_1000", {}, 384, 1, 1, id="planar_lhs_1000"),
-    pytest.param("planar_lhs_1000", {}, 384, 2, 5, id="planar_lhs_1000-three-blocks"),
+    pytest.param("planar_lhs_w07", {}, 96, 1, 3, id="planar_lhs_w07"),
+    pytest.param("planar_lhs_1000", {}, 64, 1, 1, id="planar_lhs_1000"),
+    pytest.param("planar_lhs_1000", {}, 64, 2, 5, id="planar_lhs_1000-three-blocks"),
     pytest.param("vertical", {"reg.kind": "hard"}, None, 0, 131, id="vertical-hard"),
     pytest.param("vertical", {"reg.eps": "1e-9"}, None, 0, 131, id="vertical-eps1e-9"),
 ])
-def test_error_rates_match_per_sigma_reference(name, entries, block_values, blocks, rest,
+def test_error_rates_match_per_sigma_reference(name, entries, block, blocks, rest,
                                                monkeypatch):
-    # blocks full trial blocks of the config's mode count, then rest
-    # trials: one partial block of the shipped size (131 trials), and,
-    # with blocks cut to 384 projected values, two blocks with a partial
-    # last one (N = 4: 99 trials), a last block of one trial (N = 6:
-    # 65 trials) and three blocks (N = 6: 133 trials). parabolic has a
-    # sigma-0 level in its list.
-    if block_values is not None:
-        monkeypatch.setattr(experiments, "BLOCK_VALUES", block_values)
+    # blocks full trial blocks, then rest trials: one partial block of
+    # the shipped size (131 trials), and, with blocks cut to `block`
+    # trials, two blocks with a partial last one (99 trials), a last
+    # block of one trial (65 trials) and three blocks (133 trials).
+    # parabolic has a sigma-0 level in its list.
     cfg = load_config(CFG_DIR / f"{name}.cfg")
     for key, value in entries.items():
         cfg[key] = value
     ecfg = build_experiment(cfg)
-    trials = blocks * trial_block(ecfg.ms.n_modes) + rest
+    n, nz = ecfg.ms.n_modes, ecfg.grid.z.size
+    if block is not None:
+        monkeypatch.setattr(experiments, "BLOCK_WORKING_SET",
+                            block * experiments.BLOCK_WORKING_SET // trial_block(n, nz))
+    assert block is None or trial_block(n, nz) == block
+    trials = blocks * trial_block(n, nz) + rest
     rates = localization_error_rates(
         ecfg.ms, ecfg.source, ecfg.geometry.points, ecfg.sigmas, trials,
         ecfg.seed, grid=ecfg.grid, reg=ecfg.reg)
@@ -300,13 +308,13 @@ def test_error_rates_match_per_sigma_reference(name, entries, block_values, bloc
 
 def _amplitude_inputs(name, trials):
     """(H, y0, W) that mc-rate passes the kernel for a config at its last
-    sigma, W holding the scaled projected noise of trials 0 .. trials - 1
-    at seed 7."""
+    sigma, W holding the scaled unit noise of trials 0 .. trials - 1 at
+    seed 7."""
     ecfg = build_experiment(load_config(CFG_DIR / f"{name}.cfg"))
-    sm, p, (c,), (reg,) = receiver_data(ecfg.ms, ecfg.source, ecfg.geometry.points,
-                                        ecfg.sigmas[-1:], ecfg.reg)
-    Y = np.array([_trial_noise(p.size, 7, t) @ np.conj(sm.U) for t in range(trials)])
-    return filtered_basis(sm.V, sm.s, reg), sm.U.conj().T @ p, c * Y
+    sm, y0, (c,), (reg,) = receiver_data(ecfg.ms, ecfg.source, ecfg.geometry.points,
+                                         ecfg.sigmas[-1:], ecfg.reg)
+    Z = np.array([_trial_noise(y0.size, 7, t) for t in range(trials)])
+    return filtered_basis(sm.V, sm.s, reg), y0, c * Z
 
 
 @pytest.mark.parametrize("name", ["vertical", "planar_lhs_1000", "parabolic"])
@@ -324,21 +332,81 @@ def test_amplitudes_of_every_trial_slice_keep_their_bits(name):
         assert _kernels.amplitudes(G, p, W[i:j]).tobytes() == block[i:j].tobytes(), (i, j)
 
 
-def test_error_rate_loop_holds_under_three_noise_blocks():
-    # the loop holds no M-wide block of noise, only N-wide ones and one
-    # draw at a time: at M = 1000, 256 trials peak below one block of
-    # 128 trials of M-wide noise
-    ecfg = build_experiment(load_config(CFG_DIR / "planar_lhs_1000.cfg"))
-    M = len(ecfg.geometry.points)
-    block_bytes = 128 * M * np.dtype(complex).itemsize
+def _loop_peak(ecfg, trials):
+    """tracemalloc peak of the Monte Carlo loop over `trials` trials."""
     tracemalloc.start()
     try:
         localization_error_rates(ecfg.ms, ecfg.source, ecfg.geometry.points, ecfg.sigmas,
-                                 256, ecfg.seed, grid=ecfg.grid, reg=ecfg.reg)
-        peak = tracemalloc.get_traced_memory()[1]
+                                 trials, ecfg.seed, grid=ecfg.grid, reg=ecfg.reg)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_error_rate_loop_holds_under_three_noise_blocks():
+    # the loop holds no M-wide noise, only N-wide blocks: at M = 1000,
+    # 256 trials peak below one block of 128 trials of M-wide noise
+    ecfg = build_experiment(load_config(CFG_DIR / "planar_lhs_1000.cfg"))
+    block_bytes = 128 * len(ecfg.geometry.points) * np.dtype(complex).itemsize
+    peak = _loop_peak(ecfg, 256)
     assert peak < block_bytes, peak
+
+
+def test_error_rate_loop_peak_holds_over_many_blocks():
+    # blocks are sized by the peak search's working set, not by noise
+    # values: about four blocks' worth of trials peak near 1000 trials
+    cfg = load_config(CFG_DIR / "vertical.cfg")
+    cfg["noise.sigmas"] = "1e-6"
+    ecfg = build_experiment(cfg)
+    trials = 5000
+    assert trials >= 3 * trial_block(ecfg.ms.n_modes, ecfg.grid.z.size) > 1000
+    _trial_noise(1, 0, 0)  # the first draw imports numpy.random: not the loop's memory
+    peak, base = _loop_peak(ecfg, trials), _loop_peak(ecfg, 1000)
+    assert peak < 1.5 * base, (peak, base)
+
+
+@pytest.mark.parametrize("name", ["vertical", "planar_lhs", "planar_lhs_1000",
+                                  "planar_lhs_w07", "horizontal", "parabolic"])
+def test_shipped_configs_search_1000_trials_in_one_call(name):
+    ecfg = build_experiment(load_config(CFG_DIR / f"{name}.cfg"))
+    assert trial_block(ecfg.ms.n_modes, ecfg.grid.z.size) >= 1000
+
+
+@pytest.mark.parametrize("case", ["vertical", "dd_L40"])
+def test_row_lifts_match_migrate(case):
+    # every row of both lifts against the image `migrate` forms from the
+    # same amplitudes: the quadratic lift's |I|^2 within N^2 eps U(z),
+    # the linear lift's [Re I | Im I] within 2N eps sqrt(U(z)), so its
+    # |I|^2 within 4N eps U(z) (the bounds of the _kernels text); vertical
+    # has 6 modes, the L = 40 guide 12
+    if case == "vertical":
+        ecfg = build_experiment(load_config(CFG_DIR / "vertical.cfg"))
+        ms, grid = ecfg.ms, ecfg.grid
+        A = _kernels.amplitudes(*_amplitude_inputs("vertical", 6))
+    else:
+        ms = wg.solve_modes(wg.HomogeneousDD(L=40.0), 1.0)
+        grid = wg.default_grid(ms)
+        rng = np.random.default_rng(11)
+        A = rng.standard_normal((6, ms.n_modes)) + 1j * rng.standard_normal((6, ms.n_modes))
+    N, eps = ms.n_modes, np.finfo(float).eps
+    assert (case == "vertical") == (N <= _kernels.QUADRATIC_MAX_MODES)
+    E, PT = grid_factors(ms, grid)
+    nx = E.shape[0]
+    C = 2j * ms.beta * np.conj(A)
+    U = np.square((np.abs(C) * np.abs(E).max(axis=0)) @ np.abs(PT))  # row bounds, no slack
+    quadratic = _kernels._quadratic_lift(C, E, PT)
+    linear = _kernels._linear_lift(C, E, PT)
+    for t, a in enumerate(A):
+        ref = migrate(a, ms, grid).values.T  # (nz, nx)
+        Q, P, F = quadratic
+        err = np.abs((Q[t] * P) @ F - np.abs(ref) ** 2)
+        assert np.all(err <= N * N * eps * U[t, :, None]), (t, (err / U[t, :, None]).max())
+        Q, P, F = linear
+        rows = (Q[t] * P) @ F
+        err = np.abs(rows - np.concatenate([ref.real, ref.imag], axis=1))
+        assert np.all(err <= 2 * N * eps * np.sqrt(U[t, :, None])), t
+        err = np.abs(rows[:, :nx] ** 2 + rows[:, nx:] ** 2 - np.abs(ref) ** 2)
+        assert np.all(err <= 4 * N * eps * U[t, :, None]), t
 
 
 @pytest.mark.parametrize("name, sigmas", [
@@ -347,8 +415,8 @@ def test_error_rate_loop_holds_under_three_noise_blocks():
 ])
 def test_kernel_amplitude_error_matches_mse_decomposition(name, sigmas, monkeypatch):
     # the mean of |a_t - a_o|^2 over the amplitudes the kernel forms from
-    # the projected draws is the analytic bias^2 + variance at
-    # per-receiver noise s_meas (the noise s_meas / sqrt(2) Z_t), within
+    # the N-wide draws is the analytic bias^2 + variance at per-receiver
+    # noise s_meas (the noise s_meas / sqrt(2) Z_t on U^dag p), within
     # four standard errors of the mean; at sigma 0 the error is the
     # rounding of plain inversion, below (N eps cond(B))^2 |a_o|^2
     seen = []
@@ -358,11 +426,12 @@ def test_kernel_amplitude_error_matches_mse_decomposition(name, sigmas, monkeypa
         return np.zeros((W.shape[0], 2), dtype=np.int64)
 
     monkeypatch.setattr(experiments._kernels, "peak_search", record)
-    ecfg, (sm, p, _, regs) = _receiver_data(name, sigmas)
+    ecfg, (sm, _, _, regs) = _receiver_data(name, sigmas)
     trials = 1000
     localization_error_rates(ecfg.ms, ecfg.source, ecfg.geometry.points, sigmas, trials,
                              ecfg.seed, grid=ecfg.grid, reg=ecfg.reg)
     a_o = source_amplitudes(ecfg.ms, ecfg.source)
+    p = sm.B @ a_o
     for sigma, A, reg in zip(sigmas, seen, regs):
         err = np.sum(np.abs(A - a_o) ** 2, axis=1)
         if sigma == 0:
