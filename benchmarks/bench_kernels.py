@@ -20,7 +20,8 @@ import numpy as np
 
 import wgimage as wg
 from wgimage import _kernels
-from wgimage.experiments import _trial_noise, receiver_data, trial_block
+from wgimage._kernels import trial_block
+from wgimage.experiments import _trial_noise, receiver_data
 from wgimage.image import grid_factors
 
 RECEIVERS = 20

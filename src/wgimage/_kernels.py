@@ -58,8 +58,9 @@ Tie rule. Ties resolve to the smallest flat index (row-major), as an
 argmax over the whole image would: within a row the smallest x, across
 rows the smallest x * nz + z.
 
-On the shipped configs at 1000 trials a draw visits 1 to 33 of its 46 to
-65 rows, 8.5 on average, so the search forms about an eighth of the image.
+On the shipped configs at 1000 trials and their seed 2024 a draw visits
+1 to 32 of its 46 to 65 rows, 8.55 on average (8.56 at seed 1), so the
+search forms about a seventh of the image.
 """
 
 import numpy as np
@@ -76,6 +77,22 @@ QUADRATIC_MAX_MODES = 8
 #: nx = 319, stay in L2; 64 timed as fast as any of 16 to 256 rows on
 #: mc-rate inputs
 ROW_CHUNK = 64
+
+#: values per peak_search call, which runs trial_block(N, nz) trials: per
+#: trial, a call holds its nz row bounds plus the width of its row lift
+#: (N^2 for the quadratic lift, 2N for the linear one), at a tracemalloc
+#: peak of 20.3 B per value at N = 4, 21.6 B at N = 6 and 22.8 B at N = 12
+#: (the call's fixed factors add more at larger N: 25.1 B at N = 31). So a
+#: call peaks near 2.8 MB, 1267 trials at N = 6 on 65 depth rows, and
+#: every shipped config searches 1000 trials in one call per sigma
+BLOCK_WORKING_SET = 128_000
+
+
+def trial_block(n, nz):
+    """Trials per peak_search call at n modes on nz depth rows:
+    BLOCK_WORKING_SET // (nz + lift width), at least one."""
+    lift = n * n if n <= QUADRATIC_MAX_MODES else 2 * n
+    return max(1, BLOCK_WORKING_SET // (nz + lift))
 
 
 def _quadratic_lift(C, E, PT):

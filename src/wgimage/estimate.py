@@ -4,7 +4,7 @@ Two routes to the amplitude vector: project data onto reduced mode
 profiles and invert the coupling matrix A (any geometry), or apply a
 regularized pseudo-inverse of the sensing matrix B (discrete receiver
 sets). Both are one estimator a_eps = V psi_eps(D) X (X = b or U^dag p),
-formed only in `_filtered` from the N x N `filtered_basis` V psi_eps(D),
+the N x N `filtered_basis` V psi_eps(D) applied to the reduced data X,
 with one analytic bias/variance decomposition of the error. A `RegPolicy`
 picks psi_eps at each noise level: Tikhonov, HardThreshold or None
 (plain inversion), at a fixed eps or at the noise-matched
@@ -128,12 +128,6 @@ def filtered_basis(V, d, reg):
     return V * _psi(d, reg)
 
 
-def _filtered(V, d, reg, X):
-    """V psi(D) X, associated as (V psi) X: the one place a filter is
-    applied to data."""
-    return filtered_basis(V, d, reg) @ X
-
-
 # ---------------------------------------------------------------------------
 # operators
 
@@ -250,7 +244,7 @@ def estimate_amplitudes(b, cm, reg):
     b = np.asarray(b)
     if b.shape != (cm.d.size,):
         raise GeometryMismatch(f"projection length {b.shape} != mode count {cm.d.size}")
-    return _filtered(cm.V, cm.d, reg, b)
+    return filtered_basis(cm.V, cm.d, reg) @ b
 
 
 def sensing_matrix(ms, points):
@@ -275,7 +269,7 @@ def svd_estimate(p, sm, reg):
     p = np.asarray(p)
     if p.shape != (sm.B.shape[0],):
         raise GeometryMismatch(f"data length {p.shape} != receiver count {sm.B.shape[0]}")
-    return _filtered(sm.V, sm.s, reg, sm.U.conj().T @ p)
+    return filtered_basis(sm.V, sm.s, reg) @ (sm.U.conj().T @ p)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ s_meas. `receiver_data` builds this data model, for a single imaging
 pass and the Monte Carlo loop alike, so neither runner reads the M
 receiver values: a single imaging pass adds trial 0 to y0, and draws
 nothing at sigma 0. The Monte Carlo loop runs over blocks of
-trial_block(N, nz) trials, sized by the peak search's working set.
+`_kernels.trial_block(N, nz)` trials, the peak search's own sizing of
+its working set.
 Trials are order-independent, and any slice of them, a single trial
 included, recomputes the same amplitudes (`_kernels.amplitudes`).
 """
@@ -104,23 +105,6 @@ def _trial_noise(n, seed, t):
 # ---------------------------------------------------------------------------
 # localization error rates
 
-#: Working-set values per block of the Monte Carlo loop, which runs
-#: trial_block(N, nz) trials per block. A peak-search call holds, per
-#: trial, about 18 B times its nz row bounds plus the width of its row
-#: lift (N^2 for the quadratic lift, 2N for the linear one), measured at
-#: N = 4 to 30: so a block holds about 2.3 MB, 1267 trials at N = 6 on
-#: 65 depth rows, and every shipped config searches 1000 trials in one
-#: call per sigma.
-BLOCK_WORKING_SET = 128_000
-
-
-def trial_block(n, nz):
-    """Trials per Monte Carlo block at n modes on nz depth rows:
-    BLOCK_WORKING_SET // (nz + lift width), at least one."""
-    lift = n * n if n <= _kernels.QUADRATIC_MAX_MODES else 2 * n
-    return max(1, BLOCK_WORKING_SET // (nz + lift))
-
-
 def localization_error_rates(ms, src, points, sigmas, trials, seed, grid, reg):
     """Fraction of noise draws whose image peak lands farther than half a
     wavelength from the source (`localization_success` fails), for each
@@ -130,27 +114,22 @@ def localization_error_rates(ms, src, points, sigmas, trials, seed, grid, reg):
     The data model (`receiver_data`: y0 = U^dag p, scales and
     regularizers), the N x N filtered basis H = V psi(S) of each sigma
     and the separable `grid_factors` are built once. Trials then run in
-    blocks of trial_block(N, nz): each trial's N values of unit noise
-    Z_t are drawn once, straight into its row of the block's array Z,
-    and every sigma's peak search in the block reads c Z in one reused
-    buffer, so a = H (y0 + c Z_t). So a run makes one draw per trial and
-    never touches the M receiver values.
+    blocks of `_kernels.trial_block(N, nz)`: each trial's N values of
+    unit noise Z_t are drawn once, as its row of the block's array Z, and
+    each sigma's peak search in the block is passed c Z, so
+    a = H (y0 + c Z_t). So a run makes one draw per trial and never
+    touches the M receiver values.
     """
     sm, y0, scales, regs = receiver_data(ms, src, points, sigmas, reg)
     Hs = [filtered_basis(sm.V, sm.s, r) for r in regs]
     xs, zs = grid.x, grid.z
     E, PT = grid_factors(ms, grid)
     misses = np.zeros(len(Hs), dtype=np.int64)
-    block = trial_block(y0.size, zs.size)
-    Z = np.empty((min(block, trials), y0.size), dtype=complex)  # unit noise
-    W = np.empty_like(Z)  # the same, scaled to one sigma
+    block = _kernels.trial_block(y0.size, zs.size)
     for t0 in range(0, trials, block):
-        n = min(block, trials - t0)
-        for i in range(n):
-            Z[i] = _trial_noise(y0.size, seed, t0 + i)
+        Z = np.array([_trial_noise(y0.size, seed, t) for t in range(t0, min(t0 + block, trials))])
         for k, (c, H) in enumerate(zip(scales, Hs)):
-            np.multiply(c, Z[:n], out=W[:n])
-            peaks = _kernels.peak_search(H, y0, W[:n], ms.beta, E, PT)
+            peaks = _kernels.peak_search(H, y0, c * Z, ms.beta, E, PT)
             found = localization_success((xs[peaks[:, 0]], zs[peaks[:, 1]]), src, ms.lambda_o)
             misses[k] += np.count_nonzero(~found)
     return misses / trials

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 import wgimage as wg
 from wgimage import _kernels, experiments
+from wgimage._kernels import trial_block
 from wgimage.cli import main
 from wgimage.config import build_experiment, load_config
 from wgimage.estimate import (HardThreshold, filtered_basis, heuristic_eps, mse_decomposition,
                               sensing_matrix)
-from wgimage.experiments import _trial_noise, localization_error_rates, receiver_data, trial_block
+from wgimage.experiments import _trial_noise, localization_error_rates, receiver_data
 from wgimage.image import grid_factors, migrate
 from wgimage.synth import source_amplitudes
 
@@ -294,8 +295,8 @@ def test_error_rates_match_per_sigma_reference(name, entries, block, blocks, res
     ecfg = build_experiment(cfg)
     n, nz = ecfg.ms.n_modes, ecfg.grid.z.size
     if block is not None:
-        monkeypatch.setattr(experiments, "BLOCK_WORKING_SET",
-                            block * experiments.BLOCK_WORKING_SET // trial_block(n, nz))
+        monkeypatch.setattr(_kernels, "BLOCK_WORKING_SET",
+                            block * _kernels.BLOCK_WORKING_SET // trial_block(n, nz))
     assert block is None or trial_block(n, nz) == block
     trials = blocks * trial_block(n, nz) + rest
     rates = localization_error_rates(
@@ -370,6 +371,36 @@ def test_error_rate_loop_peak_holds_over_many_blocks():
 def test_shipped_configs_search_1000_trials_in_one_call(name):
     ecfg = build_experiment(load_config(CFG_DIR / f"{name}.cfg"))
     assert trial_block(ecfg.ms.n_modes, ecfg.grid.z.size) >= 1000
+
+
+@pytest.mark.parametrize("case", ["vertical", "dd_L40"])
+def test_peak_search_call_holds_its_block_budget(case):
+    # trial_block's memory model: one peak_search call over a block of
+    # trial_block(N, nz) trials peaks below 24 B per trial for each of its
+    # nz row bounds and each column of its row lift (N^2 quadratic, 2N
+    # linear); the _kernels text reads 21.6 B at N = 6 (vertical,
+    # quadratic lift) and 22.8 B at N = 12 (the L = 40 guide, linear lift)
+    if case == "vertical":
+        ecfg = build_experiment(load_config(CFG_DIR / "vertical.cfg"))
+        ms, grid = ecfg.ms, ecfg.grid
+    else:
+        ms = wg.solve_modes(wg.HomogeneousDD(L=40.0), 1.0)
+        grid = wg.default_grid(ms)
+    E, PT = grid_factors(ms, grid)
+    N, nz = PT.shape
+    quadratic = N <= _kernels.QUADRATIC_MAX_MODES
+    assert quadratic == (case == "vertical")
+    T = trial_block(N, nz)
+    rng = np.random.default_rng(11)
+    G, p, W = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+               for shape in [(N, N), N, (T, N)])
+    tracemalloc.start()
+    try:
+        _kernels.peak_search(G, p, W, ms.beta, E, PT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * T * (nz + (N * N if quadratic else 2 * N)), peak
 
 
 @pytest.mark.parametrize("case", ["vertical", "dd_L40"])
