@@ -311,14 +311,14 @@ def mse_decomposition(op, a_o, sigma, eps):
                             mse=bias_sq + variance, spectrum=np.array(d))
 
 
-def optimal_epsilon(sm, a_o, sigma_meas, grid_points=200):
+def optimal_epsilon(sm, a_o, sigma_meas):
     """Tikhonov parameter choices for a given noise level.
 
     Returns (heuristic, scanned): heuristic_eps, and the argmin of the
-    analytic mse over a log grid spanning [1e-12, 1e2] times the top
-    singular value.
+    analytic mse over a log grid of 200 points spanning [1e-12, 1e2]
+    times the top singular value.
     """
     d_max = float(np.max(sm.s if isinstance(sm, SensingMatrix) else sm.d))
-    grid = d_max * np.logspace(-12.0, 2.0, grid_points)
+    grid = d_max * np.logspace(-12.0, 2.0, 200)
     mses = [mse_decomposition(sm, a_o, sigma_meas, e).mse for e in grid]
     return float(heuristic_eps(sigma_meas, a_o)), float(grid[int(np.argmin(mses))])

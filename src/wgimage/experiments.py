@@ -22,7 +22,9 @@ pass and the Monte Carlo loop alike, so neither runner reads the M
 receiver values: a single imaging pass adds trial 0 to y0, and draws
 nothing at sigma 0. The Monte Carlo loop runs over blocks of
 `_kernels.trial_block(N, nz)` trials, the peak search's own sizing of
-its working set.
+its working set, and scores each trial's flat peak index in one node
+mask of the grid: the nodes within half a wavelength of the source, by
+the same `localization_success` test that `image` prints.
 Trials are order-independent, and any slice of them, a single trial
 included, recomputes the same amplitudes (`_kernels.amplitudes`).
 """
@@ -113,35 +115,37 @@ def localization_error_rates(ms, src, points, sigmas, trials, seed, grid, reg):
 
     The data model (`receiver_data`: y0 = U^dag p, scales and
     regularizers), the N x N filtered basis H = V psi(S) of each sigma
-    and the separable `grid_factors` are built once. Trials then run in
-    blocks of `_kernels.trial_block(N, nz)`: each trial's N values of
+    and the separable `grid_factors` are built once, and so is the node
+    mask `inball`: `localization_success` asked once over the whole grid,
+    raveled x-major like the kernel's flat peak indices. Trials then run
+    in blocks of `_kernels.trial_block(N, nz)`: each trial's N values of
     unit noise Z_t are drawn once, as its row of the block's array Z, and
     each sigma's peak search in the block is passed c Z, so
-    a = H (y0 + c Z_t). So a run makes one draw per trial and never
-    touches the M receiver values.
+    a = H (y0 + c Z_t); a trial misses when its flat peak is outside the
+    mask. So a run makes one draw per trial and never touches the M
+    receiver values.
     """
     sm, y0, scales, regs = receiver_data(ms, src, points, sigmas, reg)
     Hs = [filtered_basis(sm.V, sm.s, r) for r in regs]
-    xs, zs = grid.x, grid.z
     E, PT = grid_factors(ms, grid)
+    inball = localization_success((grid.x[:, None], grid.z[None, :]), src, ms.lambda_o).ravel()
     misses = np.zeros(len(Hs), dtype=np.int64)
-    block = _kernels.trial_block(y0.size, zs.size)
+    block = _kernels.trial_block(y0.size, grid.z.size)
     for t0 in range(0, trials, block):
         Z = np.array([_trial_noise(y0.size, seed, t) for t in range(t0, min(t0 + block, trials))])
         for k, (c, H) in enumerate(zip(scales, Hs)):
-            peaks = _kernels.peak_search(H, y0, c * Z, ms.beta, E, PT)
-            found = localization_success((xs[peaks[:, 0]], zs[peaks[:, 1]]), src, ms.lambda_o)
-            misses[k] += np.count_nonzero(~found)
+            flat = _kernels.peak_search(H, y0, c * Z, ms.beta, E, PT)
+            misses[k] += np.count_nonzero(~inball[flat])
     return misses / trials
 
 
-def threshold_sigma(sigmas, rates, level=0.5):
-    """First crossing of the error-rate curve through `level`, log-
+def threshold_sigma(sigmas, rates):
+    """First crossing of the error-rate curve through one half, log-
     interpolated in sigma (linearly on an interval starting at sigma 0);
     nan when the curve never crosses."""
     for i in range(len(rates) - 1):
-        if rates[i] <= level < rates[i + 1]:
-            f = (level - rates[i]) / (rates[i + 1] - rates[i])
+        if rates[i] <= 0.5 < rates[i + 1]:
+            f = (0.5 - rates[i]) / (rates[i + 1] - rates[i])
             if sigmas[i] == 0:
                 return float(f * sigmas[i + 1])
             return float(sigmas[i] * (sigmas[i + 1] / sigmas[i]) ** f)

@@ -29,18 +29,14 @@ def config_digest(text):
 
 
 def _header_lines(meta):
+    """The comment lines: version, then `config` and `seed`, which every
+    meta holds, then any other keys sorted."""
     from . import __version__
-    lines = [f"# wgimage {__version__}"]
-    if meta:
-        for key in ("config", "seed"):
-            if key in meta:
-                lines.append(f"# {key} {meta[key]}")
-        for key in sorted(k for k in meta if k not in ("config", "seed")):
-            lines.append(f"# {key} {meta[key]}")
-    return lines
+    keys = ["config", "seed"] + sorted(k for k in meta if k not in ("config", "seed"))
+    return [f"# wgimage {__version__}"] + [f"# {key} {meta[key]}" for key in keys]
 
 
-def write_csv(path, columns, body, meta=None):
+def write_csv(path, columns, body, meta):
     """Write the comment header, the column-name line and then each text
     chunk of `body` (an iterable of str, consumed once), creating the
     file's directory first. Deterministic bytes for identical inputs."""
@@ -50,12 +46,12 @@ def write_csv(path, columns, body, meta=None):
         fh.writelines(body)
 
 
-def write_spectrum_csv(path, spectrum, meta=None):
+def write_spectrum_csv(path, spectrum, meta):
     body = ["%d,%.12g\n" % row for row in enumerate(np.asarray(spectrum).tolist(), 1)]
     write_csv(path, ("index", "value"), body, meta)
 
 
-def write_image_csv(path, im, meta=None):
+def write_image_csv(path, im, meta):
     """Normalized image modulus on the grid, x-major, one text chunk per
     x row. Each line's z part is formatted once for the grid, so an x row
     is one `%` that substitutes only its values."""
@@ -68,12 +64,12 @@ def write_image_csv(path, im, meta=None):
     write_csv(path, ("x", "z", "I_normalized"), body, meta)
 
 
-def write_rates_csv(path, sigmas, rates, trials, seed, meta=None):
+def write_rates_csv(path, sigmas, rates, trials, seed, meta):
     body = ["%.12g,%.12g,%d,%d\n" % (s, r, trials, seed) for s, r in zip(sigmas, rates)]
     write_csv(path, ("sigma", "error_rate", "trials", "seed"), body, meta)
 
 
-def write_rank_scan_csv(path, rows, meta=None):
+def write_rank_scan_csv(path, rows, meta):
     """Rows are (a/L, predicted, measured) tuples; a row of another length
     raises TypeError."""
     body = ["%.12g,%.12g,%d\n" % row for row in rows]

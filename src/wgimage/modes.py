@@ -157,9 +157,10 @@ class ModeSet:
             out.append(gam ** (0.5 + q) * np.ascontiguousarray(f[:n].T))
         return out
 
-    def profile_matrix(self, z, q=0):
-        """Matrix of phi_j^{(q)}(z) values, shape (len(z), n_modes)."""
-        return self.derivatives(z, q)[-1]
+    def profile_matrix(self, z):
+        """Matrix of phi_j(z) values, shape (len(z), n_modes): order 0 of
+        `derivatives`."""
+        return self.derivatives(z, 0)[0]
 
     def segment_gram(self, segments):
         """Z_jl = int phi_j phi_l dmu_z for the depth measure of segments

@@ -89,22 +89,18 @@ def taylor_rank_prediction(k_o_a, eps, n_cap=None):
 # ---------------------------------------------------------------------------
 # moment family and span collapse
 
-class MomentFamily:
+class MomentFamily(NamedTuple):
     """Taylor moments of the sensing matrix about (0, z_a):
     u_{q,q'} = (beta_j^q phi_j^(q')(z_a))_j over modes and
     v_{q,q'} = (i^q/(q! q'!)) (x_k^q (z_k - z_a)^{q'})_k over receivers,
     for q + q' <= Q - 1, so that B ~ sum conj(v_{q,q'}) u_{q,q'}^T.
-    u and v default to new empty dicts, keyed by (q, q')."""
+    u and v are dicts keyed by (q, q'), filled by `moment_family`."""
 
-    __slots__ = ("Q", "z_a", "u", "v")
-
-    def __init__(self, Q, z_a, u=None, v=None):
-        self.Q, self.z_a = Q, z_a
-        self.u = {} if u is None else u
-        self.v = {} if v is None else v
-
-    def __repr__(self):
-        return f"MomentFamily(Q={self.Q!r}, z_a={self.z_a!r}, u={self.u!r}, v={self.v!r})"
+    Q: int
+    z_a: float
+    u: dict
+    v: dict
+    __eq__, __ne__ = _record.eq, _record.ne
 
     def reconstruct(self):
         """Rank-(#terms) approximation sum_{q+q'<=Q-1} conj(v) u^T of B."""
@@ -121,14 +117,14 @@ def moment_family(ms: ModeSet, z_a, points, Q):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     x = points[:, 0]
     ztil = points[:, 1] - z_a
-    mf = MomentFamily(Q=Q, z_a=z_a)
+    u, v = {}, {}
     derivs = ms.derivatives(np.array([z_a]), Q - 1)
     for q in range(Q):
         for qp in range(Q - q):
-            mf.u[(q, qp)] = ms.beta ** q * derivs[qp][0]
-            mf.v[(q, qp)] = ((1j ** q) / (math.factorial(q) * math.factorial(qp))
-                             * x ** q * ztil ** qp)
-    return mf
+            u[(q, qp)] = ms.beta ** q * derivs[qp][0]
+            v[(q, qp)] = ((1j ** q) / (math.factorial(q) * math.factorial(qp))
+                          * x ** q * ztil ** qp)
+    return MomentFamily(Q=Q, z_a=z_a, u=u, v=v)
 
 
 class SpanRank(NamedTuple):

@@ -652,19 +652,21 @@ def test_error_rate_zero_at_zero_noise(ms_dd20, src_ref, vertical_points):
 def test_error_rates_count_misses_by_the_one_ball_rule(monkeypatch, ms_dd20, src_ref,
                                                       vertical_points):
     # a miss is a peak that image.localization_success refuses, asked once
-    # per sigma over all the block's peaks
+    # per call over every node of the grid
+    grid = wg.default_grid(ms_dd20)
     args = (ms_dd20, src_ref, vertical_points, [0.0, 1e-8], 10, 2024)
-    kwargs = dict(grid=wg.default_grid(ms_dd20), reg=wg.RegPolicy())
+    kwargs = dict(grid=grid, reg=wg.RegPolicy())
     assert localization_error_rates(*args, **kwargs).tolist() == [0.0, 0.0]
     shapes = []
 
     def nowhere(peak, src, lambda_o):
-        shapes.append(np.shape(peak[0]))
-        return np.zeros(np.shape(peak[0]), dtype=bool)
+        shape = np.broadcast_shapes(np.shape(peak[0]), np.shape(peak[1]))
+        shapes.append(shape)
+        return np.zeros(shape, dtype=bool)
 
     monkeypatch.setattr("wgimage.experiments.localization_success", nowhere)
     assert localization_error_rates(*args, **kwargs).tolist() == [1.0, 1.0]
-    assert shapes == [(10,), (10,)]
+    assert shapes == [(grid.x.size, grid.z.size)]
 
 
 def test_image_runner_noiseless_success(tmp_path, capsys):

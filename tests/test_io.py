@@ -22,7 +22,7 @@ def _fmt(v):
     return format(float(v), ".12g")
 
 
-def reference_csv(path, columns, rows, meta=None):
+def reference_csv(path, columns, rows, meta):
     out = io._header_lines(meta)
     out.append(",".join(columns))
     for row in rows:
@@ -31,7 +31,7 @@ def reference_csv(path, columns, rows, meta=None):
         fh.write("\n".join(out) + "\n")
 
 
-def reference_image_csv(path, im, meta=None):
+def reference_image_csv(path, im, meta):
     norm = im.normalize()
     xs, zs = norm.grid.x, norm.grid.z
     rows = [(xs[i], zs[k], norm.values[i, k])

@@ -46,8 +46,7 @@ def test_numpy_matches_direct_evaluation(workload):
     for t in (0, 7, 39):
         a = G @ (p + W[t])
         img = np.abs((E * (2j * beta * np.conj(a))) @ PT)
-        ix, iz = np.unravel_index(np.argmax(img), img.shape)
-        assert tuple(out[t]) == (ix, iz)
+        assert out[t] == np.argmax(img)
 
 
 def test_tie_breaks_to_first_flat_index():
@@ -59,11 +58,11 @@ def test_tie_breaks_to_first_flat_index():
     E = np.array([[1.0 + 0j], [1.0 + 0j]])
     PT = np.array([[1.0, 1.0]])
     out = _kernels.peak_search(G, p, W, beta, E, PT)
-    assert tuple(out[0]) == (0, 0)
+    assert out.tolist() == [0]
 
 
 def _planted_ties(extra_modes):
-    """Peaks of the planted-tie image below, padded with modes whose
+    """Flat peaks of the planted-tie image below, padded with modes whose
     profiles vanish on the grid: 3 + extra_modes modes in all."""
     # c = 2i conj(a) = 1 in every mode, so every image value is exact.
     # Row z=0 has the larger bound (25 against 16) and is visited first;
@@ -81,23 +80,26 @@ def _planted_ties(extra_modes):
     # the same image with the rows swapped: the tie now falls in the first row
     swapped = _kernels.peak_search(np.eye(N, dtype=complex), a, np.zeros((1, N), complex),
                                    np.ones(N), E, PT[:, ::-1].copy())
+    # each is the full image's argmax, the image being |E @ PT| at c = 1
+    img = np.abs(E @ PT)
+    assert out.tolist() == [np.argmax(img)] * 2 and swapped.tolist() == [np.argmax(img[:, ::-1])]
     return out.tolist(), swapped.tolist()
 
 
 def test_planted_ties_resolve_to_first_flat_index():
-    assert _planted_ties(0) == ([[0, 1], [0, 1]], [[0, 0]])
+    assert _planted_ties(0) == ([1, 1], [0])
 
 
 def test_planted_ties_on_linear_lift():
     # 9 modes: above QUADRATIC_MAX_MODES, so the rows go through the linear lift
     assert 3 + 6 > _kernels.QUADRATIC_MAX_MODES
-    assert _planted_ties(6) == ([[0, 1], [0, 1]], [[0, 0]])
+    assert _planted_ties(6) == ([1, 1], [0])
 
 
 def test_all_zero_image_peaks_at_origin(workload):
     G, p, W, beta, E, PT = workload
     out = _kernels.peak_search(np.zeros_like(G), p, W, beta, E, PT)
-    assert out.shape == (W.shape[0], 2) and out.dtype == np.int64
+    assert out.shape == (W.shape[0],) and out.dtype == np.int64
     assert not out.any()
 
 
@@ -124,8 +126,7 @@ def test_peak_search_equals_full_image_argmax(N, nx, nz, T, scale, unit, seed):
     E = np.exp(1j * np.outer(np.linspace(50.0, 150.0, nx), beta)) if unit else cplx(nx, N)
     out = _kernels.peak_search(G, p, W, beta, E, PT)
     C = 2j * beta * np.conj((p + W) @ G.T)
-    ref = [divmod(int(np.argmax(np.abs((E * c) @ PT))), nz) for c in C]
-    assert out.tolist() == [list(r) for r in ref]
+    assert out.tolist() == [np.argmax(np.abs((E * c) @ PT)) for c in C]
 
 
 def test_peak_search_deterministic(workload):
@@ -454,7 +455,7 @@ def test_kernel_amplitude_error_matches_mse_decomposition(name, sigmas, monkeypa
 
     def record(G, p, W, beta, E, PT):
         seen.append(_kernels.amplitudes(G, p, W))
-        return np.zeros((W.shape[0], 2), dtype=np.int64)
+        return np.zeros(W.shape[0], dtype=np.int64)
 
     monkeypatch.setattr(experiments._kernels, "peak_search", record)
     ecfg, (sm, _, _, regs) = _receiver_data(name, sigmas)

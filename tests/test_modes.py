@@ -84,7 +84,7 @@ def test_first_derivative_matches_finite_differences(spec):
     rng = np.random.default_rng(5)
     z = rng.uniform(1.0, 9.0, 50)
     h = 1e-6
-    d1 = ms.profile_matrix(z, q=1)
+    d1 = ms.derivatives(z, 1)[1]
     fd = (ms.profile_matrix(z + h) - ms.profile_matrix(z - h)) / (2 * h)
     assert np.abs(d1 - fd).max() / np.abs(d1).max() < 1e-6
 
@@ -107,7 +107,6 @@ def test_each_derivative_order_keeps_its_bits(spec, b):
     for q in range(top + 1):
         assert table[q].shape == (2, ms.n_modes)
         assert np.array_equal(table[q], ms.derivatives(z, q)[q])
-        assert np.array_equal(table[q], ms.profile_matrix(z, q))
 
 
 @pytest.mark.parametrize("spec", [
@@ -126,7 +125,7 @@ def test_mode_equation_residual(spec):
     else:
         ksq = np.full_like(z, ms.k_o**2)
     P = ms.profile_matrix(z)
-    P2 = ms.profile_matrix(z, q=2)
+    P2 = ms.derivatives(z, 2)[2]
     resid = P2 + (ksq[:, None] - ms.beta[None, :] ** 2) * P
     assert np.abs(resid).max() < 1e-8
 
@@ -134,7 +133,7 @@ def test_mode_equation_residual(spec):
 def test_dn_boundary_conditions():
     ms = wg.solve_modes(wg.HomogeneousDN(L=20.0), 1.0)
     # Neumann at z=0, Dirichlet at z=L
-    assert np.abs(ms.profile_matrix(np.array([0.0]), q=1)).max() < 1e-12
+    assert np.abs(ms.derivatives(np.array([0.0]), 1)[1]).max() < 1e-12
     assert np.abs(ms.profile_matrix(np.array([20.0]))).max() < 1e-12
 
 
@@ -152,7 +151,7 @@ def test_hermite_derivative_ladder(ms_parab10):
     z = np.linspace(-8.0, 8.0, 41)
     f = hermite_functions(2, gam * z)
     want = gam**1.5 * (np.sqrt(0.5) * f[0] - f[2])
-    got = ms_parab10.profile_matrix(z, q=1)[:, 1]
+    got = ms_parab10.derivatives(z, 1)[1][:, 1]
     assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()
 
 

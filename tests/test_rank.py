@@ -94,7 +94,7 @@ def test_moment_family_reads_the_profile_derivatives(spec, z_a):
     mf = moment_family(ms, z_a, np.zeros((1, 2)), 5)
     assert len(mf.u) == 15
     for (q, qp), u in mf.u.items():
-        assert np.array_equal(u, ms.beta ** q * ms.profile_matrix(np.array([z_a]), qp)[0])
+        assert np.array_equal(u, ms.beta ** q * ms.derivatives(np.array([z_a]), qp)[qp][0])
 
 
 def test_moment_reconstruction_converges(ms_dd20):
