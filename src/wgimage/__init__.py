@@ -21,8 +21,7 @@ _EXPORTS = {
     "estimate": ("CouplingMatrix", "EstimationReport", "HardThreshold", "RegPolicy",
                  "SensingMatrix", "Tikhonov", "coupling_matrix", "coupling_spectrum",
                  "estimate_amplitudes", "filtered_basis", "mse_decomposition",
-                 "optimal_epsilon", "project_reduced", "reverse_time", "sensing_matrix",
-                 "svd_estimate"),
+                 "optimal_epsilon", "project_reduced", "reverse_time", "sensing_matrix"),
     "image": ("ImageMap", "SearchGrid", "default_grid", "locate_peak",
               "localization_success", "migrate"),
     "modes": ("HomogeneousDD", "HomogeneousDN", "ModeSet", "Parabolic", "solve_modes"),

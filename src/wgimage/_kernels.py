@@ -54,6 +54,16 @@ N = 8. The linear lift errs by about 4N eps U(z). ROW_BOUND_SLACK, about
 so no computed value exceeds its row's bound and the stopping rule stays
 exact.
 
+Working set. A call holds, per trial, its nz row bounds (searched rows
+set to -inf in place), its trial factor Q of the row lift's width and a
+few scalars (best value, flat index, round results); C is dropped once
+Q is written. Everything else is fixed or bounded by a chunk: the row
+factors (P, F), the bounds of TRIAL_CHUNK trials gathered for each
+round's argmax, and one ROW_CHUNK block of X = Q[t] * P[z] next to its
+GEMM output. No temporary of a round is sized by the active trials
+times nz or the lift width, so the per-trial state sets the block size
+(BLOCK_WORKING_SET, trial_block).
+
 Result. Each draw's peak is its flat index x * nz + z (row-major), the
 index np.argmax returns over the whole (nx, nz) image, and ties resolve
 as that argmax does: to the smallest flat index, so within a row the
@@ -80,13 +90,21 @@ QUADRATIC_MAX_MODES = 8
 #: mc-rate inputs
 ROW_CHUNK = 64
 
+#: trials per chunk of the per-round bound argmax and of the trial factor
+#: Q's build, a multiple of ROW_CHUNK: no temporary of a call grows with
+#: its trial count
+TRIAL_CHUNK = 4 * ROW_CHUNK
+
 #: values per peak_search call, which runs trial_block(N, nz) trials: per
-#: trial, a call holds its nz row bounds plus the width of its row lift
-#: (N^2 for the quadratic lift, 2N for the linear one), at a tracemalloc
-#: peak of 20.3 B per value at N = 4, 21.6 B at N = 6 and 22.8 B at N = 12
-#: (the call's fixed factors add more at larger N: 25.1 B at N = 31). So a
-#: call peaks near 2.8 MB, 1267 trials at N = 6 on 65 depth rows, and
-#: every shipped config searches 1000 trials in one call per sigma
+#: trial, a call holds its nz row bounds plus its trial factor, the width
+#: of its row lift (N^2 for the quadratic lift, 2N for the linear one), 8 B
+#: each, and chunk-sized buffers beside them. One call over a block peaks,
+#: by tracemalloc, at 12.3 B per value at N = 6 (vertical, quadratic lift),
+#: 16.6 B at N = 12 (the L = 40 guide, linear lift) and 30.2 B at N = 63
+#: (the L = 200 guide, nz = 638, where the fixed factors and chunk buffers
+#: dominate). So a call peaks near 1.6 MB, 1267 trials at N = 6 on 65
+#: depth rows, and every shipped config searches 1000 trials in one call
+#: per sigma
 BLOCK_WORKING_SET = 128_000
 
 
@@ -97,29 +115,40 @@ def trial_block(n, nz):
     return max(1, BLOCK_WORKING_SET // (nz + lift))
 
 
-def _quadratic_lift(C, E, PT):
-    """Factors (Q, P, F) with |I(x, z)|^2 of trial t = ((Q[t] * P[z]) @ F)[x]:
-    columns |c_j|^2, Re and Im of c_j conj(c_k) (j < k) in Q; phi_j^2 and
-    phi_j phi_k twice in P; rows |E_:j|^2, 2 Re and -2 Im of
-    E_:j conj(E_:k) in F."""
-    j, k = np.triu_indices(C.shape[1], 1)
-    cc = C[:, j] * np.conj(C[:, k])
+def _quadratic_lift(E, PT):
+    """Row factors (P, F) and the trial factor's writer fill(C, out) with
+    |I(x, z)|^2 of trial t = ((Q[t] * P[z]) @ F)[x]: columns |c_j|^2, Re
+    and Im of c_j conj(c_k) (j < k) in Q; phi_j^2 and phi_j phi_k twice
+    in P; rows |E_:j|^2, 2 Re and -2 Im of E_:j conj(E_:k) in F."""
+    N = E.shape[1]
+    j, k = np.triu_indices(N, 1)
     ee = 2.0 * E[:, j] * np.conj(E[:, k])
     phi = PT.T
     pp = phi[:, j] * phi[:, k]
-    Q = np.concatenate([C.real ** 2 + C.imag ** 2, cc.real, cc.imag], axis=1)
     P = np.concatenate([phi ** 2, pp, pp], axis=1)
     F = np.concatenate([(E.real ** 2 + E.imag ** 2).T, ee.real.T, -ee.imag.T])
-    return Q, P, F
+
+    def fill(C, out):
+        cc = C[:, j] * np.conj(C[:, k])
+        np.add(C.real ** 2, C.imag ** 2, out=out[:, :N])
+        out[:, N:N + j.size] = cc.real
+        out[:, N + j.size:] = cc.imag
+
+    return P, F, fill
 
 
-def _linear_lift(C, E, PT):
-    """Factors (Q, P, F) with [Re I | Im I] of trial t, row z =
-    (Q[t] * P[z]) @ F."""
-    Q = np.concatenate([C.real, C.imag], axis=1)
+def _linear_lift(E, PT):
+    """Row factors (P, F) and the trial factor's writer fill(C, out) with
+    [Re I | Im I] of trial t, row z = (Q[t] * P[z]) @ F."""
+    N = E.shape[1]
     P = np.concatenate([PT.T, PT.T], axis=1)
     F = np.block([[E.real.T, E.imag.T], [-E.imag.T, E.real.T]])
-    return Q, P, F
+
+    def fill(C, out):
+        out[:, :N] = C.real
+        out[:, N:] = C.imag
+
+    return P, F, fill
 
 
 def amplitudes(G, p, W):
@@ -153,35 +182,53 @@ def peak_search(G, p, W, beta, E, PT):
     C = 2j * beta * np.conj(amplitudes(G, p, W))
     T, N = C.shape
     nx, nz = E.shape[0], PT.shape[1]
-    # (T, nz) row bounds; a visited row's entry is set to -inf
-    bound = np.square((np.abs(C) * np.abs(E).max(axis=0)) @ np.abs(PT)) * (1.0 + ROW_BOUND_SLACK)
+    # (T, nz) row bounds, squared and widened in place; a visited row's
+    # entry is set to -inf
+    bound = (np.abs(C) * np.abs(E).max(axis=0)) @ np.abs(PT)
+    np.square(bound, out=bound)
+    bound *= 1.0 + ROW_BOUND_SLACK
     quadratic = N <= QUADRATIC_MAX_MODES
-    Q, P, F = (_quadratic_lift if quadratic else _linear_lift)(C, E, PT)
+    P, F, fill = (_quadratic_lift if quadratic else _linear_lift)(E, PT)
+    Q = np.empty((T, P.shape[1]))  # trial factors, written a chunk of trials at a time
+    for s in range(0, T, TRIAL_CHUNK):
+        fill(C[s:s + TRIAL_CHUNK], Q[s:s + TRIAL_CHUNK])
+    del C
+    rows = np.empty((min(T, TRIAL_CHUNK), nz))  # a chunk's remaining bounds
+    X = np.empty((ROW_CHUNK, P.shape[1]))
     Y = np.empty((ROW_CHUNK, F.shape[1]))
-    mag = np.empty((ROW_CHUNK, nx))
+    mag = None if quadratic else np.empty((ROW_CHUNK, nx))
     offset = np.arange(ROW_CHUNK) * nx  # flat offsets of the rows of a chunk's |I|^2
     best = np.full(T, -np.inf)
     flat = np.zeros(T, dtype=np.int64)
     val = np.empty(T)
     ix = np.empty(T, dtype=np.int64)
+    top = np.empty(T, dtype=np.int64)
     active = np.arange(T)
+    # the gathers take mode="clip" (the indices are in range): it writes
+    # straight into `out`, where the default mode buffers a copy
     for _ in range(nz):  # each round visits one new row of every trial still searching
-        z = bound[active].argmax(axis=1)
+        n = active.size
+        for s in range(0, n, TRIAL_CHUNK):
+            e = min(s + TRIAL_CHUNK, n)
+            np.take(bound, active[s:e], axis=0, out=rows[:e - s], mode="clip").argmax(
+                axis=1, out=top[s:e])
+        z = top[:n]
         go = bound[active, z] >= best[active]
         active, z = active[go], z[go]
         if not active.size:
             break
         bound[active, z] = -np.inf
         n = active.size
-        X = Q[active] * P[z]
         for s in range(0, n, ROW_CHUNK):
             e = min(s + ROW_CHUNK, n)
-            m = np.matmul(X[s:e], F, out=Y[:e - s])
+            x = np.take(Q, active[s:e], axis=0, out=X[:e - s], mode="clip")
+            x *= P[z[s:e]]
+            m = np.matmul(x, F, out=Y[:e - s])
             if not quadratic:
                 np.square(m, out=m)
                 m = np.add(m[:, :nx], m[:, nx:], out=mag[:e - s])
             m.argmax(axis=1, out=ix[s:e])
-            m.ravel().take(ix[s:e] + offset[:e - s], out=val[s:e])
+            m.ravel().take(ix[s:e] + offset[:e - s], out=val[s:e], mode="clip")
         v, f, b = val[:n], ix[:n] * nz + z, best[active]
         win = (v > b) | ((v == b) & (f < flat[active]))
         best[active[win]] = v[win]

@@ -264,14 +264,6 @@ def sensing_matrix(ms, points):
     return SensingMatrix(B=B, U=U, s=s, V=V, points=points)
 
 
-def svd_estimate(p, sm, reg):
-    """a_eps = V psi_eps(D) U^dag p from the receiver data array p."""
-    p = np.asarray(p)
-    if p.shape != (sm.B.shape[0],):
-        raise GeometryMismatch(f"data length {p.shape} != receiver count {sm.B.shape[0]}")
-    return filtered_basis(sm.V, sm.s, reg) @ (sm.U.conj().T @ p)
-
-
 # ---------------------------------------------------------------------------
 # error analysis
 

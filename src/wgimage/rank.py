@@ -102,13 +102,6 @@ class MomentFamily(NamedTuple):
     v: dict
     __eq__, __ne__ = _record.eq, _record.ne
 
-    def reconstruct(self):
-        """Rank-(#terms) approximation sum_{q+q'<=Q-1} conj(v) u^T of B."""
-        first = next(iter(self.u))
-        out = np.zeros((self.v[first].size, self.u[first].size), dtype=complex)
-        for key, u in self.u.items():
-            out += np.outer(np.conj(self.v[key]), u)
-        return out
 
 
 def moment_family(ms: ModeSet, z_a, points, Q):

@@ -129,6 +129,57 @@ def test_peak_search_equals_full_image_argmax(N, nx, nz, T, scale, unit, seed):
     assert out.tolist() == [np.argmax(np.abs((E * c) @ PT)) for c in C]
 
 
+def _visits(C, E, PT):
+    """Rows each trial visits under the kernel's stopping rule, replayed on
+    its full image: rows in decreasing bound, the first of equal bounds
+    first, while the bound is at least the best value found."""
+    U = np.square((np.abs(C) * np.abs(E).max(axis=0)) @ np.abs(PT))
+    U *= 1.0 + _kernels.ROW_BOUND_SLACK
+    visits = []
+    for c, u in zip(C, U):
+        peak = (np.abs((E * c) @ PT) ** 2).max(axis=0)
+        best, n = -np.inf, 0
+        for z in np.argsort(-u, kind="stable"):
+            if u[z] < best:
+                break
+            best, n = max(best, peak[z]), n + 1
+        visits.append(n)
+    return np.array(visits)
+
+
+@pytest.mark.parametrize("N", [4, 10], ids=["quadratic", "linear"])
+@pytest.mark.parametrize("T", [1, 2, _kernels.ROW_CHUNK - 1, _kernels.ROW_CHUNK + 1,
+                               _kernels.TRIAL_CHUNK - 1, _kernels.TRIAL_CHUNK + 1])
+def test_peak_search_across_chunk_edges(T, N):
+    # the bound argmax and the trial factors go in chunks of TRIAL_CHUNK
+    # trials, the row GEMMs in chunks of ROW_CHUNK; noise scales spread
+    # over four decades make trials stop in different rounds, so the
+    # active count falls across chunk edges in the middle of a search
+    assert _kernels.TRIAL_CHUNK % _kernels.ROW_CHUNK == 0
+    assert (N <= _kernels.QUADRATIC_MAX_MODES) == (N == 4)
+    rng = np.random.default_rng(T * 100 + N)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    nx, nz = 41, 24
+    G, p = cplx(N, N), cplx(N)
+    W = np.logspace(-3, 1, T)[rng.permutation(T), None] * cplx(T, N)
+    beta, PT = np.sort(rng.uniform(0.2, 1.0, N))[::-1], rng.standard_normal((N, nz))
+    E = np.exp(1j * np.outer(np.linspace(50.0, 90.0, nx), beta))
+    out = _kernels.peak_search(G, p, W, beta, E, PT)
+    C = 2j * beta * np.conj(_kernels.amplitudes(G, p, W))
+    assert out.tolist() == [np.argmax(np.abs((E * c) @ PT)) for c in C]
+    visits = _visits(C, E, PT)
+    if T > 1:
+        assert np.unique(visits).size > 1, visits
+    # active trials per round, and a chunk edge crossed after round one
+    active = np.array([np.sum(visits >= r) for r in range(1, visits.max() + 1)])
+    edges = np.arange(_kernels.ROW_CHUNK, T, _kernels.ROW_CHUNK)
+    crossed = [e for e in edges if np.any((active[:-1] > e) & (active[1:] <= e))]
+    assert bool(crossed) == (T > _kernels.ROW_CHUNK), (active, crossed)
+
+
 def test_peak_search_deterministic(workload):
     a = _kernels.peak_search(*workload)
     b = _kernels.peak_search(*workload)
@@ -377,10 +428,10 @@ def test_shipped_configs_search_1000_trials_in_one_call(name):
 @pytest.mark.parametrize("case", ["vertical", "dd_L40"])
 def test_peak_search_call_holds_its_block_budget(case):
     # trial_block's memory model: one peak_search call over a block of
-    # trial_block(N, nz) trials peaks below 24 B per trial for each of its
+    # trial_block(N, nz) trials peaks below 18 B per trial for each of its
     # nz row bounds and each column of its row lift (N^2 quadratic, 2N
-    # linear); the _kernels text reads 21.6 B at N = 6 (vertical,
-    # quadratic lift) and 22.8 B at N = 12 (the L = 40 guide, linear lift)
+    # linear); the _kernels text reads 12.3 B at N = 6 (vertical,
+    # quadratic lift) and 16.6 B at N = 12 (the L = 40 guide, linear lift)
     if case == "vertical":
         ecfg = build_experiment(load_config(CFG_DIR / "vertical.cfg"))
         ms, grid = ecfg.ms, ecfg.grid
@@ -401,7 +452,7 @@ def test_peak_search_call_holds_its_block_budget(case):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * T * (nz + (N * N if quadratic else 2 * N)), peak
+    assert peak < 18 * T * (nz + (N * N if quadratic else 2 * N)), peak
 
 
 @pytest.mark.parametrize("case", ["vertical", "dd_L40"])
@@ -426,8 +477,14 @@ def test_row_lifts_match_migrate(case):
     nx = E.shape[0]
     C = 2j * ms.beta * np.conj(A)
     U = np.square((np.abs(C) * np.abs(E).max(axis=0)) @ np.abs(PT))  # row bounds, no slack
-    quadratic = _kernels._quadratic_lift(C, E, PT)
-    linear = _kernels._linear_lift(C, E, PT)
+
+    def factors(lift):
+        P, F, fill = lift(E, PT)
+        Q = np.empty((len(C), P.shape[1]))
+        fill(C, Q)
+        return Q, P, F
+
+    quadratic, linear = factors(_kernels._quadratic_lift), factors(_kernels._linear_lift)
     for t, a in enumerate(A):
         ref = migrate(a, ms, grid).values.T  # (nz, nx)
         Q, P, F = quadratic
