@@ -54,15 +54,27 @@ N = 8. The linear lift errs by about 4N eps U(z). ROW_BOUND_SLACK, about
 so no computed value exceeds its row's bound and the stopping rule stays
 exact.
 
-Working set. A call holds, per trial, its nz row bounds (searched rows
-set to -inf in place), its trial factor Q of the row lift's width and a
-few scalars (best value, flat index, round results); C is dropped once
-Q is written. Everything else is fixed or bounded by a chunk: the row
-factors (P, F), the bounds of TRIAL_CHUNK trials gathered for each
-round's argmax, and one ROW_CHUNK block of X = Q[t] * P[z] next to its
-GEMM output. No temporary of a round is sized by the active trials
-times nz or the lift width, so the per-trial state sets the block size
-(BLOCK_WORKING_SET, trial_block).
+Working set. A call's bytes are two terms. The first grows with its
+trials: 8 B per trial for each of its nz row bounds (searched rows set
+to -inf in place) and each column of its row lift, the trial factor Q
+(N^2 values quadratic, 2N linear), beside a few scalars per trial (best
+value, flat index, round results); C is dropped once Q is written. This
+is the part trial_block budgets. The second is fixed, and no block size
+changes it: the row factors P and F, |PT| for the row bounds, and the
+ROW_CHUNK buffers X = Q[t] * P[z], its GEMM output Y, the linear lift's
+mag and rows, a chunk's bounds gathered for the argmax. Every chunk loop
+of a call steps by ROW_CHUNK trials. The trial factor's fill keeps its
+chunk loop too: the quadratic fill's temporaries have N(N - 1)/2 complex
+values per trial, and filling Q in one piece raised a call's peak at
+N = 6 from 11.5 to 17.0 B per first-term value.
+
+By tracemalloc, one call's peak grows by 8.1 to 8.8 B per first-term
+value between trial_block(N, nz) trials and twice that, and the rest is
+7.4 to 9.4 B per fixed value, at N = 6 (vertical, quadratic lift),
+N = 12 (the L = 40 guide) and N = 63 (the L = 200 guide, nz = 638,
+nx = 319). Over a block the first term dominates a call at N = 6 (11.5 B
+per first-term value in all, 1.5 MB) and the fixed one at N = 63
+(26.1 B, 3.3 MB).
 
 Result. Each draw's peak is its flat index x * nz + z (row-major), the
 index np.argmax returns over the whole (nx, nz) image, and ties resolve
@@ -84,27 +96,15 @@ ROW_BOUND_SLACK = 1e-9
 #: largest mode count scored by the quadratic lift (see the module text)
 QUADRATIC_MAX_MODES = 8
 
-#: rows per real GEMM, which runs on one BLAS thread (the CLI pins one):
-#: a chunk, the factor F and the output, about 0.3 MB at N = 6 and
-#: nx = 319, stay in L2; 64 timed as fast as any of 16 to 256 rows on
-#: mc-rate inputs
+#: rows per real GEMM, which runs on one BLAS thread (the CLI pins one),
+#: and trials per chunk of every loop of a call: a chunk, the factor F and
+#: the output, about 0.3 MB at N = 6 and nx = 319, stay in L2; 64 timed as
+#: fast as any of 16 to 256 rows on mc-rate inputs
 ROW_CHUNK = 64
 
-#: trials per chunk of the per-round bound argmax and of the trial factor
-#: Q's build, a multiple of ROW_CHUNK: no temporary of a call grows with
-#: its trial count
-TRIAL_CHUNK = 4 * ROW_CHUNK
-
-#: values per peak_search call, which runs trial_block(N, nz) trials: per
-#: trial, a call holds its nz row bounds plus its trial factor, the width
-#: of its row lift (N^2 for the quadratic lift, 2N for the linear one), 8 B
-#: each, and chunk-sized buffers beside them. One call over a block peaks,
-#: by tracemalloc, at 12.3 B per value at N = 6 (vertical, quadratic lift),
-#: 16.6 B at N = 12 (the L = 40 guide, linear lift) and 30.2 B at N = 63
-#: (the L = 200 guide, nz = 638, where the fixed factors and chunk buffers
-#: dominate). So a call peaks near 1.6 MB, 1267 trials at N = 6 on 65
-#: depth rows, and every shipped config searches 1000 trials in one call
-#: per sigma
+#: first-term values (see the module text's working set) per peak_search
+#: call: 1267 trials at N = 6 on 65 depth rows, so every shipped config
+#: searches 1000 trials in one call per sigma
 BLOCK_WORKING_SET = 128_000
 
 
@@ -190,10 +190,10 @@ def peak_search(G, p, W, beta, E, PT):
     quadratic = N <= QUADRATIC_MAX_MODES
     P, F, fill = (_quadratic_lift if quadratic else _linear_lift)(E, PT)
     Q = np.empty((T, P.shape[1]))  # trial factors, written a chunk of trials at a time
-    for s in range(0, T, TRIAL_CHUNK):
-        fill(C[s:s + TRIAL_CHUNK], Q[s:s + TRIAL_CHUNK])
+    for s in range(0, T, ROW_CHUNK):
+        fill(C[s:s + ROW_CHUNK], Q[s:s + ROW_CHUNK])
     del C
-    rows = np.empty((min(T, TRIAL_CHUNK), nz))  # a chunk's remaining bounds
+    rows = np.empty((min(T, ROW_CHUNK), nz))  # a chunk's remaining bounds
     X = np.empty((ROW_CHUNK, P.shape[1]))
     Y = np.empty((ROW_CHUNK, F.shape[1]))
     mag = None if quadratic else np.empty((ROW_CHUNK, nx))
@@ -208,8 +208,8 @@ def peak_search(G, p, W, beta, E, PT):
     # straight into `out`, where the default mode buffers a copy
     for _ in range(nz):  # each round visits one new row of every trial still searching
         n = active.size
-        for s in range(0, n, TRIAL_CHUNK):
-            e = min(s + TRIAL_CHUNK, n)
+        for s in range(0, n, ROW_CHUNK):
+            e = min(s + ROW_CHUNK, n)
             np.take(bound, active[s:e], axis=0, out=rows[:e - s], mode="clip").argmax(
                 axis=1, out=top[s:e])
         z = top[:n]

@@ -25,24 +25,19 @@ class PointSource(NamedTuple):
     __eq__, __ne__ = _record.eq, _record.ne
 
 
-class Discrete:
+class _Points(NamedTuple):
+    points: object  # (M, 2) columns x, z
+
+
+class Discrete(_Points):
     """Finite receiver set; mu puts weight 1/M on each point. Frozen, and
     equal only to itself (`geometry_equal` compares points)."""
 
-    __slots__ = ("points",)  # (M, 2) columns x, z
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __init__(self, points):
-        object.__setattr__(self, "points", np.atleast_2d(np.asarray(points, dtype=float)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a frozen Discrete")
-
-    def __repr__(self):
-        return f"Discrete(points={self.points!r})"
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, as __setattr__ refuses
-        return Discrete, (self.points,)
+    def __new__(cls, points):
+        return super().__new__(cls, np.atleast_2d(np.asarray(points, dtype=float)))
 
 
 class Dense(NamedTuple):

@@ -89,7 +89,7 @@ def test_package_import_loads_no_numpy_and_keeps_environment():
 
 
 def test_cli_import_generates_no_record_code():
-    # the records are NamedTuples or slotted classes: nothing imports
+    # the records are NamedTuples: nothing imports
     # dataclasses (numpy does not either), whose decorator writes and
     # compiles methods for every class at import
     code = "import sys, wgimage.cli\nprint('dataclasses' in sys.modules)\n"

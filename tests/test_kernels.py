@@ -148,14 +148,12 @@ def _visits(C, E, PT):
 
 
 @pytest.mark.parametrize("N", [4, 10], ids=["quadratic", "linear"])
-@pytest.mark.parametrize("T", [1, 2, _kernels.ROW_CHUNK - 1, _kernels.ROW_CHUNK + 1,
-                               _kernels.TRIAL_CHUNK - 1, _kernels.TRIAL_CHUNK + 1])
+@pytest.mark.parametrize("T", [1, 2, _kernels.ROW_CHUNK - 1, _kernels.ROW_CHUNK + 1])
 def test_peak_search_across_chunk_edges(T, N):
-    # the bound argmax and the trial factors go in chunks of TRIAL_CHUNK
-    # trials, the row GEMMs in chunks of ROW_CHUNK; noise scales spread
-    # over four decades make trials stop in different rounds, so the
-    # active count falls across chunk edges in the middle of a search
-    assert _kernels.TRIAL_CHUNK % _kernels.ROW_CHUNK == 0
+    # the trial factors, the bound argmax and the row GEMMs go in chunks
+    # of ROW_CHUNK trials; noise scales spread over four decades make
+    # trials stop in different rounds, so the active count falls across
+    # a chunk edge in the middle of a search
     assert (N <= _kernels.QUADRATIC_MAX_MODES) == (N == 4)
     rng = np.random.default_rng(T * 100 + N)
 
@@ -425,19 +423,35 @@ def test_shipped_configs_search_1000_trials_in_one_call(name):
     assert trial_block(ecfg.ms.n_modes, ecfg.grid.z.size) >= 1000
 
 
+def _guide(case):
+    """(ms, grid) of a kernel case: the vertical config's (6 modes, quadratic
+    lift) or the default grid of the L = 40 (12 modes) or L = 200 guide
+    (63 modes, nz = 638, nx = 319), both on the linear lift."""
+    if case == "vertical":
+        ecfg = build_experiment(load_config(CFG_DIR / "vertical.cfg"))
+        return ecfg.ms, ecfg.grid
+    ms = wg.solve_modes(wg.HomogeneousDD(L={"dd_L40": 40.0, "dd_L200": 200.0}[case]), 1.0)
+    return ms, wg.default_grid(ms)
+
+
+def _call_peak(G, p, W, beta, E, PT):
+    """tracemalloc peak of one peak_search call."""
+    tracemalloc.start()
+    try:
+        _kernels.peak_search(G, p, W, beta, E, PT)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("case", ["vertical", "dd_L40"])
 def test_peak_search_call_holds_its_block_budget(case):
     # trial_block's memory model: one peak_search call over a block of
     # trial_block(N, nz) trials peaks below 18 B per trial for each of its
     # nz row bounds and each column of its row lift (N^2 quadratic, 2N
-    # linear); the _kernels text reads 12.3 B at N = 6 (vertical,
-    # quadratic lift) and 16.6 B at N = 12 (the L = 40 guide, linear lift)
-    if case == "vertical":
-        ecfg = build_experiment(load_config(CFG_DIR / "vertical.cfg"))
-        ms, grid = ecfg.ms, ecfg.grid
-    else:
-        ms = wg.solve_modes(wg.HomogeneousDD(L=40.0), 1.0)
-        grid = wg.default_grid(ms)
+    # linear); a call reads 11.5 B at N = 6 (vertical, quadratic lift)
+    # and 15.1 B at N = 12 (the L = 40 guide, linear lift)
+    ms, grid = _guide(case)
     E, PT = grid_factors(ms, grid)
     N, nz = PT.shape
     quadratic = N <= _kernels.QUADRATIC_MAX_MODES
@@ -446,13 +460,37 @@ def test_peak_search_call_holds_its_block_budget(case):
     rng = np.random.default_rng(11)
     G, p, W = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                for shape in [(N, N), N, (T, N)])
-    tracemalloc.start()
-    try:
-        _kernels.peak_search(G, p, W, ms.beta, E, PT)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _call_peak(G, p, W, ms.beta, E, PT)
     assert peak < 18 * T * (nz + (N * N if quadratic else 2 * N)), peak
+
+
+@pytest.mark.parametrize("case", ["vertical", "dd_L40", "dd_L200"])
+def test_peak_search_working_set_has_two_terms(case):
+    # the two terms of the _kernels working set, on guides where either
+    # dominates: a call's peak grows by 8.1-8.8 B per trial value (row
+    # bounds and lift columns) from trial_block(N, nz) trials to twice
+    # that, and the rest reads 7.4-9.4 B per value of the fixed arrays
+    # the text names (P, F, |PT| and the ROW_CHUNK buffers X, Y, mag,
+    # rows). The data are a point source's amplitudes at 1 % noise, so
+    # that a trial stops within a few rounds even on the 638-row guide
+    ms, grid = _guide(case)
+    E, PT = grid_factors(ms, grid)
+    (N, nz), nx = PT.shape, E.shape[0]
+    quadratic = N <= _kernels.QUADRATIC_MAX_MODES
+    P, F, _ = (_kernels._quadratic_lift if quadratic else _kernels._linear_lift)(E, PT)
+    per_trial = nz + P.shape[1]
+    fixed = P.size + F.size + PT.size + _kernels.ROW_CHUNK * (
+        P.shape[1] + F.shape[1] + (0 if quadratic else nx) + nz)
+    T = trial_block(N, nz)
+    rng = np.random.default_rng(11)
+    p = source_amplitudes(ms, wg.PointSource(100.0, ms.spec.L / 3))
+    W = 0.01 * np.abs(p).max() * (rng.standard_normal((2 * T, N))
+                                  + 1j * rng.standard_normal((2 * T, N)))
+    G = np.eye(N, dtype=complex)
+    peak, peak2 = (_call_peak(G, p, W[:n], ms.beta, E, PT) for n in (T, 2 * T))
+    growth = peak2 - peak
+    assert growth < 12 * T * per_trial, growth / (T * per_trial)
+    assert peak - growth < 16 * fixed, (peak - growth) / fixed
 
 
 @pytest.mark.parametrize("case", ["vertical", "dd_L40"])
@@ -462,13 +500,10 @@ def test_row_lifts_match_migrate(case):
     # the linear lift's [Re I | Im I] within 2N eps sqrt(U(z)), so its
     # |I|^2 within 4N eps U(z) (the bounds of the _kernels text); vertical
     # has 6 modes, the L = 40 guide 12
+    ms, grid = _guide(case)
     if case == "vertical":
-        ecfg = build_experiment(load_config(CFG_DIR / "vertical.cfg"))
-        ms, grid = ecfg.ms, ecfg.grid
         A = _kernels.amplitudes(*_amplitude_inputs("vertical", 6))
     else:
-        ms = wg.solve_modes(wg.HomogeneousDD(L=40.0), 1.0)
-        grid = wg.default_grid(ms)
         rng = np.random.default_rng(11)
         A = rng.standard_normal((6, ms.n_modes)) + 1j * rng.standard_normal((6, ms.n_modes))
     N, eps = ms.n_modes, np.finfo(float).eps
