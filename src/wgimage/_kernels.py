@@ -82,6 +82,22 @@ as that argmax does: to the smallest flat index, so within a row the
 smallest x, across rows the smallest x * nz + z. The caller scores the
 flat index directly (mc-rate reads it in a node mask of the grid).
 
+No product has one row. A row GEMM over a single visited row (the last
+trial still searching, or a chunk's one-row remainder) multiplies a
+spare row of X beside it, X being allocated as zeros so that the spare
+row is finite, just as the amplitude GEMM multiplies a lone trial twice.
+On one BLAS thread, a one-row product gave a row other bits than the
+64-row GEMM in 64 of 64 rows at each N tried (2 to 8, 12 and 63), on
+grids of 319 and 224 columns. At N = 3 to 6, every product of 2 to 63
+rows gave each row the bits of the 64-row product, wherever the row
+sat. Every shipped config has 4 to 6 modes, so a trial's flat peak
+there does not depend on which trials share its rounds: searched
+alone, it returns its entry of the block call, and two equal rows tie
+exactly and resolve to the smaller flat index. At N = 2, 7 and 8, and
+on the linear lift (N = 12 and 63), both the chunk size and the row's
+position changed a row's bits on the 319-column grid (at N = 63 on the
+224-column one too), so a near tie there can still resolve by rounding.
+
 On the shipped configs at 1000 trials and their seed 2024 a draw visits
 1 to 32 of its 46 to 65 rows, 8.55 on average (8.56 at seed 1), so the
 search forms about a seventh of the image.
@@ -194,7 +210,7 @@ def peak_search(G, p, W, beta, E, PT):
         fill(C[s:s + ROW_CHUNK], Q[s:s + ROW_CHUNK])
     del C
     rows = np.empty((min(T, ROW_CHUNK), nz))  # a chunk's remaining bounds
-    X = np.empty((ROW_CHUNK, P.shape[1]))
+    X = np.zeros((ROW_CHUNK, P.shape[1]))  # zeros: a spare row stays finite
     Y = np.empty((ROW_CHUNK, F.shape[1]))
     mag = None if quadratic else np.empty((ROW_CHUNK, nx))
     offset = np.arange(ROW_CHUNK) * nx  # flat offsets of the rows of a chunk's |I|^2
@@ -221,9 +237,10 @@ def peak_search(G, p, W, beta, E, PT):
         n = active.size
         for s in range(0, n, ROW_CHUNK):
             e = min(s + ROW_CHUNK, n)
+            k = max(e - s, 2)  # no one-row product (see the module text)
             x = np.take(Q, active[s:e], axis=0, out=X[:e - s], mode="clip")
             x *= P[z[s:e]]
-            m = np.matmul(x, F, out=Y[:e - s])
+            m = np.matmul(X[:k], F, out=Y[:k])[:e - s]
             if not quadratic:
                 np.square(m, out=m)
                 m = np.add(m[:, :nx], m[:, nx:], out=mag[:e - s])

@@ -14,7 +14,11 @@ values U^dag w have the same i.i.d. law as N entries of w, since the
 N columns of U are orthonormal. So the noise is drawn where it acts, on
 the projected data y0 = U^dag p: trial t draws N unit complex values
 Z_t (real and imaginary parts standard normal) from the Philox stream
-keyed on the pair (seed, t): key = seed, counter = (0, 0, t, 0). At
+keyed on the pair (seed, t): key = seed, counter = (0, 0, t, 0). Each
+run builds its own Philox generator (the Monte Carlo loop one per call,
+a single imaging pass one only when it draws) and resets it to trial
+t's key and counter before each draw, so a draw depends on its
+(seed, t) alone, whatever other runs share the process. At
 relative level sigma the noisy data are y0 + s_meas / sqrt(2) * Z_t,
 with s_meas = sigma * max|p|, and the regularizer is the one chosen at
 s_meas. `receiver_data` builds this data model, for a single imaging
@@ -26,10 +30,9 @@ its working set, and scores each trial's flat peak index in one node
 mask of the grid: the nodes within half a wavelength of the source, by
 the same `localization_success` test that `image` prints.
 Trials are order-independent, and any slice of them, a single trial
-included, recomputes the same amplitudes (`_kernels.amplitudes`).
+included, recomputes the same amplitudes (`_kernels.amplitudes`) and,
+at 3 to 6 modes, the same flat peaks (`_kernels.peak_search`).
 """
-
-import functools
 
 import numpy as np
 
@@ -73,26 +76,19 @@ def receiver_data(ms, src, points, sigmas, reg):
             [reg.regularizer(s, a_o) for s in s_meas])
 
 
-@functools.cache
-def _philox_normal():
-    """The one Philox generator behind every draw, built on the first
-    (numpy.random is imported lazily, and most runs draw no noise)."""
-    return np.random.Generator(np.random.Philox(key=0))
-
-
-def _trial_noise(n, seed, t):
+def _trial_noise(rng, n, seed, t):
     """Unit complex noise Z_t of trial t, shape (n,), n = N values on the
     projected data: real parts drawn before imaginary parts, from the
     Philox stream keyed on (seed, t).
 
     The values are those of Generator(Philox(key=seed, counter=t << 128)).
-    Rather than build that generator (whose constructor also seeds a
-    SeedSequence from OS entropy, only to discard it), the draw resets one
-    shared Philox to the state a fresh one starts in: the 128-bit key as
-    two 64-bit words, the counter words (0, 0, t, 0) and an empty output
-    buffer. The reset covers the whole state, so no draw depends on an
-    earlier one; draws from concurrent threads would share it, though."""
-    rng = _philox_normal()
+    Rather than build that generator per trial (whose constructor also
+    seeds a SeedSequence from OS entropy, only to discard it), the draw
+    resets the run's Philox generator `rng` to the state a fresh one
+    starts in: the 128-bit key as two 64-bit words, the counter words
+    (0, 0, t, 0) and an empty output buffer. The reset covers the whole
+    state, so no draw depends on an earlier one; each run builds its own
+    `rng`, so no draw depends on another run's either."""
     rng.bit_generator.state = {"bit_generator": "Philox",
                                "state": {"counter": (0, 0, t, 0),
                                          "key": (seed & (2**64 - 1), seed >> 64)},
@@ -131,8 +127,10 @@ def localization_error_rates(ms, src, points, sigmas, trials, seed, grid, reg):
     inball = localization_success((grid.x[:, None], grid.z[None, :]), src, ms.lambda_o).ravel()
     misses = np.zeros(len(Hs), dtype=np.int64)
     block = _kernels.trial_block(y0.size, grid.z.size)
+    rng = np.random.Generator(np.random.Philox(key=0))
     for t0 in range(0, trials, block):
-        Z = np.array([_trial_noise(y0.size, seed, t) for t in range(t0, min(t0 + block, trials))])
+        Z = np.array([_trial_noise(rng, y0.size, seed, t)
+                      for t in range(t0, min(t0 + block, trials))])
         for k, (c, H) in enumerate(zip(scales, Hs)):
             flat = _kernels.peak_search(H, y0, c * Z, ms.beta, E, PT)
             misses[k] += np.count_nonzero(~inball[flat])
@@ -194,7 +192,8 @@ def run_image(ecfg, outdir):
     sigma = ecfg.sigmas[0] if ecfg.sigmas else 0.0
     sm, y0, (c,), (reg,) = receiver_data(ms, src, ecfg.geometry.points, [sigma], ecfg.reg)
     # noiseless data skip the draw, and numpy.random stays unloaded
-    y = y0 + c * _trial_noise(y0.size, ecfg.seed, 0) if c else y0
+    y = (y0 + c * _trial_noise(np.random.Generator(np.random.Philox(key=0)), y0.size, ecfg.seed, 0)
+         if c else y0)
     a = filtered_basis(sm.V, sm.s, reg) @ y
     im = migrate(a, ms, ecfg.grid)
     x, z, value = locate_peak(im)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -147,6 +148,41 @@ def _visits(C, E, PT):
     return np.array(visits)
 
 
+@pytest.mark.parametrize("N", [4, 5, 6])
+def test_twin_rows_tie_to_first_flat_index(N):
+    # two equal depth rows z1 < z2 hold trial 0's image maximum and its
+    # two largest row bounds. Trial 1 has one mode, so its rows are flat
+    # in x and it stops after round 1: trial 0 visits z1 in a product
+    # beside trial 1's row and z2 with no other trial left. Both rows must
+    # get the same bits, so that the exact tie resolves to z1, as the
+    # full image's argmax does. Only cases that meet this set-up count.
+    rng = np.random.default_rng(N)
+    nx, nz = 31, 20
+    G, p = np.eye(N, dtype=complex), np.zeros(N, complex)
+    cases = 0
+    for _ in range(100):
+        beta = np.sort(rng.uniform(0.2, 1.0, N))[::-1]
+        E = np.exp(1j * np.outer(np.linspace(50.0, 90.0, nx), beta))
+        PT = rng.standard_normal((N, nz))
+        z1, z2 = np.sort(rng.choice(nz, 2, replace=False))
+        PT[:, z1] = PT[:, z2] = 3 * PT[:, z1]
+        W = rng.standard_normal((2, N)) + 1j * rng.standard_normal((2, N))
+        # trial 1's mode: the one whose largest profile value lies farthest
+        # above its value on the twin rows
+        rest = np.abs(np.delete(PT, [z1, z2], axis=1)).max(axis=1)
+        W[1, np.arange(N) != np.argmax(rest - np.abs(PT[:, z1]))] = 0
+        C = 2j * beta * np.conj(_kernels.amplitudes(G, p, W))
+        U = np.square((np.abs(C[0]) * np.abs(E).max(axis=0)) @ np.abs(PT))
+        img = np.abs((E * C[0]) @ PT)
+        if (set(np.argsort(-U, kind="stable")[:2]) != {z1, z2} or np.argmax(img) % nz != z1
+                or _visits(C, E, PT)[1] != 1):
+            continue
+        assert np.array_equal(img[:, z1], img[:, z2])
+        assert _kernels.peak_search(G, p, W, beta, E, PT)[0] == np.argmax(img)
+        cases += 1
+    assert cases >= 60, cases
+
+
 @pytest.mark.parametrize("N", [4, 10], ids=["quadratic", "linear"])
 @pytest.mark.parametrize("T", [1, 2, _kernels.ROW_CHUNK - 1, _kernels.ROW_CHUNK + 1])
 def test_peak_search_across_chunk_edges(T, N):
@@ -178,32 +214,110 @@ def test_peak_search_across_chunk_edges(T, N):
     assert bool(crossed) == (T > _kernels.ROW_CHUNK), (active, crossed)
 
 
+@pytest.mark.parametrize("N", [4, 5, 6])
+@pytest.mark.parametrize("T", [_kernels.ROW_CHUNK + 1, 2 * _kernels.ROW_CHUNK + 2])
+def test_trial_searched_alone_keeps_its_block_peak(T, N):
+    # at 3 to 6 modes every row product of two or more rows gives a row
+    # the same bits, wherever it sits: a trial's flat peak does not depend
+    # on which trials share its rounds. Two equal depth rows plant exact
+    # ties, which only the rounding of the rows could break.
+    rng = np.random.default_rng(T * 10 + N)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    nx, nz = 41, 24
+    G, p = cplx(N, N), cplx(N)
+    W = np.logspace(-3, 1, T)[rng.permutation(T), None] * cplx(T, N)
+    beta, PT = np.sort(rng.uniform(0.2, 1.0, N))[::-1], rng.standard_normal((N, nz))
+    PT[:, 5] = PT[:, 17]
+    E = np.exp(1j * np.outer(np.linspace(50.0, 90.0, nx), beta))
+    block = _kernels.peak_search(G, p, W, beta, E, PT)
+    alone = [_kernels.peak_search(G, p, W[t:t + 1], beta, E, PT)[0] for t in range(T)]
+    assert alone == block.tolist()
+
+
 def test_peak_search_deterministic(workload):
     a = _kernels.peak_search(*workload)
     b = _kernels.peak_search(*workload)
     assert np.array_equal(a, b)
 
 
+def _fresh_noise(n, seed, t):
+    """Z_t drawn by a fresh generator keyed on (seed, t)."""
+    x = np.random.Generator(np.random.Philox(key=seed, counter=t << 128)).standard_normal(2 * n)
+    return x[:n] + 1j * x[n:]
+
+
+def _philox():
+    """A run's Philox generator, as localization_error_rates builds it."""
+    return np.random.Generator(np.random.Philox(key=0))
+
+
 @pytest.mark.parametrize("seed", [0, 2024, 2**64 + 5, 2**128 - 1])
 def test_trial_noise_equals_fresh_philox(seed):
     # the reused, reset generator draws what a fresh one keyed on
     # (seed, t) draws, whatever was drawn before it
+    rng = _philox()
     for m, t in [(20, 0), (1, 1), (1000, 5), (20, 999), (20, 0)]:
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=t << 128))
-        ref = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        assert _trial_noise(m, seed, t).tobytes() == ref.tobytes()
+        assert _trial_noise(rng, m, seed, t).tobytes() == _fresh_noise(m, seed, t).tobytes()
 
 
 def test_trial_noise_keyed_on_seed_and_trial_pair():
     # 2024 ^ 1 == 2025 ^ 0: a key of seed XOR t gave these two one draw
-    assert not np.array_equal(_trial_noise(20, 2024, 1), _trial_noise(20, 2025, 0))
+    rng = _philox()
+    assert not np.array_equal(_trial_noise(rng, 20, 2024, 1), _trial_noise(rng, 20, 2025, 0))
 
 
 def test_trial_noise_deterministic_per_seed_and_trial():
-    z = _trial_noise(20, 42, 3)
-    assert np.array_equal(z, _trial_noise(20, 42, 3))
-    assert not np.array_equal(z, _trial_noise(20, 43, 3))
-    assert not np.array_equal(z, _trial_noise(20, 42, 4))
+    rng = _philox()
+    z = _trial_noise(rng, 20, 42, 3)
+    assert np.array_equal(z, _trial_noise(rng, 20, 42, 3))
+    assert np.array_equal(z, _trial_noise(_philox(), 20, 42, 3))
+    assert not np.array_equal(z, _trial_noise(rng, 20, 43, 3))
+    assert not np.array_equal(z, _trial_noise(rng, 20, 42, 4))
+
+
+def test_concurrent_runs_draw_their_own_noise(monkeypatch):
+    # four runs in threads, more than the cores, switching every
+    # microsecond: each noise block a run passes the peak search equals
+    # the block of the same run made alone, and each row is c Z_t with
+    # Z_t drawn by a fresh generator keyed on the run's (seed, t)
+    ecfg = build_experiment(load_config(CFG_DIR / "vertical.cfg"))
+    _, y0, scales, _ = receiver_data(ecfg.ms, ecfg.source, ecfg.geometry.points,
+                                     ecfg.sigmas, ecfg.reg)
+    seeds, trials = [1, 2, 3, 4], 1000
+    blocks, search = {}, _kernels.peak_search
+
+    def spy(G, p, W, *rest):
+        blocks.setdefault(threading.current_thread().name, []).append(W.copy())
+        return search(G, p, W, *rest)
+
+    def run(seed):
+        localization_error_rates(ecfg.ms, ecfg.source, ecfg.geometry.points, ecfg.sigmas,
+                                 trials, seed, grid=ecfg.grid, reg=ecfg.reg)
+
+    monkeypatch.setattr(experiments._kernels, "peak_search", spy)
+    alone = {}
+    for seed in seeds:
+        run(seed)
+        alone[seed] = blocks.pop(threading.current_thread().name)
+    threads = [threading.Thread(target=run, args=(seed,), name=f"seed {seed}") for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for seed in seeds:
+        Z = np.array([_fresh_noise(y0.size, seed, t) for t in range(trials)])
+        ours = blocks[f"seed {seed}"]
+        assert [W.tobytes() for W in ours] == [W.tobytes() for W in alone[seed]]
+        assert [W.tobytes() for W in ours] == [(c * Z).tobytes() for c in scales]
 
 
 def _receiver_data(name, sigmas):
@@ -215,7 +329,7 @@ def _receiver_data(name, sigmas):
 def test_zero_sigma_adds_no_noise():
     _, (_, y0, (c,), _) = _receiver_data("vertical", [0.0])
     assert c == 0.0
-    assert np.array_equal(y0 + c * _trial_noise(y0.size, 1, 0), y0)
+    assert np.array_equal(y0 + c * _trial_noise(_philox(), y0.size, 1, 0), y0)
 
 
 def test_receiver_data_scales_and_regularizers():
@@ -237,7 +351,7 @@ def test_noise_statistics():
     # unit noise: zero mean, E|Z|^2 = 2, independent samples; the noise
     # s_meas / sqrt(2) Z then has per-sample variance s_meas^2
     k = 100_000
-    z = _trial_noise(k, 7, 0)
+    z = _trial_noise(_philox(), k, 7, 0)
     se = 1 / np.sqrt(k)
     assert abs(z.real.mean()) < 5 * se and abs(z.imag.mean()) < 5 * se
     assert np.mean(np.abs(z) ** 2) == pytest.approx(2.0, rel=0.02)
@@ -275,7 +389,7 @@ def test_image_adds_trial_zero_of_mc_rate(name, monkeypatch, tmp_path):
     (H, y0_mc, W, *_), = seen["mc"]
     (V, s, reg_image), (_, _, reg_mc) = seen["basis"]
     assert W.shape == (1, sm.s.size)
-    assert np.array_equal(W[0], c * _trial_noise(sm.s.size, ecfg.seed, 0))
+    assert np.array_equal(W[0], c * _trial_noise(_philox(), sm.s.size, ecfg.seed, 0))
     assert np.array_equal(y0_mc, y0)
     assert np.array_equal(y0, sm.U.conj().T @ (sm.B @ source_amplitudes(ecfg.ms, ecfg.source)))
     assert reg_image.eps == reg_mc.eps == reg.eps > 0
@@ -364,7 +478,8 @@ def _amplitude_inputs(name, trials):
     ecfg = build_experiment(load_config(CFG_DIR / f"{name}.cfg"))
     sm, y0, (c,), (reg,) = receiver_data(ecfg.ms, ecfg.source, ecfg.geometry.points,
                                          ecfg.sigmas[-1:], ecfg.reg)
-    Z = np.array([_trial_noise(y0.size, 7, t) for t in range(trials)])
+    rng = _philox()
+    Z = np.array([_trial_noise(rng, y0.size, 7, t) for t in range(trials)])
     return filtered_basis(sm.V, sm.s, reg), y0, c * Z
 
 
@@ -411,7 +526,7 @@ def test_error_rate_loop_peak_holds_over_many_blocks():
     ecfg = build_experiment(cfg)
     trials = 5000
     assert trials >= 3 * trial_block(ecfg.ms.n_modes, ecfg.grid.z.size) > 1000
-    _trial_noise(1, 0, 0)  # the first draw imports numpy.random: not the loop's memory
+    _philox()  # the first generator imports numpy.random: not the loop's memory
     peak, base = _loop_peak(ecfg, trials), _loop_peak(ecfg, 1000)
     assert peak < 1.5 * base, (peak, base)
 
