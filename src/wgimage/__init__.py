@@ -19,9 +19,9 @@ _EXPORTS = {
     "errors": ("ConfigError", "EmptySpectrum", "GeometryMismatch", "NoGuidedModes",
                "SingularUnregularized", "TooFewReceivers"),
     "estimate": ("CouplingMatrix", "EstimationReport", "HardThreshold", "RegPolicy",
-                 "SensingMatrix", "Tikhonov", "coupling_matrix", "coupling_spectrum",
-                 "estimate_amplitudes", "filtered_basis", "mse_decomposition",
-                 "optimal_epsilon", "project_reduced", "reverse_time", "sensing_matrix"),
+                 "SensingMatrix", "Tikhonov", "amplitudes", "coupling_matrix",
+                 "coupling_spectrum", "estimate_amplitudes", "filtered_basis",
+                 "mse_decomposition", "optimal_epsilon", "project_reduced", "sensing_matrix"),
     "image": ("ImageMap", "SearchGrid", "default_grid", "locate_peak",
               "localization_success", "migrate"),
     "modes": ("HomogeneousDD", "HomogeneousDN", "ModeSet", "Parabolic", "solve_modes"),

@@ -10,12 +10,10 @@ rows of each draw's image, all draws still searching batched together.
 Amplitudes. `mc-rate` passes projected data: G = V psi(S) is N x N, and
 p + W is y0 + c Z_t, with the N values of unit noise Z_t drawn on the
 projected data y0 = U^dag p: (T, N), about 0.1 MB at 1000 trials of
-N = 6. So the amplitudes (p + W) @ G.T are one GEMM. It never has one
-row: OpenBLAS computes a one-row product as a GEMV, whose sums round
-differently from the GEMM's, while the GEMM gives each row the same
-bits whatever the number of rows (two or more) beside it. So a
-single-trial call multiplies its row twice over, and every slice of
-trials gives the bits of the whole-block product.
+N = 6. The amplitudes are `estimate.amplitudes(G, p + W)`, the package's
+one estimate product: one GEMM that never has one row, so every slice
+of trials, a single trial included, gets the bits of the whole-block
+product, and `image` gets those of trial 0.
 
 Row bound. Depth row z of the image is I(x, z) = sum_j E[x, j] c_j phi_j(z),
 so |I(x, z)| <= sum_j |c_j| |phi_j(z)| max_x |E[x, j]|. The square of that
@@ -105,6 +103,8 @@ search forms about a seventh of the image.
 
 import numpy as np
 
+from .estimate import amplitudes
+
 #: relative widening of the row bound, about 4.5e6 eps: far above either
 #: row lift's rounding (N^2 eps at N <= 8, 4N eps above)
 ROW_BOUND_SLACK = 1e-9
@@ -167,16 +167,6 @@ def _linear_lift(E, PT):
     return P, F, fill
 
 
-def amplitudes(G, p, W):
-    """(p + W) @ G.T, one row per noise row of W, never as a one-row
-    product (see the module text on amplitudes): any slice of trials
-    recomputes its amplitudes exactly."""
-    X = p + W
-    if X.shape[0] == 1:
-        return (np.concatenate((X, X)) @ G.T)[:1]
-    return X @ G.T
-
-
 def peak_search(G, p, W, beta, E, PT):
     """Per-trial flat image peak indices.
 
@@ -195,7 +185,7 @@ def peak_search(G, p, W, beta, E, PT):
     returns (T,) int64 flat indices ix * nz + iz, those of np.argmax over
     each trial's whole (nx, nz) image
     """
-    C = 2j * beta * np.conj(amplitudes(G, p, W))
+    C = 2j * beta * np.conj(amplitudes(G, p + W))
     T, N = C.shape
     nx, nz = E.shape[0], PT.shape[1]
     # (T, nz) row bounds, squared and widened in place; a visited row's

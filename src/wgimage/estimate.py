@@ -3,9 +3,12 @@
 Two routes to the amplitude vector: project data onto reduced mode
 profiles and invert the coupling matrix A (any geometry), or apply a
 regularized pseudo-inverse of the sensing matrix B (discrete receiver
-sets). Both are one estimator a_eps = V psi_eps(D) X (X = b or U^dag p),
-the N x N `filtered_basis` V psi_eps(D) applied to the reduced data X,
-with one analytic bias/variance decomposition of the error. A `RegPolicy`
+sets). Both are one estimator a_eps = H y, H = V psi_eps(D) the N x N
+`filtered_basis` and y the reduced data (b, or U^dag p), with one
+analytic bias/variance decomposition of the error. Every estimate of
+the package is formed by one product, `amplitudes(H, Y)`: one estimate
+per row of Y, and a lone row multiplied twice over, so that a row has
+the same bits alone as beside any other rows. A `RegPolicy`
 picks psi_eps at each noise level: Tikhonov, HardThreshold or None
 (plain inversion), at a fixed eps or at the noise-matched
 `heuristic_eps`. Plain inversion, which any regularizer at eps = 0 is
@@ -27,9 +30,8 @@ eigenvalues and makes the Gram real. The two lists agree to round-off,
 about N eps d_0, not bit for bit. A receiver set's printed spectrum is
 the singular values of `sensing_matrix`.
 
-Field samples enter through their back-projection onto the mode traces:
-`project_reduced` takes it onto the reduced profiles V, and
-`reverse_time` migrates it.
+Field samples enter through `project_reduced`, their back-projection
+onto the mode traces taken onto the reduced profiles V.
 
 Spectral conventions, fixed for reproducibility: eigenvalues and
 singular values in descending order, and each eigen/singular vector
@@ -42,7 +44,6 @@ import numpy as np
 
 from . import _record
 from .errors import GeometryMismatch, SingularUnregularized, TooFewReceivers
-from .image import migrate
 from .synth import Discrete, geometry_equal, mode_traces
 
 
@@ -124,8 +125,21 @@ def _psi(d, reg):
 
 def filtered_basis(V, d, reg):
     """H = V psi(D), N x N: the estimate of reduced data y (b, or U^dag p
-    of receiver data p) is a = H y."""
+    of receiver data p) is a = H y, formed by `amplitudes`."""
     return V * _psi(d, reg)
+
+
+def amplitudes(H, Y):
+    """Y @ H.T: the estimate a = H y of each row y of Y, one per row.
+
+    A lone row is multiplied twice over: OpenBLAS computes a one-row
+    product as a GEMV, whose sums round differently from the GEMM's,
+    while the GEMM gives each row the same bits whatever the number of
+    rows (two or more) beside it. So any slice of rows, a single row
+    included, recomputes the bits it has in the whole product."""
+    if Y.shape[0] == 1:
+        return (np.concatenate((Y, Y)) @ H.T)[:1]
+    return Y @ H.T
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +153,7 @@ def _fix_phases(V):
     """
     idx = np.argmax(np.abs(V), axis=0)
     lead = V[idx, np.arange(V.shape[1])]
-    mod = np.abs(lead)
-    phase = np.where(mod > 0, lead / np.where(mod > 0, mod, 1.0), 1.0)
-    c = np.conj(phase)
+    c = np.conj(lead) / np.abs(lead)  # a unit column's largest entry is never 0
     return V * c[None, :], c
 
 
@@ -214,29 +226,18 @@ def coupling_spectrum(ms, geom):
     return np.linalg.eigvalsh(_gram(ms, geom))[::-1]
 
 
-def _backproject(fs, cm, ms):
-    """m = C^dag (w (.) p): m_j = int p conj(phi_j e^{-i beta_j x}) dmu."""
-    if not geometry_equal(fs.geometry, cm.geometry):
-        raise GeometryMismatch("field samples and coupling matrix disagree on geometry")
-    C = mode_traces(ms, fs.points)
-    return C.conj().T @ (fs.weights * fs.values)
-
-
 def project_reduced(fs, cm, ms):
     """Project field samples onto the reduced mode profiles:
-    b_l = int p conj(psi_l) dmu with psi_l = sum_j V_jl phi_j(z) e^{-i beta_j x}.
+    b_l = int p conj(psi_l) dmu with psi_l = sum_j V_jl phi_j(z) e^{-i beta_j x},
+    that is b = V^dag m of the back-projection m = C^dag (w (.) p),
+    m_j = int p conj(phi_j e^{-i beta_j x}) dmu.
 
     For noiseless mode-sum data b = D V^dag a_o.
     """
-    return cm.V.conj().T @ _backproject(fs, cm, ms)
-
-
-def reverse_time(fs, cm, ms, grid):
-    """Migration driven directly by the recorded field: the data are
-    projected on the mode traces, m_j = int p conj(phi_j e^{-i beta_j x}) dmu,
-    and m is migrated. For noiseless data m = A a_o, so the result is
-    I[A a_o] and coincides with (1/L) I[a_o] at full aperture."""
-    return migrate(_backproject(fs, cm, ms), ms, grid)
+    if not geometry_equal(fs.geometry, cm.geometry):
+        raise GeometryMismatch("field samples and coupling matrix disagree on geometry")
+    C = mode_traces(ms, fs.points)
+    return cm.V.conj().T @ (C.conj().T @ (fs.weights * fs.values))
 
 
 def estimate_amplitudes(b, cm, reg):
@@ -244,7 +245,7 @@ def estimate_amplitudes(b, cm, reg):
     b = np.asarray(b)
     if b.shape != (cm.d.size,):
         raise GeometryMismatch(f"projection length {b.shape} != mode count {cm.d.size}")
-    return filtered_basis(cm.V, cm.d, reg) @ b
+    return amplitudes(filtered_basis(cm.V, cm.d, reg), b[None])[0]
 
 
 def sensing_matrix(ms, points):
@@ -271,7 +272,6 @@ class EstimationReport(NamedTuple):
     bias_sq: float
     variance: float
     mse: float
-    spectrum: np.ndarray
     __eq__, __ne__ = _record.eq, _record.ne
 
 
@@ -299,8 +299,7 @@ def mse_decomposition(op, a_o, sigma, eps):
     coeff = np.abs(V.conj().T @ np.asarray(a_o)) ** 2
     bias_sq = 0.0 if reg is None else float(np.sum(reg.residual(d) ** 2 * coeff))
     variance = float(sigma * sigma * np.sum(var_weights))
-    return EstimationReport(bias_sq=bias_sq, variance=variance,
-                            mse=bias_sq + variance, spectrum=np.array(d))
+    return EstimationReport(bias_sq=bias_sq, variance=variance, mse=bias_sq + variance)
 
 
 def optimal_epsilon(sm, a_o, sigma_meas):

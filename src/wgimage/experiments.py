@@ -29,15 +29,17 @@ nothing at sigma 0. The Monte Carlo loop runs over blocks of
 its working set, and scores each trial's flat peak index in one node
 mask of the grid: the nodes within half a wavelength of the source, by
 the same `localization_success` test that `image` prints.
-Trials are order-independent, and any slice of them, a single trial
-included, recomputes the same amplitudes (`_kernels.amplitudes`) and,
-at 3 to 6 modes, the same flat peaks (`_kernels.peak_search`).
+Both runners form a = H y by the one product `estimate.amplitudes`, so
+`image`'s estimate has the bits of trial 0's. Trials are
+order-independent, and any slice of them, a single trial included,
+recomputes the same amplitudes and, at 3 to 6 modes, the same flat
+peaks (`_kernels.peak_search`).
 """
 
 import numpy as np
 
 from . import _kernels, io
-from .estimate import coupling_spectrum, filtered_basis, sensing_matrix
+from .estimate import amplitudes, coupling_spectrum, filtered_basis, sensing_matrix
 from .image import grid_factors, locate_peak, localization_success, migrate
 from .rank import DENSE_LINE_KINDS, dense_rank_prediction, effective_rank
 from .synth import Discrete, source_amplitudes
@@ -194,7 +196,7 @@ def run_image(ecfg, outdir):
     # noiseless data skip the draw, and numpy.random stays unloaded
     y = (y0 + c * _trial_noise(np.random.Generator(np.random.Philox(key=0)), y0.size, ecfg.seed, 0)
          if c else y0)
-    a = filtered_basis(sm.V, sm.s, reg) @ y
+    a = amplitudes(filtered_basis(sm.V, sm.s, reg), y[None])[0]
     im = migrate(a, ms, ecfg.grid)
     x, z, value = locate_peak(im)
     success = localization_success((x, z), src, ms.lambda_o)

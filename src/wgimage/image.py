@@ -7,8 +7,8 @@ half a wavelength. The guide enters only through a ModeSet: its axial
 wavenumbers, `profile_matrix`, and the model's `walls`, which set the
 default depth span. `grid_factors` builds the range phases and the
 profile matrix of a grid once, for `migrate` and for the Monte Carlo
-peak search alike. Migrating the recorded field itself is
-`estimate.reverse_time`.
+peak search alike. The amplitude vectors it migrates are the estimates
+a = H y that `estimate.amplitudes` forms.
 """
 
 from typing import NamedTuple

@@ -78,37 +78,6 @@ def test_localization_success_closed_ball(src_ref):
     assert wg.localization_success(peaks, src_ref, lam).tolist() == [True, True, False]
 
 
-def test_reverse_time_full_aperture(ms_dd20, src_ref, a_ref):
-    geom = wg.Dense(0.0, ((10.0, 10.0),))
-    fs = wg.sample_field(ms_dd20, a_ref, geom)
-    cm = wg.coupling_matrix(ms_dd20, geom)
-    grid = wg.SearchGrid(95, 105, 5, 10, 0.4, 0.4)
-    rt = wg.reverse_time(fs, cm, ms_dd20, grid)
-    direct = wg.migrate(a_ref, ms_dd20, grid)
-    assert np.allclose(rt.values, direct.values / 20.0,
-                       atol=1e-10 * np.abs(direct.values).max())
-
-
-def test_reverse_time_is_migrated_backprojection(
-        ms_dd20, src_ref, a_ref, vertical_points):
-    geom = wg.Discrete(vertical_points)
-    fs = wg.sample_field(ms_dd20, a_ref, geom)
-    cm = wg.coupling_matrix(ms_dd20, geom)
-    grid = wg.SearchGrid(95, 105, 5, 10, 0.4, 0.4)
-    rt = wg.reverse_time(fs, cm, ms_dd20, grid)
-    direct = wg.migrate(cm.A @ a_ref, ms_dd20, grid)
-    assert np.allclose(rt.values, direct.values,
-                       atol=1e-12 * np.abs(direct.values).max())
-
-
-def test_reverse_time_zero_field(ms_dd20, vertical_points):
-    geom = wg.Discrete(vertical_points)
-    fs = wg.sample_field(ms_dd20, np.zeros(6, complex), geom)
-    cm = wg.coupling_matrix(ms_dd20, geom)
-    rt = wg.reverse_time(fs, cm, ms_dd20, wg.SearchGrid(95, 105, 5, 10, 1, 1))
-    assert np.all(rt.values == 0)
-
-
 def test_phase_ramp_translates_peak(ms_dd20, src_ref, a_ref):
     # multiplying a_j by e^{i beta_j d} maps I[.] to I[.](x - d), so the
     # peak moves downrange by +d

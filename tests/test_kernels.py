@@ -18,8 +18,8 @@ from wgimage import _kernels, experiments
 from wgimage._kernels import trial_block
 from wgimage.cli import main
 from wgimage.config import build_experiment, load_config
-from wgimage.estimate import (HardThreshold, filtered_basis, heuristic_eps, mse_decomposition,
-                              sensing_matrix)
+from wgimage.estimate import (HardThreshold, amplitudes, filtered_basis, heuristic_eps,
+                              mse_decomposition, sensing_matrix)
 from wgimage.experiments import _trial_noise, localization_error_rates, receiver_data
 from wgimage.image import grid_factors, migrate
 from wgimage.synth import source_amplitudes
@@ -171,7 +171,7 @@ def test_twin_rows_tie_to_first_flat_index(N):
         # above its value on the twin rows
         rest = np.abs(np.delete(PT, [z1, z2], axis=1)).max(axis=1)
         W[1, np.arange(N) != np.argmax(rest - np.abs(PT[:, z1]))] = 0
-        C = 2j * beta * np.conj(_kernels.amplitudes(G, p, W))
+        C = 2j * beta * np.conj(amplitudes(G, p + W))
         U = np.square((np.abs(C[0]) * np.abs(E).max(axis=0)) @ np.abs(PT))
         img = np.abs((E * C[0]) @ PT)
         if (set(np.argsort(-U, kind="stable")[:2]) != {z1, z2} or np.argmax(img) % nz != z1
@@ -202,7 +202,7 @@ def test_peak_search_across_chunk_edges(T, N):
     beta, PT = np.sort(rng.uniform(0.2, 1.0, N))[::-1], rng.standard_normal((N, nz))
     E = np.exp(1j * np.outer(np.linspace(50.0, 90.0, nx), beta))
     out = _kernels.peak_search(G, p, W, beta, E, PT)
-    C = 2j * beta * np.conj(_kernels.amplitudes(G, p, W))
+    C = 2j * beta * np.conj(amplitudes(G, p + W))
     assert out.tolist() == [np.argmax(np.abs((E * c) @ PT)) for c in C]
     visits = _visits(C, E, PT)
     if T > 1:
@@ -364,10 +364,12 @@ def test_noise_statistics():
 
 @pytest.mark.parametrize("name", ["vertical", "planar_lhs", "parabolic"])
 def test_image_adds_trial_zero_of_mc_rate(name, monkeypatch, tmp_path):
-    # image estimates H (y0 + c Z_0), and a one-trial mc-rate at the same
-    # sigma and seed searches H (y0 + W[0]) with W[0] = c Z_0, y0 = U^dag p
-    # and the H of image's regularizer, all bit for bit: vertical has a
-    # real SVD, planar_lhs a complex one, parabolic the graded guide
+    # image estimates H (y0 + c Z_0), and mc-rate at the same sigma and
+    # seed searches H (y0 + W[t]) with W[t] = c Z_t, y0 = U^dag p and the H
+    # of image's regularizer; image's amplitude vector is trial 0's row of
+    # the kernel's amplitudes(H, y0 + W), bit for bit, in a one-trial and
+    # in a 1000-trial run: vertical has a real SVD, planar_lhs a complex
+    # one, parabolic the graded guide
     seen = {}
 
     def spy(key, fn):
@@ -383,18 +385,21 @@ def test_image_adds_trial_zero_of_mc_rate(name, monkeypatch, tmp_path):
     argv = ["--config", str(CFG_DIR / f"{name}.cfg"), "--sigma", "1e-3", "--out", str(tmp_path)]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["image", *argv]) == 0
-        assert main(["mc-rate", "--trials", "1", *argv]) == 0
+        for trials in (1, 1000):
+            assert main(["mc-rate", "--trials", str(trials), *argv]) == 0
     ecfg, (sm, y0, (c,), (reg,)) = _receiver_data(name, [1e-3])
     (a, *_), = seen["image"]
-    (H, y0_mc, W, *_), = seen["mc"]
-    (V, s, reg_image), (_, _, reg_mc) = seen["basis"]
-    assert W.shape == (1, sm.s.size)
-    assert np.array_equal(W[0], c * _trial_noise(_philox(), sm.s.size, ecfg.seed, 0))
-    assert np.array_equal(y0_mc, y0)
+    (V, s, reg_image), *basis_mc = seen["basis"]
     assert np.array_equal(y0, sm.U.conj().T @ (sm.B @ source_amplitudes(ecfg.ms, ecfg.source)))
-    assert reg_image.eps == reg_mc.eps == reg.eps > 0
-    assert np.array_equal(H, filtered_basis(V, s, reg_image))
-    assert np.array_equal(a, H @ (y0_mc + W[0]))
+    assert reg_image.eps == reg.eps > 0
+    assert len(seen["mc"]) == len(basis_mc) == 2  # one kernel call per run
+    for trials, (H, y0_mc, W, *_), (_, _, reg_mc) in zip((1, 1000), seen["mc"], basis_mc):
+        assert W.shape == (trials, sm.s.size)
+        assert np.array_equal(W[0], c * _trial_noise(_philox(), sm.s.size, ecfg.seed, 0))
+        assert np.array_equal(y0_mc, y0)
+        assert reg_mc.eps == reg.eps
+        assert np.array_equal(H, filtered_basis(V, s, reg_image))
+        assert np.array_equal(a, amplitudes(H, y0_mc + W)[0])
 
 
 def _reference_filter(reg, s_meas, a_o, s):
@@ -490,12 +495,12 @@ def test_amplitudes_of_every_trial_slice_keep_their_bits(name):
     # has inside the block (at the config's last sigma, on the N-wide
     # inputs of mc-rate: vertical's H is real, the others complex)
     G, p, W = _amplitude_inputs(name, 200)
-    block = _kernels.amplitudes(G, p, W)
+    block = amplitudes(G, p + W)
     assert block.tobytes() == ((p + W) @ G.T).tobytes()
     slices = [(i, j) for i in range(8) for j in range(i + 1, 9)]
     slices += [(i, i + 1) for i in range(200)] + [(0, 199), (1, 200), (37, 164)]
     for i, j in slices:
-        assert _kernels.amplitudes(G, p, W[i:j]).tobytes() == block[i:j].tobytes(), (i, j)
+        assert amplitudes(G, p + W[i:j]).tobytes() == block[i:j].tobytes(), (i, j)
 
 
 def _loop_peak(ecfg, trials):
@@ -617,7 +622,8 @@ def test_row_lifts_match_migrate(case):
     # has 6 modes, the L = 40 guide 12
     ms, grid = _guide(case)
     if case == "vertical":
-        A = _kernels.amplitudes(*_amplitude_inputs("vertical", 6))
+        G, p, W = _amplitude_inputs("vertical", 6)
+        A = amplitudes(G, p + W)
     else:
         rng = np.random.default_rng(11)
         A = rng.standard_normal((6, ms.n_modes)) + 1j * rng.standard_normal((6, ms.n_modes))
@@ -661,7 +667,7 @@ def test_kernel_amplitude_error_matches_mse_decomposition(name, sigmas, monkeypa
     seen = []
 
     def record(G, p, W, beta, E, PT):
-        seen.append(_kernels.amplitudes(G, p, W))
+        seen.append(amplitudes(G, p + W))
         return np.zeros(W.shape[0], dtype=np.int64)
 
     monkeypatch.setattr(experiments._kernels, "peak_search", record)

@@ -1,5 +1,5 @@
 """Each waveguide fact has one owner module: no module of the package
-takes a private name from a sibling (`from .estimate import _backproject`),
+takes a private name from a sibling (`from .estimate import _gram`),
 and only `modes` tells its waveguide models apart by class. A module
 reads a model's facts from the model itself (its `walls`) or from its
 ModeSet."""

@@ -30,8 +30,7 @@ CASES = [
      ("A", "V", "d", "geometry")),
     (wg.SensingMatrix, (_A + 0j, np.eye(2), np.array([2.2, 0.8]), np.eye(2), _P),
      ("B", "U", "s", "V", "points")),
-    (wg.EstimationReport, (1.0, 2.0, 3.0, np.array([2.2, 0.8])),
-     ("bias_sq", "variance", "mse", "spectrum")),
+    (wg.EstimationReport, (1.0, 2.0, 3.0), ("bias_sq", "variance", "mse")),
     (wg.SearchGrid, (50.0, 150.0, 0.0, 20.0, 0.5, 0.25),
      ("x_min", "x_max", "z_min", "z_max", "dx", "dz")),
     (wg.ImageMap, (np.ones((3, 2)), _GRID), ("values", "grid")),

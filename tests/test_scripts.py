@@ -1,12 +1,16 @@
 """The scripts under tests/ that pytest does not collect still run: the
-code-line counter that simplicity claims cite, and the seed-spread audit
-that a change of draws or decisions reports."""
+code-line counter that simplicity claims cite, the seed-spread audit
+that a change of draws or decisions reports, and the audit of the
+functions no CLI run calls, whose table of keepers must stay current."""
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import code_lines
 import seed_spread
+import uncalled
 from wgimage.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,3 +49,30 @@ def test_seed_spread_prints_each_cell_and_matches_mc_rate(tmp_path):
     assert len(rows) == 4
     for sigma, rate, trials, _ in rows:
         assert cells[f"rate vertical {float(sigma):g} trials {trials}", 1] == float(rate)
+
+
+def test_every_uncalled_function_has_a_current_keeper():
+    # in a fresh interpreter, so that calls made while the package loads
+    # count; a fault line (unlisted, called or missing) exits 1
+    run = subprocess.run([sys.executable, str(ROOT / "tests" / "uncalled.py")],
+                         capture_output=True, text=True, timeout=300)
+    lines = run.stdout.splitlines()
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert [line.split()[1] for line in lines] == sorted(uncalled.KEEPERS)
+    for line in lines:
+        assert re.fullmatch(r"uncalled \S+ (criterion \d\d|item \d+)", line), line
+
+
+def test_uncalled_audit_names_each_fault_of_its_table():
+    def f():
+        pass
+
+    def g():
+        pass
+
+    defined = {"m.f": f.__code__, "m.g": g.__code__}
+    keepers = {"m.g": "item 1", "m.gone": "criterion 05"}
+    assert uncalled.audit(defined, {g.__code__}, keepers) == (
+        [], ["unlisted m.f", "called m.g", "missing m.gone"])
+    assert uncalled.audit(defined, {f.__code__}, keepers) == (
+        ["uncalled m.g item 1"], ["missing m.gone"])
