@@ -28,8 +28,8 @@ _EXPORTS = {
     "rank": ("MomentFamily", "dense_rank_prediction", "effective_rank", "moment_family",
              "span_rank_collapse", "taylor_rank_prediction"),
     "synth": ("Dense", "Discrete", "FieldSamples", "PointSource", "array_samples",
-              "horizontal_line", "lhs_design", "sample_field", "source_amplitudes",
-              "vertical_line"),
+              "dense_line", "horizontal_line", "lhs_design", "sample_field",
+              "source_amplitudes", "vertical_line"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

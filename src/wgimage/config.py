@@ -29,7 +29,7 @@ The one refusal left to run time is plain inversion of a singular
 spectrum, which needs the spectrum (estimate raises SingularUnregularized
 before any file is written).
 
-A comma list (noise.sigmas, rank.kinds, rank.ratios*) repeats no entry;
+A comma list (noise.sigmas, rank.kinds, rank.ratios_<kind>) repeats no entry;
 its values are compared parsed, so 1e-6 and 1e-06 are one value.
 """
 
@@ -50,6 +50,7 @@ from .synth import (
     Discrete,
     PointSource,
     array_x_max,
+    dense_line,
     horizontal_line,
     lhs_design,
     source_amplitudes,
@@ -162,7 +163,8 @@ KEYS = (
     Key("array.kind", None, *_one_of(_KINDS)),
     Key("array.M", REQUIRED, *_COUNT, _LINES + _LHS),
     Key("array.z_a", "11", *_FINITE, _LINES),
-    Key("array.z_a", REQUIRED, *_FINITE, _DENSE_LINES + _DENSE_PLANAR),
+    Key("array.z_a", None, *_FINITE, ("dense_vertical",)),
+    Key("array.z_a", REQUIRED, *_FINITE, ("dense_horizontal",) + _DENSE_PLANAR),
     Key("array.extent", "0.25", *_POSITIVE, _LINES),
     Key("array.center_x", "0", *_FINITE, _LHS),
     Key("array.center_z", "11", *_FINITE, _LHS),
@@ -191,7 +193,6 @@ KEYS = (
     Key("rank.kinds", "vertical, horizontal", _list(str.lower),
         lambda kinds: len(kinds) > 0 and _distinct(DENSE_LINE_KINDS.__contains__)(kinds),
         "a non-empty comma list of distinct vertical, horizontal"),
-    Key("rank.ratios", None, *_RATIOS),
     Key("rank.ratios_vertical", "0.1, 0.2, 0.3, 0.4", *_RATIOS),
     Key("rank.ratios_horizontal", "0.05, 0.1", *_RATIOS),
     Key("rank.z_a", None, *_FINITE),
@@ -231,20 +232,16 @@ def read_keys(entries):
     v = {}
     for key in KEYS:  # array.kind comes before every row that depends on it
         if key.kinds is None or v["array.kind"] in key.kinds:
-            default = key.default
-            if (key.name == "array.z_a" and v["array.kind"] == "dense_vertical"
-                    and "array.intervals" in entries):
-                default = None  # each interval b:h is centered at its own depth b
-            v[key.name] = _value(key, entries.get(key.name, default))
+            v[key.name] = _value(key, entries.get(key.name, key.default))
     kind = v["array.kind"]
     for name in entries:
         if name not in v:
             raise ConfigError(_unread(name, kind))
     if kind in _DENSE_LINES and (v["array.a"] is None) == (v["array.intervals"] is None):
         raise ConfigError(f"array.kind = {kind} reads one of array.a and array.intervals")
-    if kind == "dense_vertical" and v["array.intervals"] is not None and "array.z_a" in entries:
-        raise ConfigError("array.z_a is not read with array.kind = dense_vertical and "
-                          "array.intervals (each interval b:h is centered at depth b)")
+    if kind == "dense_vertical" and (v["array.z_a"] is None) != (v["array.a"] is None):
+        raise ConfigError("array.kind = dense_vertical reads array.z_a with array.a, never with "
+                          "array.intervals (each interval b:h is centered at its own depth b)")
     if v["reg.kind"] == "none" and v["reg.eps"] is not None:
         raise ConfigError("reg.eps is not read with reg.kind = none (plain inversion)")
     if (v["source.x"] is None) != (v["source.z"] is None):
@@ -254,10 +251,11 @@ def read_keys(entries):
 
 def _geometry(kind, v):
     """(geometry, the keys that place it in depth): Discrete for receiver-set
-    kinds, the product measure Dense(mu_x, mu_z) for dense_*: vertical x = 0
-    over [z_a - a, z_a + a], horizontal [0, 2a] at depth z_a, planar
-    [-a, a] x [z_a - a, z_a + a]; each array.intervals segment b:h spans
-    [b - h, b + h] in place of the one of half-length a."""
+    kinds, the product measure Dense(mu_x, mu_z) for dense_*: the
+    synth.dense_line of one segment, vertical over depths [z_a - a, z_a + a]
+    and horizontal over ranges [0, 2a] at depth z_a, or of the
+    array.intervals segments b:h, each spanning [b - h, b + h]; planar
+    [-a, a] x [z_a - a, z_a + a]."""
     if kind in _LINES:
         line, keys = ((vertical_line, "array.z_a/array.extent") if kind == "vertical"
                       else (horizontal_line, "array.z_a"))
@@ -273,10 +271,9 @@ def _geometry(kind, v):
         return Dense(((0.0, a),), ((z_a, a),)), "array.z_a/array.a"
     segs = v["array.intervals"]
     if kind == "dense_vertical":
-        if segs:
-            return Dense(0.0, tuple(segs)), "array.intervals"
-        return Dense(0.0, ((z_a, a),)), "array.z_a/array.a"
-    return Dense(tuple(segs) if segs else ((a, a),), z_a), "array.z_a"
+        keys = "array.intervals" if segs else "array.z_a/array.a"
+        return dense_line("vertical", segs or [(z_a, a)]), keys
+    return dense_line("horizontal", segs or [(a, a)], z_a), "array.z_a"
 
 
 def _in_guide(name, z, L, walls, what):
@@ -331,18 +328,11 @@ def build_experiment(entries, command=None):
     ms = solve_modes(spec, v["omega"])
     source = None if v["source.x"] is None else PointSource(v["source.x"], v["source.z"])
     geometry, depth_keys = (None, None) if kind is None else _geometry(kind, v)
-    # rank.ratios_<kind>, else rank.ratios, else the rank.ratios_<kind> default
-    ratio_keys = {k: f"rank.ratios_{k}" if v["rank.ratios"] is None
-                  or f"rank.ratios_{k}" in entries else "rank.ratios"
-                  for k in DENSE_LINE_KINDS}
     rank_z_a = 0.22 * L if v["rank.z_a"] is None else v["rank.z_a"]
-    # rank-scan apertures of total length 2a = 2 (a/L) L, after the key that
-    # places each kind in depth: the vertical one x = 0 over depths [0, 2a],
-    # the horizontal one [0, 2a] at depth rank.z_a
-    shapes = {"vertical": (ratio_keys["vertical"], lambda a: Dense(0.0, ((a, a),))),
-              "horizontal": ("rank.z_a", lambda a: Dense(((a, a),), rank_z_a))}
-    rank_apertures = {k: [(r, shapes[k][1](r * L)) for r in v[ratio_keys[k]]]
-                      for k in v["rank.kinds"]}
+    # rank-scan lines over [0, 2a], a = (a/L) L: the vertical one in depth,
+    # the horizontal one in range at depth rank.z_a
+    rank_apertures = {k: [(r, dense_line(k, ((r * L, r * L),), rank_z_a))
+                          for r in v[f"rank.ratios_{k}"]] for k in v["rank.kinds"]}
     # the data model is the field of a source beyond the array, at larger x
     reach = None if geometry is None else array_x_max(geometry)
     if source is not None and geometry is not None and not source.x_o > reach:
@@ -359,20 +349,32 @@ def build_experiment(entries, command=None):
         if not getattr(grid, lo) < getattr(grid, hi):
             raise ConfigError(f"grid.{lo} must be < grid.{hi}, "
                               f"got {getattr(grid, lo)!r} >= {getattr(grid, hi)!r}")
+    # (the keys that place it, its depths, what it is) for the array and each
+    # rank-scan aperture: receiver depths, or a depth factor
+    placed = [] if geometry is None else [
+        (depth_keys, geometry.points[:, 1], "every receiver") if isinstance(geometry, Discrete)
+        else (depth_keys, geometry.mu_z, "the aperture")]
+    placed += [("rank.z_a" if np.isscalar(ap.mu_z) else f"rank.ratios_{k}", ap.mu_z, "the aperture")
+               for k, apertures in rank_apertures.items() for _, ap in apertures]
     walls = spec.walls
-    if walls:  # a guide with walls spans [0, L]; the graded one is unbounded
+    if walls:  # a guide with walls spans [0, L]; off its walls not every mode vanishes
         if source is not None:
             _in_guide("source.z", source.z_o, L, walls, "the source")
-        if isinstance(geometry, Discrete):
-            _in_guide(depth_keys, geometry.points[:, 1], L, walls, "every receiver")
-        elif geometry is not None:
-            _in_guide(depth_keys, geometry.mu_z, L, walls, "the aperture")
-        for k, apertures in rank_apertures.items():
-            for _, aperture in apertures:
-                _in_guide(shapes[k][0], aperture.mu_z, L, walls, "the aperture")
+        for key, z, what in placed:
+            _in_guide(key, z, L, walls, what)
         # no walls: the default grid spans [0, L] exactly
         _in_guide("grid.z_min/grid.z_max", np.array([grid.z_min, grid.z_max]), L, (),
                   "the search grid")
+    elif placed:
+        # the graded guide is unbounded. Beyond their turning points its modes
+        # decay away from the axis z = 0, so the depth of a set nearest the
+        # axis decides whether the profiles on it have norm 0 (every mode is
+        # 0 there, or its square underflows)
+        near = [min(max(abs(b) - h, 0.0) for b, h in z) if isinstance(z, tuple)
+                else np.abs(z).min() for _, z, _ in placed]
+        for (key, _, what), norm in zip(placed, np.linalg.norm(ms.profile_matrix(near), axis=1)):
+            if not norm > 0:
+                raise ConfigError(f"{key} puts {what} where every guided mode vanishes")
     # its mode amplitudes have norm 0 (or underflow to it), and the
     # heuristic eps divides by that norm
     if source is not None and not np.linalg.norm(source_amplitudes(ms, source)) > 0:

@@ -112,9 +112,10 @@ class RegPolicy(NamedTuple):
 
 def _psi(d, reg):
     """psi(d) of regularizer reg; reg=None, and any regularizer at eps = 0,
-    is plain inversion 1/d, refused on a singular spectrum."""
+    is plain inversion 1/d, refused on a singular spectrum (an all-zero
+    one included)."""
     if reg is None or reg.eps == 0:
-        if np.min(d) < 1e-14 * np.max(d):
+        if not np.min(d) > 1e-14 * np.max(d):
             raise SingularUnregularized(
                 "spectrum spans more than 14 decades: plain inversion (reg.kind = none, "
                 "reg.eps = 0, or the noise-matched eps at a sigma of 0 in noise.sigmas or "

@@ -220,17 +220,17 @@ def run_mc_rate(ecfg, outdir):
 
 
 def rank_scan_rows(ms, kind, apertures):
-    """(a/L, predicted, measured) rows for the (a/L, Dense) apertures of
-    one kind that config.build_experiment builds; measured counts the
-    eigenvalues at or above the kind's DENSE_LINE_KINDS level times the
-    top one."""
+    """(a/L, predicted, measured) rows for the (a/L, Dense) dense lines of
+    one kind that config.build_experiment builds: predicted from the
+    half-length a = (a/L) L, whichever axis the line lies on; measured
+    counts the eigenvalues at or above the kind's DENSE_LINE_KINDS level
+    times the top one, and is 0 on a spectrum whose top one is not > 0."""
     _, level = DENSE_LINE_KINDS[kind]
     rows = []
     for r, aperture in apertures:
         d = coupling_spectrum(ms, aperture)
-        segments = aperture.mu_z if kind == "vertical" else aperture.mu_x
-        predicted = dense_rank_prediction(kind, segments, ms.lambda_o, ms.n_modes)
-        rows.append((r, predicted, effective_rank(d, level * d[0])))
+        predicted = dense_rank_prediction(kind, ((0.0, r * ms.spec.L),), ms.lambda_o, ms.n_modes)
+        rows.append((r, predicted, effective_rank(d, level * d[0]) if d[0] > 0 else 0))
     return rows
 
 

@@ -172,3 +172,12 @@ def horizontal_line(M, z_a=11.0, extent=0.25):
     k = np.arange(1, M + 1)
     x = extent * (k - M / 2.0) / M
     return np.column_stack([x, np.full(M, z_a)])
+
+
+def dense_line(kind, segments, depth=None):
+    """Dense line over segments (b, h) of a rank.DENSE_LINE_KINDS kind:
+    "vertical" at x = 0 over depth segments, Dense(0.0, segments);
+    "horizontal" over range segments at depth `depth`, Dense(segments,
+    depth). A vertical line reads no depth."""
+    segments = tuple(segments)
+    return Dense(0.0, segments) if kind == "vertical" else Dense(segments, depth)

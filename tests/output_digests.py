@@ -5,8 +5,12 @@ Runs the five subcommands on each configs/*.cfg at seeds 1 and 7, with
 the shipped trial counts, then `spectrum` on each generated config of
 GENERATED at seed 1 (and `rank-scan` on the first one of each guide),
 and prints one line per output: the exit code, the digests of stdout and
-stderr, and the digest of every file the run writes. The first lines
-name the numpy and BLAS the outputs come from.
+stderr, and two digests of every CSV the run writes, one of its leading
+`#` lines (the header: config digest, seed, ...) and one of the rest
+(the body). So every byte stays pinned, and a change that only moves the
+`# config` digest, such as a key added to or dropped from the key
+table, shows up in header lines alone. The first lines name the numpy
+and BLAS the outputs come from.
 
 The generated configs take every path of the dense Gram that the
 shipped ones miss: dense_vertical and dense_horizontal with array.a and
@@ -84,10 +88,19 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _split_header(data):
+    """(the leading `#` lines, the rest) of a CSV's bytes."""
+    body = data
+    while body.startswith(b"#"):
+        body = body.partition(b"\n")[2]
+    return data[:len(data) - len(body)], body
+
+
 def digests():
     """The header lines, then `<config> <command> <seed> <output> <value>`
     for every run: its exit code, then the digests of its stdout, its
-    stderr and each file it wrote, by name."""
+    stderr and each CSV it wrote, by name, as `<file> header <sha>` and
+    `<file> body <sha>`."""
     lines = environment()
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(ROOT / "configs", Path(tmp) / "configs")
@@ -115,7 +128,9 @@ def digests():
                           f"{run} stdout {_sha(out.getvalue().encode())}",
                           f"{run} stderr {_sha(err.getvalue().encode())}"]
                 for path in sorted(Path("out").glob("*")):
-                    lines.append(f"{run} {path.name} {_sha(path.read_bytes())}")
+                    head, body = _split_header(path.read_bytes())
+                    lines += [f"{run} {path.name} header {_sha(head)}",
+                              f"{run} {path.name} body {_sha(body)}"]
                 shutil.rmtree("out", ignore_errors=True)
         finally:
             os.chdir(cwd)

@@ -353,9 +353,9 @@ _DEEP = {"waveguide.model": "parabolic", "waveguide.L": "10", "array.z_a": "0",
     ("reg.eps", {"reg.kind": "none", "reg.eps": "5"}),
     ("rank.eps", {"rank.eps": "-1"}),
     ("rank.eps", {"rank.eps": "nan"}),
-    ("rank.ratios", {"rank.ratios": "0"}),
-    ("rank.ratios", {"rank.ratios": "-0.1"}),
-    ("rank.ratios", {"rank.ratios": "nan"}),
+    ("rank.ratios_vertical", {"rank.ratios_vertical": "0"}),
+    ("rank.ratios_horizontal", {"rank.ratios_horizontal": "-0.1"}),
+    ("rank.ratios_vertical", {"rank.ratios_vertical": "nan"}),
     ("rank.ratios_horizontal", {"rank.ratios_horizontal": "0.05, -1"}),
     ("rank.z_a", {"rank.z_a": "nan"}),
     ("rank.kinds", {"rank.kinds": "vertical, diagonal"}),
@@ -385,7 +385,7 @@ _DEEP = {"waveguide.model": "parabolic", "waveguide.L": "10", "array.z_a": "0",
     ("rank.z_a", {"rank.z_a": "0"}),
     ("rank.z_a", {"rank.z_a": "25"}),
     ("rank.ratios_vertical", {"rank.ratios_vertical": "0.3, 0.7"}),
-    ("rank.ratios", {"rank.ratios": "0.7"}),
+    ("rank.ratios_vertical", {"rank.ratios_vertical": "0.7"}),
     # every dense aperture names its depth, even where z_a = 0 would fit the guide
     ("array.z_a", {"waveguide.model": "parabolic", "array.kind": "dense_vertical",
                    "array.a": "1"}),
@@ -403,11 +403,30 @@ _DEEP = {"waveguide.model": "parabolic", "waveguide.L": "10", "array.z_a": "0",
     ("source.z", dict(_DEEP, **{"source.z": "150"})),
     # every list entry is distinct: equal floats written differently repeat
     ("noise.sigmas", {"noise.sigmas": "1e-6, 1e-06"}),
-    ("rank.ratios", {"rank.ratios": "0.1, 0.1"}),
+    ("rank.ratios_horizontal", {"rank.ratios_horizontal": "0.1, 0.1"}),
     ("rank.ratios_vertical", {"rank.ratios_vertical": "0.1, 0.2, 0.1"}),
     ("rank.ratios_horizontal", {"rank.ratios_horizontal": "0.05, 5e-2"}),
     ("noise.sigmas", {"noise.sigmas": "-0, 0"}),  # -0 reads as 0
     ("rank.kinds", {"rank.kinds": "vertical, Vertical"}),  # kinds are read lowercased
+    ("rank.ratios_horizontal", {"rank.ratios_horizontal": "0"}),
+    ("rank.ratios_vertical", {"rank.ratios_vertical": "-0.1"}),
+    ("rank.ratios_horizontal", {"rank.ratios_horizontal": "nan"}),
+    # likewise every mode vanishes on receivers, dense apertures and
+    # rank-scan apertures deep in the graded guide: exactly 0 at z = 150,
+    # squares that underflow at z = 90
+    ("array.z_a", dict(_DEEP, **{"array.z_a": "150"})),
+    ("array.z_a", dict(_DEEP, **{"array.z_a": "90"})),
+    ("array.center_z", dict(_DEEP, **{"array.z_a": None, "array.kind": "planar_lhs",
+                                      "array.M": "20", "array.center_z": "-150"})),
+    ("array.points", dict(_DEEP, **{"array.z_a": None, "array.kind": "points",
+                                    "array.points": "0,100;0,-120;0,150;1,-150;1,200"})),
+    ("array.z_a", dict(_DEEP, **{"array.kind": "dense_horizontal", "array.z_a": "150",
+                                 "array.a": "1"})),
+    ("array.z_a", dict(_DEEP, **{"array.kind": "dense_vertical", "array.z_a": "150",
+                                 "array.a": "1"})),
+    ("array.intervals", dict(_DEEP, **{"array.z_a": None, "array.kind": "dense_vertical",
+                                       "array.intervals": "150:1; -120:20"})),
+    ("rank.z_a", dict(_DEEP, **{"rank.kinds": "horizontal", "rank.z_a": "150"})),
 ])
 def test_invalid_keys_exit_2_before_any_output(tmp_path, capsys, key, entries):
     cfg = _vertical_with(tmp_path, entries)
@@ -431,13 +450,13 @@ def test_invalid_keys_exit_2_before_any_output(tmp_path, capsys, key, entries):
     {"rank.ratios_vertical": "0.5"},  # the full depth [0, L]
     {"rank.kinds": "vertical", "rank.z_a": "0"},  # no horizontal scan reads rank.z_a
     {"rank.ratios_vertical": ""},  # an empty scan has no aperture to check
-    {"rank.ratios": ""},
     {"waveguide.model": "parabolic", "array.kind": "dense_vertical", "array.z_a": "-3",
      "array.a": "1"},
     {"grid.z_min": "0", "grid.z_max": "20"},  # the default grid: both walls
     {"waveguide.model": "parabolic", "array.kind": "dense_vertical", "array.z_a": "-3",
      "array.a": "1", "grid.z_min": "-30", "grid.z_max": "30"},  # unbounded in depth
     dict(_DEEP, **{"source.z": "80"}),  # mode amplitudes of 2.4e-134, norm > 0
+    dict(_DEEP, **{"array.z_a": "85"}),  # receiver profiles of norm > 0
 ])
 def test_depths_off_the_dirichlet_walls_accepted(tmp_path, entries):
     build_experiment(load_config(_vertical_with(tmp_path, entries)))
@@ -465,11 +484,24 @@ def test_dense_kinds_build_their_product_measure(entries, geometry):
 def test_rank_scan_apertures():
     # vertical x = 0 over depths [0, 2a], horizontal [0, 2a] at depth rank.z_a
     ecfg = build_experiment(parse_config_text(
-        "waveguide.L = 20\nomega = 1\nrank.ratios = 0.1, 0.25\nrank.z_a = 7\n"))
+        "waveguide.L = 20\nomega = 1\nrank.ratios_vertical = 0.1, 0.25\n"
+        "rank.ratios_horizontal = 0.1, 0.25\nrank.z_a = 7\n"))
     assert ecfg.rank_apertures == {
         "vertical": [(0.1, wg.Dense(0.0, ((2.0, 2.0),))), (0.25, wg.Dense(0.0, ((5.0, 5.0),)))],
         "horizontal": [(0.1, wg.Dense(((2.0, 2.0),), 7.0)),
                        (0.25, wg.Dense(((5.0, 5.0),), 7.0))]}
+
+
+def test_rank_ratios_is_an_unknown_key(tmp_path, capsys):
+    # each kind reads its own rank.ratios_<kind>; there is no shared alias
+    assert "rank.ratios" not in {key.name for key in KEYS}
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("waveguide.L = 20\nomega = 1\nrank.ratios = 0.1\n")
+    assert main(["rank-scan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: unknown key 'rank.ratios' (rank.* keys: rank.eps, rank.kinds, "
+        "rank.ratios_horizontal, rank.ratios_vertical, rank.z_a)\n")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_unknown_key_lists_its_section():
@@ -509,7 +541,7 @@ _FUZZ_VALUES = {
     "grid.z_min": ["0", "2"], "grid.z_max": ["20", "18"],
     "grid.step_fraction": ["20", "10"], "rank.eps": ["1e-7", "1e-3"],
     "rank.kinds": ["vertical", "horizontal", "vertical, horizontal"],
-    "rank.ratios": ["0.1, 0.25"], "rank.ratios_vertical": ["0.1, 0.2"],
+    "rank.ratios_vertical": ["0.1, 0.2"],
     "rank.ratios_horizontal": ["0.05, 0.1"], "rank.z_a": ["7", "10"],
 }
 _FUZZ_TOKENS = [None, "", "0", "-1", "nan", "inf", "abc", "1", "2", "0.5", "7", "0x10",
@@ -782,7 +814,7 @@ def test_cli_seed_override(tmp_path):
 def test_cli_rank_scan_caps_at_mode_count(tmp_path, capsys):
     cfg = tmp_path / "scan.cfg"
     cfg.write_text("waveguide.L = 100\nomega = 1\n"
-                   "rank.kinds = vertical\nrank.ratios = 0.5\n")
+                   "rank.kinds = vertical\nrank.ratios_vertical = 0.5\n")
     assert main(["rank-scan", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out == ("vertical a/L=0.5 predicted=31 measured=31\n"
                                        f"wrote {tmp_path}/rank_scan_vertical.csv\n")
@@ -831,6 +863,30 @@ def test_rank_scan_counts_equal_eigh_counts(monkeypatch):
     for kind, apertures in ecfg.rank_apertures.items():
         rows = rank_scan_rows(ecfg.ms, kind, apertures)
         assert [measured for _, _, measured in rows] == expected[kind]
+
+
+def test_rank_scan_counts_no_mode_on_an_all_zero_spectrum(ms_parab10):
+    # every mode vanishes at depth 150 of the L = 10 graded guide: the
+    # spectrum is all 0, and a count relative to its top entry of 0 would
+    # take every mode
+    aperture = wg.dense_line("horizontal", ((1.0, 1.0),), 150.0)
+    assert not wg.coupling_spectrum(ms_parab10, aperture).any()
+    assert rank_scan_rows(ms_parab10, "horizontal", [(0.1, aperture)]) == [
+        (0.1, wg.dense_rank_prediction("horizontal", ((1.0, 1.0),), ms_parab10.lambda_o, 5), 0)]
+
+
+def test_deep_receivers_run_while_their_profiles_have_norm(tmp_path, capsys):
+    # at z_a = 85 the receiver profiles have norm > 0: image and mc-rate run
+    # and print and write finite numbers (at z_a = 90 the build refuses them)
+    cfg = _vertical_with(tmp_path, dict(_DEEP, **{"array.z_a": "85",
+                                                  "source.z": "-3", "noise.sigmas": "1e-3"}))
+    assert main(["image", "--config", cfg, "--out", str(tmp_path / "image")]) == 0
+    assert main(["mc-rate", "--trials", "5", "--config", cfg,
+                 "--out", str(tmp_path / "rates")]) == 0
+    assert all(map(np.isfinite, _printed_numbers(capsys.readouterr().out)))
+    for csv in (tmp_path / "image" / "image.csv", tmp_path / "rates" / "rates.csv"):
+        rows = [ln for ln in csv.read_text().splitlines() if not ln.startswith("#")][1:]
+        assert all(np.isfinite(float(cell)) for row in rows for cell in row.split(","))
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):

@@ -259,6 +259,15 @@ def test_unregularized_inversion_refuses_singular_spectrum(
         _svd_estimate(np.zeros(6, complex), sm, None)
 
 
+def test_unregularized_inversion_refuses_an_all_zero_spectrum(ms_parab10):
+    # every mode vanishes on depths [145, 155] of the L = 10 graded guide,
+    # so every eigenvalue is 0: plain inversion would divide by zero
+    cm = wg.coupling_matrix(ms_parab10, wg.Dense(0.0, ((150.0, 5.0),)))
+    assert not cm.d.any()
+    with pytest.raises(wg.SingularUnregularized):
+        wg.estimate_amplitudes(np.zeros(5), cm, None)
+
+
 def test_reg_policy_picks_regularizer(ms_dd20, src_ref, vertical_points):
     a_o = wg.source_amplitudes(ms_dd20, src_ref)
     heur = heuristic_eps(1e-3, a_o)

@@ -107,3 +107,12 @@ def test_receiver_line_formulas():
     pth = wg.horizontal_line(20)
     assert np.allclose(pth[:, 0], 0.25 * (k - 10) / 20)
     assert np.all(pth[:, 1] == 11.0)
+
+
+def test_dense_line_shapes():
+    # vertical: x = 0 over depth segments, reading no depth; horizontal:
+    # range segments at one depth
+    segments = [(5.0, 2.0), (12.0, 1.0)]
+    assert wg.dense_line("vertical", segments) == wg.Dense(0.0, ((5.0, 2.0), (12.0, 1.0)))
+    assert wg.dense_line("vertical", segments, 7.0) == wg.dense_line("vertical", segments)
+    assert wg.dense_line("horizontal", segments, 7.0) == wg.Dense(((5.0, 2.0), (12.0, 1.0)), 7.0)
