@@ -29,8 +29,9 @@ The one refusal left to run time is plain inversion of a singular
 spectrum, which needs the spectrum (estimate raises SingularUnregularized
 before any file is written).
 
-A comma list (noise.sigmas, rank.kinds, rank.ratios_<kind>) repeats no entry;
-its values are compared parsed, so 1e-6 and 1e-06 are one value.
+A comma list (noise.sigmas, rank.ratios_<kind>) repeats no entry; its
+values are compared parsed, so 1e-6 and 1e-06 are one value. rank-scan
+scans each kind whose rank.ratios_<kind> is non-empty.
 """
 
 import math
@@ -53,7 +54,6 @@ from .synth import (
     dense_line,
     horizontal_line,
     lhs_design,
-    source_amplitudes,
     vertical_line,
 )
 
@@ -190,9 +190,6 @@ KEYS = (
     Key("grid.z_max", None, *_FINITE),
     Key("grid.step_fraction", "20", *_POSITIVE),
     Key("rank.eps", "1e-7", *_POSITIVE),
-    Key("rank.kinds", "vertical, horizontal", _list(str.lower),
-        lambda kinds: len(kinds) > 0 and _distinct(DENSE_LINE_KINDS.__contains__)(kinds),
-        "a non-empty comma list of distinct vertical, horizontal"),
     Key("rank.ratios_vertical", "0.1, 0.2, 0.3, 0.4", *_RATIOS),
     Key("rank.ratios_horizontal", "0.05, 0.1", *_RATIOS),
     Key("rank.z_a", None, *_FINITE),
@@ -276,21 +273,13 @@ def _geometry(kind, v):
     return dense_line("horizontal", segs or [(a, a)], z_a), "array.z_a"
 
 
-def _in_guide(name, z, L, walls, what):
-    """Depths z must lie in [0, L]. Point depths (a number or an array) may
-    not all sit on a Dirichlet wall, where every mode vanishes and the
-    field is zero; a tuple of depth segments (b, h) is checked on its ends
-    b -+ h, which may touch a wall."""
+def _spans(z):
+    """Depth spans (b, h), each [b - h, b + h], of a set that a key places: a
+    tuple of depth segments (b, h), or point depths (a number or an array),
+    each a span with h = 0."""
     if isinstance(z, tuple):
-        z, walls = np.ravel([(b - h, b + h) for b, h in z]), ()
-    z = np.atleast_1d(z)
-    lo, hi = z.min(), z.max()
-    if lo < 0 or hi > L:
-        raise ConfigError(f"{name} puts depths {lo:g}..{hi:g} outside the guide [0, {L:g}]")
-    if set(z.tolist()) <= set(walls):
-        at = " or ".join(f"{w:g}" for w in walls)
-        raise ConfigError(f"{name} puts {what} on a Dirichlet wall (z = {at}), "
-                          "where every mode vanishes")
+        return np.array(z, dtype=float).T
+    return np.atleast_1d(z), np.zeros(np.size(z))
 
 
 class ExperimentConfig(NamedTuple):
@@ -306,7 +295,8 @@ class ExperimentConfig(NamedTuple):
     trials: int
     seed: int
     rank_eps: float
-    # rank kind -> [(a/L, Dense)], in rank.kinds order; see experiments.rank_scan_rows
+    # rank kind -> [(a/L, Dense)] of each kind with a non-empty
+    # rank.ratios_<kind>, in DENSE_LINE_KINDS order; see experiments.rank_scan_rows
     rank_apertures: dict
     __eq__, __ne__ = _record.eq, _record.ne
 
@@ -332,7 +322,8 @@ def build_experiment(entries, command=None):
     # rank-scan lines over [0, 2a], a = (a/L) L: the vertical one in depth,
     # the horizontal one in range at depth rank.z_a
     rank_apertures = {k: [(r, dense_line(k, ((r * L, r * L),), rank_z_a))
-                          for r in v[f"rank.ratios_{k}"]] for k in v["rank.kinds"]}
+                          for r in v[f"rank.ratios_{k}"]]
+                      for k in DENSE_LINE_KINDS if v[f"rank.ratios_{k}"]}
     # the data model is the field of a source beyond the array, at larger x
     reach = None if geometry is None else array_x_max(geometry)
     if source is not None and geometry is not None and not source.x_o > reach:
@@ -349,40 +340,45 @@ def build_experiment(entries, command=None):
         if not getattr(grid, lo) < getattr(grid, hi):
             raise ConfigError(f"grid.{lo} must be < grid.{hi}, "
                               f"got {getattr(grid, lo)!r} >= {getattr(grid, hi)!r}")
-    # (the keys that place it, its depths, what it is) for the array and each
-    # rank-scan aperture: receiver depths, or a depth factor
-    placed = [] if geometry is None else [
+    # (the keys that place it, its depth spans (b, h), what it is) for the
+    # source, the array and each rank-scan aperture
+    placed = [] if source is None else [("source.z", source.z_o, "the source")]
+    placed += [] if geometry is None else [
         (depth_keys, geometry.points[:, 1], "every receiver") if isinstance(geometry, Discrete)
         else (depth_keys, geometry.mu_z, "the aperture")]
     placed += [("rank.z_a" if np.isscalar(ap.mu_z) else f"rank.ratios_{k}", ap.mu_z, "the aperture")
                for k, apertures in rank_apertures.items() for _, ap in apertures]
-    walls = spec.walls
-    if walls:  # a guide with walls spans [0, L]; off its walls not every mode vanishes
-        if source is not None:
-            _in_guide("source.z", source.z_o, L, walls, "the source")
-        for key, z, what in placed:
-            _in_guide(key, z, L, walls, what)
-        # no walls: the default grid spans [0, L] exactly
-        _in_guide("grid.z_min/grid.z_max", np.array([grid.z_min, grid.z_max]), L, (),
-                  "the search grid")
+    placed = [(key, *_spans(z), what) for key, z, what in placed]
+    if spec.walls:
+        # a guide with walls spans [0, L]. Off its walls not every mode
+        # vanishes, so a set of points may not lie all on them; a segment
+        # may touch one. So may the search grid, which is checked on range
+        # alone (what None): the mode sum is still the field on a wall
+        grid_z = ("grid.z_min/grid.z_max", np.array([grid.z_min, grid.z_max]), np.zeros(2), None)
+        for key, b, h, what in placed + [grid_z]:
+            lo, hi = (b - h).min(), (b + h).max()
+            if lo < 0 or hi > L:
+                raise ConfigError(f"{key} puts depths {lo:g}..{hi:g} outside the guide [0, {L:g}]")
+            if what and not h.any() and set(b.tolist()) <= set(spec.walls):
+                at = " or ".join(f"{w:g}" for w in spec.walls)
+                raise ConfigError(f"{key} puts {what} on a Dirichlet wall (z = {at}), "
+                                  "where every mode vanishes")
     elif placed:
         # the graded guide is unbounded. Beyond their turning points its modes
         # decay away from the axis z = 0, so the depth of a set nearest the
         # axis decides whether the profiles on it have norm 0 (every mode is
         # 0 there, or its square underflows)
-        near = [min(max(abs(b) - h, 0.0) for b, h in z) if isinstance(z, tuple)
-                else np.abs(z).min() for _, z, _ in placed]
-        for (key, _, what), norm in zip(placed, np.linalg.norm(ms.profile_matrix(near), axis=1)):
+        near = [np.maximum(np.abs(b) - h, 0.0).min() for _, b, h, _ in placed]
+        for (key, *_, what), norm in zip(placed, np.linalg.norm(ms.profile_matrix(near), axis=1)):
             if not norm > 0:
                 raise ConfigError(f"{key} puts {what} where every guided mode vanishes")
-    # its mode amplitudes have norm 0 (or underflow to it), and the
-    # heuristic eps divides by that norm
-    if source is not None and not np.linalg.norm(source_amplitudes(ms, source)) > 0:
-        raise ConfigError(f"source.z = {source.z_o:g} lies where every guided mode vanishes")
     missing = [k for k in _NEEDS.get(command, ()) if v[k] in (None, [])]
     if missing:
         head = ", ".join(missing[:-1])
         raise ConfigError(f"{command} needs {head + ' and ' if head else ''}{missing[-1]}")
+    if command == "rank-scan" and not rank_apertures:
+        raise ConfigError("rank-scan needs a non-empty rank.ratios_vertical or "
+                          "rank.ratios_horizontal")
     if command in ("image", "mc-rate"):
         if not isinstance(geometry, Discrete):
             raise ConfigError(f"{command} runs on a receiver set, not array.kind = {kind}")

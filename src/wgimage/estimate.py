@@ -56,13 +56,18 @@ class _Regularizer(NamedTuple):
 
 
 class Tikhonov(_Regularizer):
-    """psi_eps(d) = d / (d^2 + eps^2)."""
+    """psi_eps(d) = d / (d^2 + eps^2). Where d^2 + eps^2 underflows below the
+    smallest normal float (d and eps both below about 1e-154), it is taken
+    as d / r / r with r = hypot(d, eps), which does not underflow; every
+    other entry keeps the bits of the plain quotient."""
 
     __slots__ = ()
 
     def filter(self, d):
-        d = np.asarray(d, dtype=float)
-        return d / (d * d + self.eps * self.eps)
+        d, e = np.asarray(d, dtype=float), self.eps
+        den, r = d * d + e * e, np.hypot(d, e)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den >= np.finfo(float).tiny, d / den, d / r / r)
 
     def residual(self, d):
         # eps^2/(d^2+eps^2) is 1 - d psi_eps(d) without the cancellation,

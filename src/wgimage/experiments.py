@@ -236,7 +236,8 @@ def rank_scan_rows(ms, kind, apertures):
 
 def run_rank_scan(ecfg, outdir):
     """Predicted vs measured effective rank over a/L: writes one CSV per
-    kind, in rank.kinds order, then prints every row."""
+    kind with a non-empty rank.ratios_<kind>, in DENSE_LINE_KINDS order,
+    then prints every row."""
     scans = []
     for kind, apertures in ecfg.rank_apertures.items():
         rows = rank_scan_rows(ecfg.ms, kind, apertures)

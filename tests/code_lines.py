@@ -3,12 +3,14 @@
 A code line holds a token other than a comment, and is neither blank nor
 part of a lone-string statement (a docstring). Lines inside a multi-line
 token count, as do the lines of a bracketed statement that hold one of
-its tokens. Simplicity claims cite the total.
+its tokens. Simplicity claims cite the total, and beside it the number of
+knobs: the distinct key names of the config table (`config.KEYS`).
 
     python tests/code_lines.py
 
 prints one `<module> <lines>` line per module, sorted by name, then
-`total <lines>`.
+`total <lines>` and `keys <n>`. It imports the package of its own
+checkout, from src/.
 """
 
 import sys
@@ -16,6 +18,10 @@ import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wgimage"
+sys.path.insert(0, str(SRC.parent))
+
+from wgimage.config import KEYS  # noqa: E402
+
 NON_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -38,7 +44,8 @@ def code_lines(path):
 def report():
     counts = {path.name: code_lines(path) for path in sorted(SRC.glob("*.py"))}
     rows = [f"{name} {n}" for name, n in counts.items()]
-    return "".join(row + "\n" for row in rows + [f"total {sum(counts.values())}"])
+    rows += [f"total {sum(counts.values())}", f"keys {len({key.name for key in KEYS})}"]
+    return "".join(row + "\n" for row in rows)
 
 
 if __name__ == "__main__":

@@ -358,7 +358,9 @@ _DEEP = {"waveguide.model": "parabolic", "waveguide.L": "10", "array.z_a": "0",
     ("rank.ratios_vertical", {"rank.ratios_vertical": "nan"}),
     ("rank.ratios_horizontal", {"rank.ratios_horizontal": "0.05, -1"}),
     ("rank.z_a", {"rank.z_a": "nan"}),
-    ("rank.kinds", {"rank.kinds": "vertical, diagonal"}),
+    # the profiles at the source's depth have norm 0: 1.3e-162 at most,
+    # whose square underflows (its mode amplitudes, 2.2e-162, do not)
+    ("source.z", dict(_DEEP, **{"source.z": "87.75"})),
     ("omega", {"omega": "0.1"}),  # below the first cutoff: no guided modes
     # each interval is centered at its own depth: z_a would be ignored
     ("array.z_a", {"array.kind": "dense_vertical", "array.intervals": "5:2;12:1",
@@ -395,8 +397,10 @@ _DEEP = {"waveguide.model": "parabolic", "waveguide.L": "10", "array.z_a": "0",
     ("source.x", {"source.x": "-5"}),
     ("source.x", {"source.x": "0"}),  # the receivers' own range
     ("source.x", {"array.kind": "dense_horizontal", "array.z_a": "7", "array.a": "60"}),
-    ("rank.kinds", {"rank.kinds": ""}),  # a scan of no kind writes nothing
-    ("rank.kinds", {"rank.kinds": "vertical, vertical"}),  # a scan written twice
+    # the graded guide is symmetric about its axis: a set is checked at |z|
+    ("source.z", dict(_DEEP, **{"source.z": "-100"})),
+    ("array.z_a", dict(_DEEP, **{"array.kind": "dense_planar", "array.z_a": "-150",
+                                 "array.a": "1"})),
     # deep in the L=10 graded guide every mode amplitude is 0, or its square
     # underflows: 3.9e-212 at z = 100, exactly 0 at z = 150
     ("source.z", dict(_DEEP, **{"source.z": "100"})),
@@ -407,7 +411,7 @@ _DEEP = {"waveguide.model": "parabolic", "waveguide.L": "10", "array.z_a": "0",
     ("rank.ratios_vertical", {"rank.ratios_vertical": "0.1, 0.2, 0.1"}),
     ("rank.ratios_horizontal", {"rank.ratios_horizontal": "0.05, 5e-2"}),
     ("noise.sigmas", {"noise.sigmas": "-0, 0"}),  # -0 reads as 0
-    ("rank.kinds", {"rank.kinds": "vertical, Vertical"}),  # kinds are read lowercased
+    ("rank.z_a", dict(_DEEP, **{"rank.z_a": "-150"})),
     ("rank.ratios_horizontal", {"rank.ratios_horizontal": "0"}),
     ("rank.ratios_vertical", {"rank.ratios_vertical": "-0.1"}),
     ("rank.ratios_horizontal", {"rank.ratios_horizontal": "nan"}),
@@ -426,7 +430,7 @@ _DEEP = {"waveguide.model": "parabolic", "waveguide.L": "10", "array.z_a": "0",
                                  "array.a": "1"})),
     ("array.intervals", dict(_DEEP, **{"array.z_a": None, "array.kind": "dense_vertical",
                                        "array.intervals": "150:1; -120:20"})),
-    ("rank.z_a", dict(_DEEP, **{"rank.kinds": "horizontal", "rank.z_a": "150"})),
+    ("rank.z_a", dict(_DEEP, **{"rank.ratios_vertical": "", "rank.z_a": "150"})),
 ])
 def test_invalid_keys_exit_2_before_any_output(tmp_path, capsys, key, entries):
     cfg = _vertical_with(tmp_path, entries)
@@ -448,7 +452,7 @@ def test_invalid_keys_exit_2_before_any_output(tmp_path, capsys, key, entries):
      "array.z_a": "0", "array.a": "1"},
     {"array.kind": "dense_vertical", "array.z_a": "2", "array.a": "2"},  # segment [0, 4]
     {"rank.ratios_vertical": "0.5"},  # the full depth [0, L]
-    {"rank.kinds": "vertical", "rank.z_a": "0"},  # no horizontal scan reads rank.z_a
+    {"rank.ratios_horizontal": "", "rank.z_a": "0"},  # no horizontal scan reads rank.z_a
     {"rank.ratios_vertical": ""},  # an empty scan has no aperture to check
     {"waveguide.model": "parabolic", "array.kind": "dense_vertical", "array.z_a": "-3",
      "array.a": "1"},
@@ -493,15 +497,35 @@ def test_rank_scan_apertures():
 
 
 def test_rank_ratios_is_an_unknown_key(tmp_path, capsys):
-    # each kind reads its own rank.ratios_<kind>; there is no shared alias
-    assert "rank.ratios" not in {key.name for key in KEYS}
-    cfg = tmp_path / "scan.cfg"
-    cfg.write_text("waveguide.L = 20\nomega = 1\nrank.ratios = 0.1\n")
-    assert main(["rank-scan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == (
-        "config error: unknown key 'rank.ratios' (rank.* keys: rank.eps, rank.kinds, "
-        "rank.ratios_horizontal, rank.ratios_vertical, rank.z_a)\n")
-    assert not list(tmp_path.glob("*.csv"))
+    # each kind reads its own rank.ratios_<kind>; there is no shared alias,
+    # and no kind list: a kind is scanned when its ratio list is non-empty
+    for name, value in (("rank.ratios", "0.1"), ("rank.kinds", "vertical")):
+        assert name not in {key.name for key in KEYS}
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(f"waveguide.L = 20\nomega = 1\n{name} = {value}\n")
+        assert main(["rank-scan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: unknown key '{name}' (rank.* keys: rank.eps, "
+            "rank.ratios_horizontal, rank.ratios_vertical, rank.z_a)\n")
+        assert not list(tmp_path.glob("*.csv"))
+
+
+def test_rank_scan_with_every_ratio_list_empty_exits_2(tmp_path, capsys):
+    cfg = _vertical_with(tmp_path, {"rank.ratios_vertical": "", "rank.ratios_horizontal": ""})
+    out = tmp_path / "out"
+    assert main(["rank-scan", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: rank-scan needs a non-empty "
+                                       "rank.ratios_vertical or rank.ratios_horizontal\n")
+    assert not out.exists()
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0  # no other command scans
+
+
+@pytest.mark.parametrize("kind, other", [("vertical", "horizontal"), ("horizontal", "vertical")])
+def test_rank_scan_writes_the_kinds_with_ratios(tmp_path, capsys, kind, other):
+    code, stdout, files = _outputs(tmp_path, capsys, _vertical_with(
+        tmp_path, {f"rank.ratios_{other}": ""}), "rank-scan")
+    assert code == 0 and list(files) == [f"rank_scan_{kind}.csv"]
+    assert stdout.startswith(f"{kind} a/L=") and other not in stdout
 
 
 def test_unknown_key_lists_its_section():
@@ -540,7 +564,6 @@ _FUZZ_VALUES = {
     "reg.eps": ["1e-6", "0.5"], "grid.x_min": ["95", "90"], "grid.x_max": ["105", "110"],
     "grid.z_min": ["0", "2"], "grid.z_max": ["20", "18"],
     "grid.step_fraction": ["20", "10"], "rank.eps": ["1e-7", "1e-3"],
-    "rank.kinds": ["vertical", "horizontal", "vertical, horizontal"],
     "rank.ratios_vertical": ["0.1, 0.2"],
     "rank.ratios_horizontal": ["0.05, 0.1"], "rank.z_a": ["7", "10"],
 }
@@ -814,7 +837,7 @@ def test_cli_seed_override(tmp_path):
 def test_cli_rank_scan_caps_at_mode_count(tmp_path, capsys):
     cfg = tmp_path / "scan.cfg"
     cfg.write_text("waveguide.L = 100\nomega = 1\n"
-                   "rank.kinds = vertical\nrank.ratios_vertical = 0.5\n")
+                   "rank.ratios_vertical = 0.5\nrank.ratios_horizontal =\n")
     assert main(["rank-scan", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().out == ("vertical a/L=0.5 predicted=31 measured=31\n"
                                        f"wrote {tmp_path}/rank_scan_vertical.csv\n")
@@ -875,11 +898,11 @@ def test_rank_scan_counts_no_mode_on_an_all_zero_spectrum(ms_parab10):
         (0.1, wg.dense_rank_prediction("horizontal", ((1.0, 1.0),), ms_parab10.lambda_o, 5), 0)]
 
 
-def test_deep_receivers_run_while_their_profiles_have_norm(tmp_path, capsys):
-    # at z_a = 85 the receiver profiles have norm > 0: image and mc-rate run
-    # and print and write finite numbers (at z_a = 90 the build refuses them)
-    cfg = _vertical_with(tmp_path, dict(_DEEP, **{"array.z_a": "85",
-                                                  "source.z": "-3", "noise.sigmas": "1e-3"}))
+def _deep_runs_finite(tmp_path, capsys, **entries):
+    """image and mc-rate on a vertical line deep in the L = 10 graded guide,
+    source (100, -3), exit 0 and print and write only finite numbers."""
+    cfg = _vertical_with(tmp_path, dict(_DEEP, **{"source.z": "-3", "noise.sigmas": "1e-3"},
+                                        **entries))
     assert main(["image", "--config", cfg, "--out", str(tmp_path / "image")]) == 0
     assert main(["mc-rate", "--trials", "5", "--config", cfg,
                  "--out", str(tmp_path / "rates")]) == 0
@@ -887,6 +910,22 @@ def test_deep_receivers_run_while_their_profiles_have_norm(tmp_path, capsys):
     for csv in (tmp_path / "image" / "image.csv", tmp_path / "rates" / "rates.csv"):
         rows = [ln for ln in csv.read_text().splitlines() if not ln.startswith("#")][1:]
         assert all(np.isfinite(float(cell)) for row in rows for cell in row.split(","))
+
+
+def test_deep_receivers_run_while_their_profiles_have_norm(tmp_path, capsys):
+    # at z_a = 85 the receiver profiles have norm > 0: image and mc-rate run
+    # and print and write finite numbers (at z_a = 90 the build refuses them)
+    _deep_runs_finite(tmp_path, capsys, **{"array.z_a": "85"})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("z_a", ["87.2", "87.5", "87.8"])
+def test_deep_receivers_image_finite_where_tikhonov_underflows(tmp_path, capsys, z_a):
+    # receiver profiles of norm > 0 whose singular values and eps are so
+    # small that d^2 + eps^2 underflows; a warning raised here would exit 1.
+    # The depths of the grid do not enter the estimate: a short one is enough
+    _deep_runs_finite(tmp_path, capsys, **{"array.z_a": z_a, "grid.z_min": "-10",
+                                           "grid.z_max": "10"})
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
@@ -1046,13 +1085,3 @@ def test_negative_zero_finite_key_runs_as_zero(tmp_path, capsys):
     assert run("-0") == zero
     assert run("-0.0") == zero
 
-
-def test_rank_kinds_read_case_insensitively(tmp_path, capsys):
-    # like every one-of key's value; the config digest is that of the lowercase
-    def run(kinds):
-        return _outputs(tmp_path, capsys, _vertical_with(tmp_path, {"rank.kinds": kinds}),
-                        "rank-scan")
-
-    lower = run("vertical, horizontal")
-    assert lower[0] == 0 and len(lower[2]) == 2
-    assert run("Vertical, HORIZONTAL") == lower

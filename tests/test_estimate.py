@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -436,3 +437,24 @@ def test_filter_shrinkage_bounds(d, eps):
     h = (dv * wg.HardThreshold(eps).filter(dv)).item()
     assert h == 0.0 or h == pytest.approx(1.0)
     assert 0.0 <= wg.Tikhonov(eps).residual(dv).item() <= up
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tikhonov_filter_where_its_denominator_underflows():
+    # the singular values and eps of a vertical line at z_a = 87.5 in the
+    # L = 10 graded guide: d^2 + eps^2 reads 4.5e-321 (subnormal) for the
+    # first and 0 for the second, where the plain quotient is 0/0
+    eps, d = 5.2e-164, [6.7e-161, 3.0e-179]
+    exact = [float(Fraction(x) / (Fraction(x) ** 2 + Fraction(eps) ** 2)) for x in d]
+    np.testing.assert_allclose(wg.Tikhonov(eps).filter(d), exact, rtol=1e-14, atol=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(d=st.lists(st.floats(min_value=1e-150, max_value=1e150), min_size=1, max_size=8),
+       sign=st.sampled_from([1.0, -1.0]),
+       eps=st.one_of(st.just(0.0), st.floats(min_value=1e-150, max_value=1e150)))
+def test_tikhonov_filter_keeps_the_plain_quotient_bits(d, sign, eps):
+    # wherever d^2 + eps^2 is a normal float, the filter is that quotient, bit for bit
+    d = sign * np.array(d)
+    assert np.array_equal(wg.Tikhonov(eps).filter(d), d / (d * d + eps * eps))

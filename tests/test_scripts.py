@@ -12,15 +12,18 @@ import code_lines
 import seed_spread
 import uncalled
 from wgimage.cli import main
+from wgimage.config import KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_code_line_counter_totals_its_modules():
-    *rows, total = code_lines.report().splitlines()
+    *rows, total, keys = code_lines.report().splitlines()
     counts = dict(row.split() for row in rows)
     assert sorted(counts) == sorted(path.name for path in code_lines.SRC.glob("*.py"))
     assert total == f"total {sum(map(int, counts.values()))}"
+    # distinct names: array.z_a and array.a have a row per group of kinds
+    assert keys == f"keys {len({key.name for key in KEYS})}"
 
 
 def test_code_line_counter_skips_docs_comments_and_blanks(tmp_path):

@@ -98,11 +98,12 @@ def test_csv_counts_of_every_kind(tracer, tmp_path, command, config, extra, file
     pytest.param("mc-rate", ["--trials", "3"], 3, id="mc-rate"),
 ])
 def test_traced_counts_of_the_receiver_data_model(tracer, tmp_path, command, extra, draws):
-    # one sensing matrix per run; four mode-profile evaluations (the config
-    # build, the receivers, the source, the grid); one noise draw per trial
+    # one sensing matrix per run; three mode-profile evaluations (the
+    # receivers, the source, the grid: a walled guide's build evaluates
+    # none); one noise draw per trial
     argv = [command, "--config", str(CONFIGS / "vertical.cfg"), *extra, "--out", str(tmp_path)]
     layers = tracer.summarize(_traced_main(tracer, argv).spans)
     assert layers["estimate.sensing_matrix"]["calls"] == 1
-    assert layers["modes.profile_matrix"]["calls"] == 4
-    assert layers["modes.profile_matrix"]["profile_values"] == 522
+    assert layers["modes.profile_matrix"]["calls"] == 3
+    assert layers["modes.profile_matrix"]["profile_values"] == 516
     assert layers["experiments.noise_draw"]["calls"] == draws
